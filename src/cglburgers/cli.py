@@ -15,7 +15,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -328,40 +327,6 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int, threads: int) -> int:
     jobs = _scan_jobs(cfg)
     ks = dispersion.default_k_grid(d["k_extent"], d["samples"])
 
-    def run(job: dict):
-        model = dict(cfg["model"])
-        model.update({k: v for k, v in job.items() if k != "w0"})
-        params = SystemParams(
-            u_coeffs=(model["u0"], model["u1"]),
-            v_coeffs=(model["v0"], model["v1"]),
-            xi=model["xi"],
-            m=model["m"],
-            kappa_coeffs=(model["kappa0"], model["kappa1"]),
-            s1_coeffs=(model["s1_0"], model["s1_1"]),
-            s2_coeffs=(model["s2_0"], model["s2_1"]),
-        )
-        try:
-            result = solve_plane_wave(params, branch=None, w0=job["w0"])
-            wave = (
-                result.representative()
-                if isinstance(result, PlaneWaveFamily)
-                else result
-            )
-        except (NoRealSolution, ValueError):
-            return job, None, None
-        mats = dispersion.build_matrices(params, wave, d["coupling"])
-        lams = dispersion.spectrum_table(mats, ks)
-        samples = [
-            dispersion.SpectrumSample(k=float(k), lambdas=l) for k, l in zip(ks, lams)
-        ]
-        return job, wave, dispersion.classify_spectrum(samples)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     header = [
         "m",
         "w0",
@@ -379,11 +344,27 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int, threads: int) -> int:
         "band_hi",
     ]
     rows = []
-    for job, wave, verdict in results:
-        base = [job[k] for k in ("m", "w0", "u0", "v0", "kappa0", "s1_0", "s2_0")]
-        if verdict is None:
+    for job in jobs:
+        base = [job[k] for k in header[:7]]
+        model = dict(cfg["model"])
+        model.update({k: v for k, v in job.items() if k != "w0"})
+        params = params_from_config({"model": model})
+        try:
+            result = solve_plane_wave(params, branch=None, w0=job["w0"])
+            wave = (
+                result.representative()
+                if isinstance(result, PlaneWaveFamily)
+                else result
+            )
+        except (NoRealSolution, ValueError):
             rows.append(base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"])
             continue
+        mats = dispersion.build_matrices(params, wave, d["coupling"])
+        lams = dispersion.spectrum_table(mats, ks)
+        samples = [
+            dispersion.SpectrumSample(k=float(k), lambdas=l) for k, l in zip(ks, lams)
+        ]
+        verdict = dispersion.classify_spectrum(samples)
         c = verdict.parabola_constant
         rows.append(
             base

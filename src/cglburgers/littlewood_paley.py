@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
-from .solver import FieldState, Forcing, linear_propagator, phi1, phi2
+from .solver import FieldState, Forcing, diagonal_operators, etd2_step, linear_propagator
 from .spectral import Grid, SpectralField, lp_norm
 
 ANNULUS_INNER = 0.75
@@ -331,18 +331,17 @@ def heat_solution_series(
 ) -> list[SpectralField]:
     """Integrate df/dt = mu*(1+i*u)*Lap(f) + g on the given time grid.
 
-    The diffusion factor is exact per mode; the source enters through a
-    second-order exponential-trapezoid quadrature of the variation-of-
-    constants integral.
+    The diffusion factor is exact per mode; the source enters through the
+    shared ETD2 step, a second-order exponential quadrature of the
+    variation-of-constants integral.
     """
     grid = f0.grid
     times = np.asarray(times, dtype=float)
+    L = -mu * (1.0 + 1j * u_disp) * grid.k_squared
     fhat = f0.spectral().copy()
     out = [SpectralField.from_spectral(grid, fhat.copy())]
 
-    def source_hat(t):
-        if g is None or g.f1 is None:
-            return None
+    def source_hat(f, t):
         src = g.f1(t)
         if isinstance(src, SpectralField):
             return src.spectral()
@@ -350,13 +349,10 @@ def heat_solution_series(
 
     for t0, t1 in zip(times[:-1], times[1:]):
         dt = t1 - t0
-        z = -mu * (1.0 + 1j * u_disp) * grid.k_squared * dt
-        E = np.exp(z)
-        g0 = source_hat(t0)
-        fhat = E * fhat
-        if g0 is not None:
-            g1 = source_hat(t1)
-            fhat = fhat + dt * ((phi1(z) - phi2(z)) * g0 + phi2(z) * g1)
+        if g is None or g.f1 is None:
+            fhat = np.exp(L * dt) * fhat
+        else:
+            fhat, _ = etd2_step(fhat, t0, source_hat, diagonal_operators(L, dt), dt)
         out.append(SpectralField.from_spectral(grid, fhat.copy()))
     return out
 

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import dispersion
 from .model import PlaneWave, SystemParams
-from .solver import SolverConfig, StepUnstable
+from .solver import SolverConfig, StepUnstable, block_operators, check_magnitude, integrate
 from .spectral import Grid, SpectralField
 
 CHART_FLOOR_FRACTION = 0.01
@@ -175,20 +174,17 @@ class _PolarWorkspace:
         n = grid.n
         self.k = 2.0 * np.pi / grid.length * np.arange(n // 2 + 1)
         self.ik = 1j * self.k
-        idx = np.arange(n // 2 + 1)
-        self.mask = idx <= n / 3.0
+        mask = np.arange(n // 2 + 1) <= n / 3.0
         if config.k_cutoff is not None:
-            self.mask = self.mask & (self.k <= config.k_cutoff + 1e-12)
+            mask = mask & (self.k <= config.k_cutoff + 1e-12)
+        self.mask = mask[:, None]
         mats = true_linearization(params, wave)
         self.M = (
             -(self.k[:, None, None] ** 2) * mats.A
             + 1j * self.k[:, None, None] * mats.B
             + mats.C
         )
-        self.E, self.P1, self.P2 = _matrix_phis(self.M, config.dt)
-        if config.scheme == "imex-bdf2":
-            eye = np.eye(3)
-            self.bdf_inv = np.linalg.inv(3.0 * eye - 2.0 * config.dt * self.M)
+        self.ops = block_operators(self.M, config.dt)
 
     def to_hats(self, state: PerturbationState) -> np.ndarray:
         n = self.grid.n
@@ -209,11 +205,8 @@ class _PolarWorkspace:
         floor = CHART_FLOOR_FRACTION * self.wave.r0
         if float(np.min(r)) <= floor:
             raise ChartBreakdown("polar amplitude r0 + rho reached zero", t)
-        amax = max(float(np.max(np.abs(a))) for a in (rho, phi, h))
-        if amax > self.config.blowup_threshold:
-            raise StepUnstable(
-                f"perturbation magnitude exceeded {self.config.blowup_threshold:g}", t
-            )
+        amax = float(np.max(np.abs((rho, phi, h))))
+        check_magnitude(amax, self.config.blowup_threshold, t, "perturbation")
         d = lambda col, order: np.fft.irfft((self.ik**order) * hats[:, col] * n, n=n)
         rho_x, rho_xx = d(0, 1), d(0, 2)
         phi_x, phi_xx = d(1, 1), d(1, 2)
@@ -248,36 +241,9 @@ class _PolarWorkspace:
             axis=-1,
         )
         if self.config.dealias:
-            full = full * self.mask[:, None]
+            full = full * self.mask
         linear = np.einsum("mij,mj->mi", self.M, hats)
         return full - linear
-
-    def apply_mask(self, hats: np.ndarray) -> np.ndarray:
-        return hats * self.mask[:, None]
-
-
-def _matrix_phis(M_stack: np.ndarray, dt: float):
-    """exp(M*dt) and the first two phi-functions for a stack of 3x3 blocks.
-
-    Uses the augmented-matrix identity: the exponential of
-    [[A, I, 0], [0, 0, I], [0, 0, 0]] carries exp(A), phi1(A), phi2(A) in
-    its first block row.
-    """
-    nm = M_stack.shape[0]
-    E = np.empty((nm, 3, 3), dtype=complex)
-    P1 = np.empty_like(E)
-    P2 = np.empty_like(E)
-    eye = np.eye(3)
-    for j in range(nm):
-        W = np.zeros((9, 9), dtype=complex)
-        W[0:3, 0:3] = M_stack[j] * dt
-        W[0:3, 3:6] = eye
-        W[3:6, 6:9] = eye
-        EW = scipy.linalg.expm(W)
-        E[j] = EW[0:3, 0:3]
-        P1[j] = EW[0:3, 3:6]
-        P2[j] = EW[0:3, 6:9]
-    return E, P1, P2
 
 
 @dataclass
@@ -328,28 +294,18 @@ def evolve_polar(
     the strictly nonlinear remainder is integrated with the two-stage
     exponential scheme (or extrapolated semi-implicit BDF2).  Raises
     ChartBreakdown or StepUnstable unless ``tolerate_blowup`` converts the
-    latter into an early, partially recorded trajectory.
+    latter into an early, partially recorded trajectory, and ValueError if
+    t_end is not a whole number of steps away.
     """
     ws = _PolarWorkspace(state0.grid, params, wave, config)
-    dt = config.dt
-    n_steps = int(round((config.t_end - state0.t) / dt))
-    hats = ws.apply_mask(ws.to_hats(state0))
-    times = [state0.t]
-    snaps = [hats.copy()]
-    rows = [_polar_row(ws, hats, state0.t)]
+    hats, t = ws.to_hats(state0) * ws.mask, state0.t
+    times, snaps, rows = [t], [hats], [_polar_row(ws, hats, t)]
     status, fail_t = "completed", None
-    history = None
-    t = state0.t
     try:
-        for i in range(n_steps):
-            if config.scheme == "imex-bdf2":
-                hats, history = _bdf2_polar_step(ws, hats, t, history)
-            else:
-                hats = _etd2_polar_step(ws, hats, t)
-            t = state0.t + (i + 1) * dt
-            if (i + 1) % config.cadence == 0 or i == n_steps - 1:
+        for hats, t, row_due in integrate(hats, t, ws.rhs_hats, ws.ops, config, ws.mask):
+            if row_due:
                 times.append(t)
-                snaps.append(hats.copy())
+                snaps.append(hats)
                 rows.append(_polar_row(ws, hats, t))
     except StepUnstable as exc:
         if not tolerate_blowup:
@@ -384,31 +340,6 @@ def _polar_row(ws: _PolarWorkspace, hats: np.ndarray, t: float) -> dict:
             hats, ws.k, n, ws.config.hs_exponent, drop_mean=True
         ),
     }
-
-
-def _etd2_polar_step(ws: _PolarWorkspace, hats: np.ndarray, t: float) -> np.ndarray:
-    dt = ws.config.dt
-    N0 = ws.rhs_hats(hats, t)
-    a = np.einsum("mij,mj->mi", ws.E, hats) + dt * np.einsum("mij,mj->mi", ws.P1, N0)
-    a = ws.apply_mask(a)
-    N1 = ws.rhs_hats(a, t + dt)
-    out = a + dt * np.einsum("mij,mj->mi", ws.P2, N1 - N0)
-    return ws.apply_mask(out)
-
-
-def _bdf2_polar_step(ws: _PolarWorkspace, hats: np.ndarray, t: float, history):
-    dt = ws.config.dt
-    if history is None:
-        N0 = ws.rhs_hats(hats, t)
-        new = _etd2_polar_step(ws, hats, t)
-        return new, (hats, np.einsum("mij,mj->mi", ws.M, hats) + N0)
-    prev_hats, prev_full = history
-    N0 = ws.rhs_hats(hats, t)
-    full = np.einsum("mij,mj->mi", ws.M, hats) + N0
-    expl = 2.0 * N0 - (prev_full - np.einsum("mij,mj->mi", ws.M, prev_hats))
-    rhs = 4.0 * hats - prev_hats + 2.0 * dt * expl
-    new = np.einsum("mij,mj->mi", ws.bdf_inv, rhs)
-    return ws.apply_mask(new), (hats, full)
 
 
 def remainder(

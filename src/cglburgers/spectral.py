@@ -178,11 +178,6 @@ def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField
     return SpectralField.from_spectral(f.grid, fhat)
 
 
-def laplacian(f: SpectralField) -> SpectralField:
-    fhat = f.spectral() * (-f.grid.k_squared)
-    return SpectralField.from_spectral(f.grid, fhat)
-
-
 def dealias(f: SpectralField) -> SpectralField:
     """Zero all modes above 2/3 of the Nyquist wavenumber, per axis."""
     fhat = f.spectral() * f.grid.dealias_mask()

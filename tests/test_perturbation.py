@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cglburgers import dispersion
+from cglburgers import dispersion, perturbation
 from cglburgers.model import PlaneWave, SystemParams
 from cglburgers.perturbation import (
     AmplitudeVanishes,
@@ -15,7 +15,7 @@ from cglburgers.perturbation import (
     remainder,
     true_linearization,
 )
-from cglburgers.solver import FieldState, SolverConfig, evolve
+from cglburgers.solver import FieldState, SolverConfig, StepUnstable, evolve
 from cglburgers.spectral import Grid, SpectralField
 
 
@@ -513,3 +513,50 @@ def test_instability_positive_diffusivity_dispersive_band():
     config = SolverConfig(dt=2e-3, t_end=14.0, cadence=50)
     report = instability_experiment(params, wave, k_seed=1.0, amp=1e-6, config=config, grid=grid)
     assert report.passed, f"rate={report.rate:.4f} vs {report.reference_rate:.4f}"
+
+
+# ------------------------------------------------------------------- guards
+
+
+def _small_polar_state(grid):
+    return state_from_modes(grid, {1: 1e-3 * np.ones(3), 2: 1e-3 * np.array([1.0, -1.0, 0.5])})
+
+
+@pytest.mark.parametrize("scheme", ["exponential-rk2", "imex-bdf2"])
+@pytest.mark.parametrize("field", ["rho", "phi", "h"])
+def test_polar_nan_raises_step_unstable(grid, scheme, field):
+    state = _small_polar_state(grid)
+    getattr(state, field)[7] = np.nan
+    params = SystemParams.constants(u=0.2, m=1.0, kappa=0.4)
+    config = SolverConfig(dt=1e-3, t_end=1e-2, scheme=scheme)
+    with pytest.raises(StepUnstable):
+        evolve_polar(state, params, unit_wave(), config)
+    traj = evolve_polar(state, params, unit_wave(), config, tolerate_blowup=True)
+    assert traj.status == "unstable"
+
+
+def test_evolve_polar_ends_at_t_end_or_refuses_to_start(grid):
+    params = SystemParams.constants(m=1.0)
+    state = _small_polar_state(grid)
+    for t_end in (1.0, -0.3):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            evolve_polar(state, params, unit_wave(), SolverConfig(dt=0.3, t_end=t_end))
+    traj = evolve_polar(state, params, unit_wave(), SolverConfig(dt=0.3, t_end=0.9))
+    assert traj.final.t == pytest.approx(0.9, rel=1e-12)
+
+
+def test_polar_bdf2_first_step_evaluates_rhs_twice(grid, monkeypatch):
+    calls = []
+    rhs = perturbation._PolarWorkspace.rhs_hats
+
+    def counting(self, hats, t):
+        calls.append(t)
+        return rhs(self, hats, t)
+
+    monkeypatch.setattr(perturbation._PolarWorkspace, "rhs_hats", counting)
+    params = SystemParams.constants(u=0.2, m=1.0, kappa=0.4)
+    for steps, evaluations in ((1, 2), (3, 4)):
+        calls.clear()
+        config = SolverConfig(dt=1e-3, t_end=steps * 1e-3, scheme="imex-bdf2")
+        evolve_polar(_small_polar_state(grid), params, unit_wave(), config)
+        assert len(calls) == evaluations

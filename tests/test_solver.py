@@ -345,3 +345,28 @@ def test_cfl_guard(grid):
     )
     with pytest.raises(ValueError):
         evolve(state, params, config=SolverConfig(dt=0.1, t_end=1.0))
+
+
+@pytest.mark.parametrize("scheme", ["exponential-rk2", "imex-bdf2"])
+@pytest.mark.parametrize("field", ["P", "omega"])
+def test_nan_state_raises_step_unstable(grid, scheme, field):
+    rng = np.random.default_rng(9)
+    P = band_limited_noise(grid, rng, amplitude=0.01).physical().copy()
+    W = band_limited_noise(grid, rng, amplitude=0.01, real=True).physical().copy()
+    (P if field == "P" else W)[5] = np.nan
+    state = FieldState(
+        P=SpectralField.from_physical(grid, P), omega=(SpectralField.from_physical(grid, W),)
+    )
+    config = SolverConfig(dt=0.01, t_end=0.1, scheme=scheme)
+    with pytest.raises(StepUnstable):
+        evolve(state, params=SystemParams.constants(), config=config)
+
+
+def test_evolve_ends_at_t_end_or_refuses_to_start(grid):
+    # dt = 0.3 used to stop at t = 0.9 for t_end = 1.0.
+    params = SystemParams.constants()
+    for t_end in (1.0, -0.3):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            evolve(FieldState.zeros(grid), params, config=SolverConfig(dt=0.3, t_end=t_end))
+    summary = evolve(FieldState.zeros(grid), params, config=SolverConfig(dt=0.3, t_end=0.9))
+    assert summary.final.t == pytest.approx(0.9, rel=1e-12)
