@@ -263,11 +263,14 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, threads: int) -> int:
     state = solver.FieldState.zeros(grid)
     w = cfg["wave"]
     if w["r0"] is not None or w["theta0"] is not None:
+        if grid.dim != 1:
+            raise ValueError(
+                f"a [wave] initial state needs [grid] dim = 1, not dim = {grid.dim}"
+            )
         wave = wave_from_config(cfg, params)
-        pst = perturbation.PerturbationState.zeros(Grid(1, grid.n, grid.length))
-        if grid.dim == 1:
-            P, omega = perturbation.compose_polar(wave, pst)
-            state = solver.FieldState(P=P, omega=(omega,), t=0.0)
+        pst = perturbation.PerturbationState.zeros(grid)
+        P, omega = perturbation.compose_polar(wave, pst)
+        state = solver.FieldState(P=P, omega=(omega,), t=0.0)
     status = "completed"
     try:
         summary = solver.evolve(state, params, solver.Forcing.zero(), sconf)

@@ -199,12 +199,7 @@ def bony_split(u: SpectralField, v: SpectralField):
     grid = u.grid
     if v.grid != grid:
         raise ValueError("fields must share one grid")
-    limit = grid.n / 6.0
-    idx = np.abs(grid.mode_indices())
-    over = idx > limit
-    mask_over = over
-    if grid.dim == 2:
-        mask_over = over[:, None] | over[None, :]
+    mask_over = ~grid.index_mask(grid.n / 6.0)
     for name, f in (("u", u), ("v", v)):
         excess = float(np.max(np.abs(f.spectral()[mask_over]), initial=0.0))
         if excess > 1e-13 * max(1.0, float(np.max(np.abs(f.spectral())))):

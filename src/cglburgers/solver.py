@@ -24,7 +24,7 @@ SCHEMES = ("exponential-rk2", "imex-bdf2")
 
 
 class StepUnstable(RuntimeError):
-    """A norm exceeded the blow-up threshold during time stepping."""
+    """A blow-up, NaN or advective CFL guard tripped during time stepping."""
 
     def __init__(self, message: str, t: float):
         super().__init__(message)
@@ -149,12 +149,8 @@ def linear_propagator(
     return SpectralField.from_spectral(f.grid, f.spectral() * factor)
 
 
-def _mask_product(a: np.ndarray, b: np.ndarray, grid: Grid, mask) -> np.ndarray:
-    """Pointwise product with the 2/3-rule mask applied to the result."""
-    prod = a * b
-    if mask is None:
-        return prod
-    return np.fft.ifftn(np.fft.fftn(prod) * mask)
+def _physical(f) -> np.ndarray:
+    return f.physical() if isinstance(f, SpectralField) else np.asarray(f)
 
 
 def _nonlinear_hats(
@@ -163,73 +159,60 @@ def _nonlinear_hats(
     u: np.ndarray,
     t: float,
     forcing: Forcing,
-    use_dealias: bool,
+    mask: np.ndarray | None,
 ):
     """Explicit right-hand sides of both equations, in spectral form.
 
-    ``u`` stacks the coefficients of (P, Omega_1..Omega_d).  Returns the
-    stacked N, where dP/dt = (1+iu)*Lap(P) + N[0] and dOmega_a/dt =
-    m*Lap(Omega_a) + N[1+a], and the largest physical field magnitude
-    (NaN when any field value is NaN).
+    ``u`` stacks the coefficients of (P, Omega_1..Omega_d).  Each equation is
+    assembled in physical space, transformed once and projected by the
+    2/3-rule ``mask``, if given.  Masking is linear and idempotent, so the
+    products need no projection of their own; only |P|^2 is masked first,
+    because it is a factor of the cubic term.  Returns the stacked N, where
+    dP/dt = (1+iu)*Lap(P) + N[0] and dOmega_a/dt = m*Lap(Omega_a) + N[1+a],
+    the largest physical field magnitude and the largest drift magnitude
+    max|Omega| (each NaN when a field value it covers is NaN).
     """
-    size = grid.size
-    mask = grid.dealias_mask() if use_dealias else None
+    size, dim = grid.size, grid.dim
+    ks = grid.wavenumbers()
     Ph, Ohs = u[0], u[1:]
     P = np.fft.ifftn(Ph * size)
     O = [np.fft.ifftn(oh * size) for oh in Ohs]
-    ks = grid.wavenumbers()
+    dP = [np.fft.ifftn(1j * k * Ph * size) for k in ks]
+    # dO[a][b] = d_b Omega_a, read by the drift advection and by div Omega.
+    dO = [[np.fft.ifftn(1j * k * oh * size) for k in ks] for oh in Ohs]
 
-    dP = [np.fft.ifftn(1j * ks[a] * Ph * size) for a in range(grid.dim)]
-    divO = np.zeros(grid.shape, dtype=complex)
-    for a in range(grid.dim):
-        divO = divO + np.fft.ifftn(1j * ks[a] * Ohs[a] * size)
-
-    adv_P = np.zeros(grid.shape, dtype=complex)
-    for a in range(grid.dim):
-        adv_P = adv_P + _mask_product(O[a], dP[a], grid, mask)
-
-    # Cubic term formed as two successive dealiased products.
-    absP2 = _mask_product(P, np.conj(P), grid, mask)
-    cubic = _mask_product(absP2, P, grid, mask)
+    absP2 = P * np.conj(P)
+    absP2_hat = np.fft.fftn(absP2) / size
+    if mask is not None:
+        absP2_hat *= mask
+        absP2 = np.fft.ifftn(absP2_hat * size)
 
     NP = (
-        -adv_P
+        -sum(O[a] * dP[a] for a in range(dim))
         + consts.xi * P
-        - (1.0 + 1j * consts.v) * cubic
-        - consts.r1 * _mask_product(P, divO, grid, mask)
+        - (1.0 + 1j * consts.v) * absP2 * P
+        - consts.r1 * P * sum(dO[a][a] for a in range(dim))
     )
     if forcing.f1 is not None:
-        f1 = forcing.f1(t)
-        NP = NP + (f1.physical() if isinstance(f1, SpectralField) else np.asarray(f1))
-
-    NOs = []
-    grad_absP2 = np.fft.fftn(absP2) / size
-    for a in range(grid.dim):
-        adv_O = np.zeros(grid.shape, dtype=complex)
-        for b in range(grid.dim):
-            dOa = np.fft.ifftn(1j * ks[b] * Ohs[a] * size)
-            adv_O = adv_O + _mask_product(O[b], dOa, grid, mask)
-        grad_term = np.fft.ifftn(1j * ks[a] * grad_absP2 * size)
-        NO = -adv_O - consts.kappa * grad_term
-        NOs.append(NO)
-    if forcing.f2 is not None:
-        f2 = forcing.f2(t)
-        for a in range(grid.dim):
-            comp = f2[a]
-            NOs[a] = NOs[a] + (
-                comp.physical() if isinstance(comp, SpectralField) else np.asarray(comp)
-            )
+        NP = NP + _physical(forcing.f1(t))
+    f2 = forcing.f2(t) if forcing.f2 is not None else None
 
     N = np.empty_like(u)
-    N[0] = np.fft.fftn(NP)
-    # Drop imaginary round-off so the drift components stay real-valued.
-    for a, NO in enumerate(NOs):
-        N[1 + a] = np.fft.fftn(NO.real)
-    N /= size
+    N[0] = np.fft.fftn(NP) / size
+    # The Nyquist mode has no real derivative: grad|P|^2 leaves it out, so
+    # that the drift stays real also without dealiasing.
+    nyquist = grid.mode_indices() == -(grid.n // 2)
+    for a in range(dim):
+        NO = -sum(O[b] * dO[a][b] for b in range(dim))
+        if f2 is not None:
+            NO = NO + _physical(f2[a])
+        k = np.where(nyquist.reshape(ks[a].shape), 0.0, ks[a])
+        # Drop imaginary round-off so the drift components stay real-valued.
+        N[1 + a] = np.fft.fftn(NO.real) / size - consts.kappa * 1j * k * absP2_hat
     if mask is not None:
         N *= mask
-    amax = np.max([np.max(np.abs(P)), *(np.max(np.abs(o.real)) for o in O)])
-    return N, float(amax)
+    vmax = float(np.max(np.abs(np.real(O))))
+    return N, float(np.max([np.max(np.abs(P)), vmax])), vmax
 
 
 def _stack(state: FieldState) -> np.ndarray:
@@ -249,7 +232,9 @@ def rhs_nonlinear(state: FieldState, params: SystemParams, forcing: Forcing | No
     consts = params.require_constant()
     grid = state.grid
     forcing = forcing or Forcing.zero()
-    N, _ = _nonlinear_hats(grid, consts, _stack(state), state.t, forcing, True)
+    N, _, _ = _nonlinear_hats(
+        grid, consts, _stack(state), state.t, forcing, grid.dealias_mask()
+    )
     dP = SpectralField.from_spectral(grid, N[0]).as_physical()
     dO = tuple(SpectralField.from_spectral(grid, noh).as_physical() for noh in N[1:])
     return dP, dO
@@ -374,9 +359,14 @@ def _field_system(grid: Grid, params: SystemParams, forcing, config: SolverConfi
         # ETD2 never reads the BDF2 solve; kept, it would hold a state's memory.
         ops = ops._replace(bdf2=None)
 
+    dealias = grid.dealias_mask() if config.dealias else None
+    k_max = grid.k_max
+
     def N(u, t):
-        Nu, amax = _nonlinear_hats(grid, consts, u, t, forcing, config.dealias)
+        Nu, amax, vmax = _nonlinear_hats(grid, consts, u, t, forcing, dealias)
+        # The blow-up guard goes first, so that a NaN is reported as one.
         check_magnitude(amax, config.blowup_threshold, t, "field")
+        check_magnitude(config.dt * vmax * k_max, 1.0, t, "advective CFL")
         return Nu
 
     mask = None if config.k_cutoff is None else grid.kmax_mask(config.k_cutoff)
@@ -423,10 +413,8 @@ def _diagnostics_row(grid, u, t, hs_exponent, besov_p):
 
 def advective_cfl(state: FieldState, config: SolverConfig) -> float:
     """CFL number dt * max|Omega| * k_max of the explicit advection terms."""
-    vmax = max(
-        (float(np.max(np.abs(w.physical().real))) for w in state.omega), default=0.0
-    )
-    return config.dt * vmax * state.grid.k_max
+    vmax = np.max([np.abs(w.physical().real) for w in state.omega])
+    return config.dt * float(vmax) * state.grid.k_max
 
 
 def evolve(
@@ -439,8 +427,9 @@ def evolve(
     """Advance to t_end recording diagnostics every ``cadence`` steps.
 
     Raises StepUnstable (carrying the failure time) if a field magnitude
-    crosses the blow-up threshold or is NaN, and ValueError if t_end is not
-    a whole number of steps away.
+    crosses the blow-up threshold or is NaN, or if the advective CFL number
+    exceeds 1.  Raises ValueError if the initial state already exceeds that
+    CFL bound, or if t_end is not a whole number of steps away.
     """
     config = config or SolverConfig()
     grid = state0.grid

@@ -96,17 +96,20 @@ class Grid:
     def k_max(self) -> float:
         return float(np.max(self.k_magnitude))
 
+    def index_mask(self, max_index: float) -> np.ndarray:
+        """Boolean mask keeping modes with |index| <= max_index on every axis."""
+        keep = np.abs(self.mode_indices()) <= max_index
+        if self.dim == 1:
+            return keep
+        return keep[:, None] & keep[None, :]
+
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping modes with |index| <= n/3 on every axis.
 
         n is a power of two so n/3 is never an integer and quadratic
         products of kept modes alias only onto discarded modes.
         """
-        idx = np.abs(self.mode_indices())
-        keep1 = idx <= self.n / 3.0
-        if self.dim == 1:
-            return keep1
-        return keep1[:, None] & keep1[None, :]
+        return self.index_mask(self.n / 3.0)
 
     def kmax_mask(self, k_cutoff: float) -> np.ndarray:
         """Boolean mask keeping modes with |k| <= k_cutoff."""
@@ -219,13 +222,7 @@ def band_limited_noise(
     if max_index is None:
         max_index = grid.n // 3
     coeffs = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    idx = np.abs(grid.mode_indices())
-    keep = idx <= max_index
-    if grid.dim == 1:
-        mask = keep
-    else:
-        mask = keep[:, None] & keep[None, :]
-    coeffs = coeffs * mask
+    coeffs = coeffs * grid.index_mask(max_index)
     if zero_mean:
         coeffs[(0,) * grid.dim] = 0.0
     f = SpectralField.from_spectral(grid, amplitude * coeffs)

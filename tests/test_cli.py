@@ -94,6 +94,19 @@ def test_simulate_zero_data_all_zero(tmp_path):
         assert all(v == 0.0 for v in values)
 
 
+def test_simulate_refuses_a_wave_in_two_dimensions(tmp_path, capsys):
+    # Such a run used to evolve zeros and exit 0.
+    path = write(
+        tmp_path,
+        "sim2d.ini",
+        "[grid]\ndim = 2\nn = 16\n\n[wave]\nr0 = 0.8\n\n[solver]\ndt = 0.01\nt_end = 0.02\n",
+    )
+    code = main(["simulate", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "dim = 2" in error["error"]
+
+
 SCAN_INI = """
 [grid]
 n = 32

@@ -1,0 +1,170 @@
+"""The full-field right-hand side against a reference that dealiases every product."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cglburgers import solver
+from cglburgers.model import SystemParams
+from cglburgers.solver import FieldState, Forcing, SolverConfig, rhs_nonlinear
+from cglburgers.spectral import Grid, SpectralField, band_limited_noise
+
+PARAMS = SystemParams.constants(u=0.3, v=-0.7, xi=1.2, m=0.8, kappa=0.6, s1=0.4, s2=-0.9)
+GRIDS = {1: Grid(dim=1, n=64), 2: Grid(dim=2, n=32, length=5.0)}
+TRANSFORMS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn",
+)
+
+
+def _mask_product(a, b, mask):
+    """Pointwise product with the 2/3-rule mask applied to the result."""
+    prod = a * b
+    if mask is None:
+        return prod
+    return np.fft.ifftn(np.fft.fftn(prod) * mask)
+
+
+def reference_hats(grid, consts, u, t, forcing, use_dealias):
+    """Stacked spectral N, every product projected through its own FFT round trip."""
+    size = grid.size
+    mask = grid.dealias_mask() if use_dealias else None
+    Ph, Ohs = u[0], u[1:]
+    P = np.fft.ifftn(Ph * size)
+    O = [np.fft.ifftn(oh * size) for oh in Ohs]
+    ks = grid.wavenumbers()
+
+    dP = [np.fft.ifftn(1j * ks[a] * Ph * size) for a in range(grid.dim)]
+    divO = np.zeros(grid.shape, dtype=complex)
+    for a in range(grid.dim):
+        divO = divO + np.fft.ifftn(1j * ks[a] * Ohs[a] * size)
+
+    adv_P = np.zeros(grid.shape, dtype=complex)
+    for a in range(grid.dim):
+        adv_P = adv_P + _mask_product(O[a], dP[a], mask)
+
+    absP2 = _mask_product(P, np.conj(P), mask)
+    cubic = _mask_product(absP2, P, mask)
+
+    NP = (
+        -adv_P
+        + consts.xi * P
+        - (1.0 + 1j * consts.v) * cubic
+        - consts.r1 * _mask_product(P, divO, mask)
+    )
+    if forcing.f1 is not None:
+        f1 = forcing.f1(t)
+        NP = NP + (f1.physical() if isinstance(f1, SpectralField) else np.asarray(f1))
+
+    NOs = []
+    grad_absP2 = np.fft.fftn(absP2) / size
+    for a in range(grid.dim):
+        adv_O = np.zeros(grid.shape, dtype=complex)
+        for b in range(grid.dim):
+            dOa = np.fft.ifftn(1j * ks[b] * Ohs[a] * size)
+            adv_O = adv_O + _mask_product(O[b], dOa, mask)
+        grad_term = np.fft.ifftn(1j * ks[a] * grad_absP2 * size)
+        NOs.append(-adv_O - consts.kappa * grad_term)
+    if forcing.f2 is not None:
+        f2 = forcing.f2(t)
+        for a in range(grid.dim):
+            comp = f2[a]
+            NOs[a] = NOs[a] + (
+                comp.physical() if isinstance(comp, SpectralField) else np.asarray(comp)
+            )
+
+    N = np.empty_like(u)
+    N[0] = np.fft.fftn(NP)
+    for a, NO in enumerate(NOs):
+        N[1 + a] = np.fft.fftn(NO.real)
+    N /= size
+    if mask is not None:
+        N *= mask
+    return N
+
+
+def _state(grid, seed, amplitude):
+    # Noise on every mode, the Nyquist modes included, so that undealiased
+    # runs see every product.
+    rng = np.random.default_rng(seed)
+    top = grid.n // 2
+    return FieldState(
+        P=band_limited_noise(grid, rng, max_index=top, amplitude=amplitude),
+        omega=tuple(
+            band_limited_noise(grid, rng, max_index=top, amplitude=amplitude, real=True)
+            for _ in range(grid.dim)
+        ),
+        t=0.3,
+    )
+
+
+def _forcing(grid, seed):
+    rng = np.random.default_rng(seed + 1)
+    f1 = band_limited_noise(grid, rng).physical()
+    f2 = [band_limited_noise(grid, rng, real=True) for _ in range(grid.dim)]
+    return Forcing(
+        f1=lambda t: np.cos(t) * f1,
+        f2=lambda t: tuple(
+            SpectralField.from_spectral(grid, np.sin(t) * w.spectral()) for w in f2
+        ),
+    )
+
+
+def _assert_close(got, want):
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(1e-3, 10.0),
+    dealias=st.booleans(),
+    k_cutoff=st.sampled_from([None, 4.0]),
+    forced=st.booleans(),
+)
+def test_field_system_rhs_matches_reference(
+    dim, seed, amplitude, dealias, k_cutoff, forced
+):
+    grid = GRIDS[dim]
+    forcing = _forcing(grid, seed) if forced else Forcing.zero()
+    config = SolverConfig(dt=1e-9, dealias=dealias, k_cutoff=k_cutoff)
+    _, N, cutoff = solver._field_system(grid, PARAMS, forcing, config)
+    state = _state(grid, seed, amplitude)
+    u = solver._stack(state)
+    if cutoff is not None:
+        u = u * cutoff
+    want = reference_hats(grid, PARAMS.require_constant(), u, state.t, forcing, dealias)
+    _assert_close(N(u, state.t), want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), amplitude=st.floats(1e-3, 10.0), forced=st.booleans()
+)
+def test_rhs_nonlinear_matches_reference(dim, seed, amplitude, forced):
+    grid = GRIDS[dim]
+    forcing = _forcing(grid, seed) if forced else None
+    state = _state(grid, seed, amplitude)
+    want = reference_hats(
+        grid, PARAMS.require_constant(), solver._stack(state), state.t,
+        forcing or Forcing.zero(), True,
+    )
+    dP, dO = rhs_nonlinear(state, PARAMS, forcing)
+    _assert_close(np.stack([dP.spectral(), *(w.spectral() for w in dO)]), want)
+
+
+@pytest.mark.parametrize("dim, expected", [(1, 8), (2, 14)])
+def test_rhs_evaluation_fft_count(monkeypatch, dim, expected):
+    grid = GRIDS[dim]
+    _, N, _ = solver._field_system(grid, PARAMS, None, SolverConfig(dt=1e-9))
+    u = solver._stack(_state(grid, 0, 0.1))
+    calls = []
+    for name in TRANSFORMS:
+        def counted(*args, _f=getattr(np.fft, name), **kwargs):
+            calls.append(_f)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    N(u, 0.0)
+    assert len(calls) == expected

@@ -347,15 +347,32 @@ def test_cfl_guard(grid):
         evolve(state, params, config=SolverConfig(dt=0.1, t_end=1.0))
 
 
+def test_cfl_crossed_mid_run_raises_step_unstable(grid):
+    # A uniform source drives a uniform drift Omega = 10*t, which crosses
+    # dt*max|Omega|*k_max = 1 at t = 0.3125; the state stays smooth throughout.
+    forcing = Forcing(f2=lambda t: (np.full(grid.shape, 10.0),))
+    config = SolverConfig(dt=0.01, t_end=0.5)
+    with pytest.raises(StepUnstable, match="CFL") as excinfo:
+        evolve(FieldState.zeros(grid), SystemParams.constants(), forcing, config)
+    assert 0.31 <= excinfo.value.t <= 0.33
+
+
 @pytest.mark.parametrize("scheme", ["exponential-rk2", "imex-bdf2"])
-@pytest.mark.parametrize("field", ["P", "omega"])
+@pytest.mark.parametrize("field", ["P", "omega", "omega_2"])
 def test_nan_state_raises_step_unstable(grid, scheme, field):
+    if field == "omega_2":
+        grid = Grid(dim=2, n=16, length=2.0 * np.pi)
     rng = np.random.default_rng(9)
     P = band_limited_noise(grid, rng, amplitude=0.01).physical().copy()
-    W = band_limited_noise(grid, rng, amplitude=0.01, real=True).physical().copy()
-    (P if field == "P" else W)[5] = np.nan
+    W = [
+        band_limited_noise(grid, rng, amplitude=0.01, real=True).physical().copy()
+        for _ in range(grid.dim)
+    ]
+    target = {"P": P, "omega": W[0], "omega_2": W[-1]}[field]
+    target[(5,) * grid.dim] = np.nan
     state = FieldState(
-        P=SpectralField.from_physical(grid, P), omega=(SpectralField.from_physical(grid, W),)
+        P=SpectralField.from_physical(grid, P),
+        omega=tuple(SpectralField.from_physical(grid, w) for w in W),
     )
     config = SolverConfig(dt=0.01, t_end=0.1, scheme=scheme)
     with pytest.raises(StepUnstable):
