@@ -277,7 +277,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, threads: int) -> int:
         rows = summary.rows
     except solver.StepUnstable as exc:
         status = f"unstable@{exc.t:.6g}"
-        rows = []
+        rows = exc.rows
     header = ["t", "L2_P", "L2_Omega", "Hs_P", "Hs_Omega", "besov_proxy"]
     write_csv(
         out / "diagnostics.csv",
@@ -398,10 +398,7 @@ def cmd_decay_fit(cfg: dict, out: Path, seed: int, threads: int) -> int:
     hats[1 : modes + 1] = exp["amp"] * (
         rng.normal(size=(modes, 3)) + 1j * rng.normal(size=(modes, 3))
     )
-    fields = tuple(np.fft.irfft(hats[:, i] * n, n=n) for i in range(3))
-    pi0 = perturbation.PerturbationState(
-        grid=grid, rho=fields[0], phi=fields[1], h=fields[2]
-    )
+    pi0 = perturbation.PerturbationState.from_hats(grid, hats)
     report = perturbation.decay_experiment(params, wave, pi0, exp["s"], sconf)
     payload = {"slice": _slice_summary(cfg, wave)}
     payload.update(report.to_json_dict())
@@ -506,10 +503,7 @@ def cmd_quadratic_check(cfg: dict, out: Path, seed: int, threads: int) -> int:
     for _ in range(exp["directions"]):
         hats = np.zeros((n // 2 + 1, 3), dtype=complex)
         hats[1:5] = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        fields = tuple(np.fft.irfft(hats[:, i] * n, n=n) for i in range(3))
-        pi_dir = perturbation.PerturbationState(
-            grid=grid, rho=fields[0], phi=fields[1], h=fields[2]
-        )
+        pi_dir = perturbation.PerturbationState.from_hats(grid, hats)
         rep = perturbation.quadratic_order_check(pi_dir, params, wave, exp["eps_list"])
         reports.append(rep.to_json_dict())
         all_pass = all_pass and rep.passed
@@ -559,6 +553,8 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](cfg, out, args.seed, args.threads)
     except (ValueError, ArithmeticError) as exc:
         return _fail_json(str(exc), 1)
+    except (solver.StepUnstable, perturbation.ChartBreakdown) as exc:
+        return _fail_json(f"{type(exc).__name__} at t = {exc.t:.6g}: {exc}", 1)
 
 
 if __name__ == "__main__":

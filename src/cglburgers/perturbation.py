@@ -69,6 +69,16 @@ class PerturbationState:
         z = np.zeros(grid.shape)
         return cls(grid=grid, rho=z.copy(), phi=z.copy(), h=z.copy(), t=t)
 
+    @classmethod
+    def from_hats(cls, grid: Grid, hats: np.ndarray, t: float = 0.0) -> "PerturbationState":
+        """The state whose 1/n-scaled rfft coefficients are ``hats``, by one transform."""
+        rho, phi, h = np.fft.irfft(hats.T * grid.n, n=grid.n)
+        return cls(grid=grid, rho=rho, phi=phi, h=h, t=t)
+
+    def hats(self) -> np.ndarray:
+        """rfft coefficients / n, one column per field, by one transform."""
+        return np.fft.rfft(self.stack()).T / self.grid.n
+
     def stack(self) -> np.ndarray:
         return np.stack([self.rho, self.phi, self.h])
 
@@ -161,6 +171,11 @@ def true_linearization(
     return dispersion.LinearizationMatrices(A=A, B=B, C=C, coupling_mode="kappa_gradient")
 
 
+def _ik_powers(k: np.ndarray) -> np.ndarray:
+    """[1, ik, (ik)**2], shaped (order, 1, mode) to broadcast over field rows."""
+    return (1j * k) ** np.arange(3)[:, None, None]
+
+
 class _PolarWorkspace:
     """Precomputed spectral data for the polar integrator."""
 
@@ -173,7 +188,7 @@ class _PolarWorkspace:
         self.config = config
         n = grid.n
         self.k = 2.0 * np.pi / grid.length * np.arange(n // 2 + 1)
-        self.ik = 1j * self.k
+        self.ik_powers = _ik_powers(self.k)
         mask = np.arange(n // 2 + 1) <= n / 3.0
         if config.k_cutoff is not None:
             mask = mask & (self.k <= config.k_cutoff + 1e-12)
@@ -185,32 +200,38 @@ class _PolarWorkspace:
             + mats.C
         )
         self.ops = block_operators(self.M, config.dt)
-
-    def to_hats(self, state: PerturbationState) -> np.ndarray:
-        n = self.grid.n
-        return np.stack(
-            [np.fft.rfft(state.rho) / n, np.fft.rfft(state.phi) / n, np.fft.rfft(state.h) / n],
-            axis=-1,
-        )
-
-    def to_fields(self, hats: np.ndarray):
-        n = self.grid.n
-        return tuple(np.fft.irfft(hats[:, i] * n, n=n) for i in range(3))
+        # rfft multiplicities (n is even) and H^s weights of the diagnostics rows.
+        self.mult = np.full(self.k.shape, 2.0)
+        self.mult[[0, -1]] = 1.0
+        self.hs_weight = (1.0 + self.k**2) ** config.hs_exponent
+        # A kept mode that one exact linear step amplifies by more than the
+        # blow-up threshold (m < 0 at high k) would fail the first step, and
+        # not say why.  A threshold below 1 bounds the data, not a gain.
+        gain = np.max(np.abs(self.ops.E[mask]), axis=(1, 2))
+        worst = int(np.argmax(gain))
+        if config.blowup_threshold >= 1.0 and not gain[worst] <= config.blowup_threshold:
+            raise ValueError(
+                f"ill-posed band: one step of dt = {config.dt:g} amplifies the mode k = "
+                f"{self.k[mask][worst]:g} by {gain[worst]:.3g}, more than the blow-up "
+                f"threshold {config.blowup_threshold:g}; set k_cutoff to keep the band well posed"
+            )
 
     def rhs_hats(self, hats: np.ndarray, t: float) -> np.ndarray:
-        """Nonlinear remainder (full polar tendency minus the linear part)."""
+        """Nonlinear remainder (full polar tendency minus the linear part).
+
+        One inverse transform gives the fields and their first and second
+        derivatives, one forward transform the three tendencies.
+        """
         n = self.grid.n
-        rho, phi, h = self.to_fields(hats)
+        (rho, phi, h), (rho_x, phi_x, h_x), (rho_xx, phi_xx, h_xx) = np.fft.irfft(
+            self.ik_powers * hats.T * n, n=n
+        )
         r = self.wave.r0 + rho
         floor = CHART_FLOOR_FRACTION * self.wave.r0
         if float(np.min(r)) <= floor:
             raise ChartBreakdown("polar amplitude r0 + rho reached zero", t)
         amax = float(np.max(np.abs((rho, phi, h))))
         check_magnitude(amax, self.config.blowup_threshold, t, "perturbation")
-        d = lambda col, order: np.fft.irfft((self.ik**order) * hats[:, col] * n, n=n)
-        rho_x, rho_xx = d(0, 1), d(0, 2)
-        phi_x, phi_xx = d(1, 1), d(1, 2)
-        h_x, h_xx = d(2, 1), d(2, 2)
         p = self.params
         w = self.wave
         tx = w.theta0 + phi_x
@@ -236,10 +257,7 @@ class _PolarWorkspace:
         )
         h_t = p.m * h_xx - (w.w0 + h) * h_x - 2.0 * kap_r * r * rho_x
 
-        full = np.stack(
-            [np.fft.rfft(rho_t) / n, np.fft.rfft(phi_t) / n, np.fft.rfft(h_t) / n],
-            axis=-1,
-        )
+        full = np.fft.rfft(np.stack([rho_t, phi_t, h_t])).T / n
         if self.config.dealias:
             full = full * self.mask
         linear = np.einsum("mij,mj->mi", self.M, hats)
@@ -268,19 +286,6 @@ class PolarTrajectory:
         return np.array([row["Hs_pi"] for row in self.rows])
 
 
-def _hs_norm_from_hats(hats: np.ndarray, k: np.ndarray, n: int, s: float, drop_mean: bool) -> float:
-    weight = (1.0 + k**2) ** s
-    mult = np.full(k.shape, 2.0)
-    mult[0] = 1.0
-    if n % 2 == 0:
-        mult[-1] = 1.0
-    power = np.sum(np.abs(hats) ** 2, axis=-1)
-    if drop_mean:
-        power = power.copy()
-        power[0] = 0.0
-    return float(np.sqrt(np.sum(mult * weight * power)))
-
-
 def evolve_polar(
     state0: PerturbationState,
     params: SystemParams,
@@ -298,7 +303,7 @@ def evolve_polar(
     t_end is not a whole number of steps away.
     """
     ws = _PolarWorkspace(state0.grid, params, wave, config)
-    hats, t = ws.to_hats(state0) * ws.mask, state0.t
+    hats, t = state0.hats() * ws.mask, state0.t
     times, snaps, rows = [t], [hats], [_polar_row(ws, hats, t)]
     status, fail_t = "completed", None
     try:
@@ -312,33 +317,27 @@ def evolve_polar(
             raise
         status, fail_t = "unstable", exc.t
 
-    rho, phi, h = ws.to_fields(hats)
-    final = PerturbationState(grid=state0.grid, rho=rho, phi=phi, h=h, t=t)
     return PolarTrajectory(
         times=np.array(times),
         hats=snaps,
         rows=rows,
-        final=final,
+        final=PerturbationState.from_hats(state0.grid, hats, t),
         status=status,
         failure_time=fail_t,
     )
 
 
 def _polar_row(ws: _PolarWorkspace, hats: np.ndarray, t: float) -> dict:
-    n = ws.grid.n
-    mult = np.full(ws.k.shape, 2.0)
-    mult[0] = 1.0
-    if n % 2 == 0:
-        mult[-1] = 1.0
-    l2 = np.sqrt(np.sum(mult[:, None] * np.abs(hats) ** 2, axis=0))
+    sq = np.abs(hats) ** 2
+    l2 = np.sqrt(np.sum(ws.mult[:, None] * sq, axis=0))
+    power = np.sum(sq, axis=-1)
+    power[0] = 0.0  # the mean is neutral; H^s measures the rest
     return {
         "t": t,
         "L2_rho": float(l2[0]),
         "L2_phi": float(l2[1]),
         "L2_h": float(l2[2]),
-        "Hs_pi": _hs_norm_from_hats(
-            hats, ws.k, n, ws.config.hs_exponent, drop_mean=True
-        ),
+        "Hs_pi": float(np.sqrt(np.sum(ws.mult * ws.hs_weight * power))),
     }
 
 
@@ -356,14 +355,10 @@ def remainder(
     n = grid.n
     k = 2.0 * np.pi / grid.length * np.arange(n // 2 + 1)
     mask = np.arange(n // 2 + 1) <= n / 3.0
-
-    def d(arr, order=1):
-        return np.fft.irfft(((1j * k) ** order) * np.fft.rfft(arr), n=n)
-
     rho, phi, h = state.rho, state.phi, state.h
-    rho_x, rho_xx = d(rho), d(rho, 2)
-    phi_x, phi_xx = d(phi), d(phi, 2)
-    h_x = d(h)
+    (rho_x, phi_x, h_x), (rho_xx, phi_xx, _) = np.fft.irfft(
+        _ik_powers(k)[1:] * np.fft.rfft(state.stack()), n=n
+    )
 
     r0, th0, w0 = wave.r0, wave.theta0, wave.w0
     c0, c1 = params.u_coeffs
@@ -400,10 +395,9 @@ def remainder(
     )
     psi3 = -h * h_x - 2.0 * kap * rho * rho_x
 
-    def clean(arr):
-        return np.fft.irfft(np.fft.rfft(arr) * mask, n=n)
-
-    return RemainderBundle(psi1=clean(psi1), psi2=clean(psi2), psi3=clean(psi3))
+    # One round trip projects all three onto the 2/3-rule band.
+    psi = np.fft.irfft(np.fft.rfft(np.stack([psi1, psi2, psi3])) * mask, n=n)
+    return RemainderBundle(*psi)
 
 
 @dataclass
@@ -643,8 +637,7 @@ def instability_experiment(
     n = grid.n
     hats = np.zeros((n // 2 + 1, 3), dtype=complex)
     hats[j_seed] = amp * vec
-    fields = tuple(np.fft.irfft(hats[:, i] * n, n=n) for i in range(3))
-    state0 = PerturbationState(grid=grid, rho=fields[0], phi=fields[1], h=fields[2])
+    state0 = PerturbationState.from_hats(grid, hats)
 
     traj = evolve_polar(state0, params, wave, config, tolerate_blowup=True)
     amps = traj.mode_amplitudes(j_seed)

@@ -24,11 +24,16 @@ SCHEMES = ("exponential-rk2", "imex-bdf2")
 
 
 class StepUnstable(RuntimeError):
-    """A blow-up, NaN or advective CFL guard tripped during time stepping."""
+    """A blow-up, NaN or advective CFL guard tripped during time stepping.
+
+    ``rows`` holds the diagnostics rows :func:`evolve` recorded before the
+    failure.
+    """
 
     def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
+        self.rows: list[dict] = []
 
 
 @dataclass
@@ -426,10 +431,11 @@ def evolve(
 ) -> TrajectorySummary:
     """Advance to t_end recording diagnostics every ``cadence`` steps.
 
-    Raises StepUnstable (carrying the failure time) if a field magnitude
-    crosses the blow-up threshold or is NaN, or if the advective CFL number
-    exceeds 1.  Raises ValueError if the initial state already exceeds that
-    CFL bound, or if t_end is not a whole number of steps away.
+    Raises StepUnstable (carrying the failure time and the rows recorded
+    before it) if a field magnitude crosses the blow-up threshold or is NaN,
+    or if the advective CFL number exceeds 1.  Raises ValueError if the
+    initial state already exceeds that CFL bound, or if t_end is not a whole
+    number of steps away.
     """
     config = config or SolverConfig()
     grid = state0.grid
@@ -449,7 +455,11 @@ def evolve(
 
     u, t = _stack(state0), state0.t
     rows = [row(u, t)]
-    for u, t, row_due in integrate(u, t, N, ops, config, mask):
-        if row_due:
-            rows.append(row(u, t))
+    try:
+        for u, t, row_due in integrate(u, t, N, ops, config, mask):
+            if row_due:
+                rows.append(row(u, t))
+    except StepUnstable as exc:
+        exc.rows = rows
+        raise
     return TrajectorySummary(rows=rows, final=_unstack(grid, u, t))

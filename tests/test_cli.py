@@ -231,3 +231,60 @@ def test_csv_float_format_full_precision(tmp_path):
     # 17 significant digits survive a parse round trip.
     value = text.splitlines()[2].split(",")[0]
     assert float(value) == -8.0
+
+
+UNSTABLE_DECAY_INI = (
+    "[model]\nm = -1.0\n\n[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 64\n\n"
+    "[solver]\ndt = 0.002\nt_end = 4.0\ncadence = 25\nk_cutoff = 3.0\n{extra}\n"
+    "[experiment]\ns = 1.0\namp = {amp}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "amp, extra, cause",
+    [
+        # r0 + rho reaches zero: this used to end in a ChartBreakdown traceback.
+        ("0.5", "", "ChartBreakdown"),
+        ("1e-6", "blowup = 1e-3\n", "StepUnstable"),
+    ],
+)
+def test_unstable_polar_run_exits_with_json_error(tmp_path, capsys, amp, extra, cause):
+    path = write(tmp_path, "decay.ini", UNSTABLE_DECAY_INI.format(amp=amp, extra=extra))
+    code = main(["decay-fit", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == 1
+    assert error["error"].startswith(cause + " at t = ")
+
+
+SIM_BLOWUP_INI = """
+[model]
+m = -1.0
+kappa0 = 0.5
+
+[wave]
+r0 = 0.8
+theta0 = 0.6
+
+[grid]
+n = 32
+length = 10.471975511965976
+
+[solver]
+dt = 0.01
+t_end = 2.0
+cadence = 5
+"""
+
+
+def test_simulate_keeps_the_rows_recorded_before_a_blowup(tmp_path):
+    # The CSV used to hold only its header after a blow-up.
+    path = write(tmp_path, "sim.ini", SIM_BLOWUP_INI)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    status = json.loads((out / "summary.json").read_text())["status"]
+    assert status.startswith("unstable@")
+    failed_at = float(status.split("@")[1])
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    times = [float(line.split(",")[0]) for line in lines[2:]]
+    assert len(times) > 1 and times[0] == 0.0 and times[-1] < failed_at

@@ -560,3 +560,29 @@ def test_polar_bdf2_first_step_evaluates_rhs_twice(grid, monkeypatch):
         config = SolverConfig(dt=1e-3, t_end=steps * 1e-3, scheme="imex-bdf2")
         evolve_polar(_small_polar_state(grid), params, unit_wave(), config)
         assert len(calls) == evaluations
+
+
+def test_ill_posed_band_is_refused_before_the_first_step(monkeypatch):
+    # With m < 0 and no cutoff, one step of exp(M*dt) amplified the kept
+    # mode k = 341 by about 3e50; the run then died in its first step with
+    # a magnitude error that did not say why.
+    grid = Grid(dim=1, n=1024, length=2.0 * np.pi)
+    params = SystemParams.constants(m=-1.0)
+    monkeypatch.setattr(perturbation._PolarWorkspace, "rhs_hats", None)
+    config = SolverConfig(dt=1e-3, t_end=1e-2)
+    with pytest.raises(ValueError, match=r"k = 341\b.*k_cutoff"):
+        evolve_polar(_small_polar_state(grid), params, unit_wave(), config)
+    # A threshold below 1 bounds the data, not a gain: the magnitude guard
+    # stops such a run in its first step.
+    config = SolverConfig(dt=1e-3, t_end=1e-2, blowup_threshold=0.5)
+    monkeypatch.undo()
+    with pytest.raises(StepUnstable):
+        evolve_polar(_small_polar_state(grid), params, unit_wave(), config)
+
+
+def test_cutoff_keeps_a_negative_diffusivity_band_well_posed():
+    grid = Grid(dim=1, n=1024, length=2.0 * np.pi)
+    params = SystemParams.constants(m=-1.0)
+    config = SolverConfig(dt=1e-3, t_end=1e-2, k_cutoff=4.0)
+    traj = evolve_polar(_small_polar_state(grid), params, unit_wave(), config)
+    assert traj.final.t == pytest.approx(1e-2)

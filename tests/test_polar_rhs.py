@@ -1,0 +1,257 @@
+"""The batched polar right-hand side against the per-field reference transforms."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cglburgers import perturbation
+from cglburgers.model import PlaneWave, SystemParams
+from cglburgers.perturbation import (
+    CHART_FLOOR_FRACTION,
+    ChartBreakdown,
+    PerturbationState,
+    RemainderBundle,
+    evolve_polar,
+    remainder,
+)
+from cglburgers.solver import SolverConfig, StepUnstable, check_magnitude
+from cglburgers.spectral import Grid
+
+# Every coefficient amplitude-dependent, and a carrier wave, so that every
+# term of the tendencies is exercised.
+PARAMS = SystemParams(
+    u_coeffs=(0.3, 0.7),
+    v_coeffs=(-0.4, 0.2),
+    m=0.8,
+    kappa_coeffs=(0.5, 0.3),
+    s1_coeffs=(0.125, 0.4),
+    s2_coeffs=(0.3, -0.2),
+)
+LENGTH = 2.0 * np.pi * np.sqrt(2.0)
+TRANSFORMS = (
+    "fft", "ifft", "fft2", "ifft2", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn",
+)
+
+
+def _wave(grid):
+    theta0 = grid.k_min_positive
+    return PlaneWave(r0=float(np.sqrt(1.0 - theta0**2)), theta0=theta0, w0=0.3)
+
+
+def _workspace(n, dealias=True, k_cutoff=None):
+    grid = Grid(dim=1, n=n, length=LENGTH)
+    config = SolverConfig(dt=1e-3, dealias=dealias, k_cutoff=k_cutoff)
+    return perturbation._PolarWorkspace(grid, PARAMS, _wave(grid), config)
+
+
+def reference_hats(ws, state):
+    n = ws.grid.n
+    return np.stack(
+        [np.fft.rfft(state.rho) / n, np.fft.rfft(state.phi) / n, np.fft.rfft(state.h) / n],
+        axis=-1,
+    )
+
+
+def reference_fields(ws, hats):
+    n = ws.grid.n
+    return tuple(np.fft.irfft(hats[:, i] * n, n=n) for i in range(3))
+
+
+def reference_rhs_hats(ws, hats, t):
+    """The polar remainder with one transform per field and derivative: 12 FFTs."""
+    n = ws.grid.n
+    rho, phi, h = reference_fields(ws, hats)
+    r = ws.wave.r0 + rho
+    floor = CHART_FLOOR_FRACTION * ws.wave.r0
+    if float(np.min(r)) <= floor:
+        raise ChartBreakdown("polar amplitude r0 + rho reached zero", t)
+    amax = float(np.max(np.abs((rho, phi, h))))
+    check_magnitude(amax, ws.config.blowup_threshold, t, "perturbation")
+    ik = 1j * ws.k
+    d = lambda col, order: np.fft.irfft((ik**order) * hats[:, col] * n, n=n)
+    rho_x, rho_xx = d(0, 1), d(0, 2)
+    phi_x, phi_xx = d(1, 1), d(1, 2)
+    h_x, h_xx = d(2, 1), d(2, 2)
+    p = ws.params
+    w = ws.wave
+    tx = w.theta0 + phi_x
+    u_r = p.u_coeffs[0] + p.u_coeffs[1] * r
+    v_r = p.v_coeffs[0] + p.v_coeffs[1] * r
+    s1_r = p.s1_coeffs[0] + p.s1_coeffs[1] * r
+    s2_r = p.s2_coeffs[0] + p.s2_coeffs[1] * r
+    kap_r = p.kappa_coeffs[0] + p.kappa_coeffs[1] * r
+
+    rho_t = (
+        rho_xx
+        - (w.w0 + h) * rho_x
+        - u_r * (2.0 * rho_x * tx + r * phi_xx)
+        + r * (1.0 - r**2 - tx**2 - s1_r * h_x)
+    )
+    phi_t = (
+        -(w.w0 + h) * tx
+        + (2.0 * rho_x * tx + u_r * rho_xx) / r
+        - u_r * tx**2
+        + phi_xx
+        - v_r * r**2
+        - s2_r * h_x
+    )
+    h_t = p.m * h_xx - (w.w0 + h) * h_x - 2.0 * kap_r * r * rho_x
+
+    full = np.stack(
+        [np.fft.rfft(rho_t) / n, np.fft.rfft(phi_t) / n, np.fft.rfft(h_t) / n],
+        axis=-1,
+    )
+    if ws.config.dealias:
+        full = full * ws.mask
+    linear = np.einsum("mij,mj->mi", ws.M, hats)
+    return full - linear
+
+
+def reference_remainder(state, params, wave):
+    """The remainder fields with two transforms per derivative and per projection."""
+    grid = state.grid
+    n = grid.n
+    k = 2.0 * np.pi / grid.length * np.arange(n // 2 + 1)
+    mask = np.arange(n // 2 + 1) <= n / 3.0
+
+    def d(arr, order=1):
+        return np.fft.irfft(((1j * k) ** order) * np.fft.rfft(arr), n=n)
+
+    rho, phi, h = state.rho, state.phi, state.h
+    rho_x, rho_xx = d(rho), d(rho, 2)
+    phi_x, phi_xx = d(phi), d(phi, 2)
+    h_x = d(h)
+
+    r0, th0, w0 = wave.r0, wave.theta0, wave.w0
+    c0, c1 = params.u_coeffs
+    r = r0 + rho
+    u0 = c0 + c1 * r0
+    s1_r = params.s1_coeffs[0] + params.s1_coeffs[1] * r
+    s1_0 = params.s1(r0)
+    s2_r = params.s2_coeffs[0] + params.s2_coeffs[1] * r
+    s2_0 = params.s2(r0)
+    v_r = params.v_coeffs[0] + params.v_coeffs[1] * r
+    v_0 = params.v(r0)
+    vp_0 = params.v_prime(r0)
+    kap = params.kappa(r0)
+
+    psi1 = (
+        -2.0 * th0 * c1 * rho * rho_x
+        - 2.0 * (c0 + c1 * r) * phi * rho_x
+        - u0 * rho * phi_xx
+        - h * rho_x
+        - r0 * (rho**2 + phi_x**2 + (s1_r - s1_0) * h_x)
+        - rho * (2.0 * r0 * rho + rho**2 + 2.0 * th0 * phi_x + phi_x**2 + s1_r * h_x)
+    )
+    psi2 = (
+        -h * phi_x
+        - w0 * th0
+        - u0 * (th0**2 + phi_x**2)
+        + c0 * rho_xx / r
+        - c1 * (2.0 * th0 * phi_x + phi_x**2)
+        - 2.0 * rho_x * (th0 + phi_x) / r
+        - v_r * rho**2
+        - (s2_r - s2_0) * h_x
+        - r0**2 * (v_r - vp_0 * rho)
+        - 2.0 * r0 * rho * (v_0 - v_r)
+    )
+    psi3 = -h * h_x - 2.0 * kap * rho * rho_x
+
+    def clean(arr):
+        return np.fft.irfft(np.fft.rfft(arr) * mask, n=n)
+
+    return RemainderBundle(psi1=clean(psi1), psi2=clean(psi2), psi3=clean(psi3))
+
+
+def _state(grid, seed, amplitude):
+    # Noise on every mode, the Nyquist mode included.
+    rng = np.random.default_rng(seed)
+    rho, phi, h = amplitude * rng.standard_normal((3, grid.n))
+    return PerturbationState(grid=grid, rho=rho, phi=phi, h=h, t=0.25)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(1e-8, 0.2),
+    n=st.sampled_from([128, 256]),
+    dealias=st.booleans(),
+    k_cutoff=st.sampled_from([None, 4.0]),
+)
+def test_polar_rhs_matches_reference_bitwise(seed, amplitude, n, dealias, k_cutoff):
+    ws = _workspace(n, dealias, k_cutoff)
+    state = _state(ws.grid, seed, amplitude)
+    hats = state.hats()
+    assert np.array_equal(hats, reference_hats(ws, state))
+    assert np.array_equal(
+        PerturbationState.from_hats(ws.grid, hats).stack(),
+        np.stack(reference_fields(ws, hats)),
+    )
+    assert np.array_equal(ws.rhs_hats(hats, state.t), reference_rhs_hats(ws, hats, state.t))
+
+
+@pytest.mark.parametrize("bad, error", [(np.nan, StepUnstable), (-2.0, ChartBreakdown)])
+def test_polar_rhs_guards_match_reference(bad, error):
+    ws = _workspace(128)
+    state = _state(ws.grid, 0, 1e-3)
+    state.rho[5] = bad
+    hats = state.hats()
+    for rhs in (ws.rhs_hats, lambda u, t: reference_rhs_hats(ws, u, t)):
+        with pytest.raises(error):
+            rhs(hats, 0.5)
+
+
+@pytest.mark.parametrize("scheme", ["exponential-rk2", "imex-bdf2"])
+def test_evolve_polar_matches_reference_bitwise(monkeypatch, scheme):
+    grid = Grid(dim=1, n=128, length=LENGTH)
+    state0 = _state(grid, 7, 1e-2)
+    state0.t = 0.0
+    config = SolverConfig(dt=1e-3, t_end=50e-3, cadence=10, scheme=scheme, k_cutoff=20.0)
+    got = evolve_polar(state0, PARAMS, _wave(grid), config)
+    monkeypatch.setattr(perturbation._PolarWorkspace, "rhs_hats", reference_rhs_hats)
+    want = evolve_polar(state0, PARAMS, _wave(grid), config)
+    assert got.final.t == want.final.t == pytest.approx(50e-3)
+    assert np.array_equal(got.final.stack(), want.final.stack())
+    assert len(got.hats) == len(want.hats) == 6
+    for a, b in zip(got.hats, want.hats):
+        assert np.array_equal(a, b)
+    assert got.rows == want.rows
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(1e-8, 0.2),
+    n=st.sampled_from([64, 128, 256]),
+)
+def test_remainder_matches_reference_bitwise(seed, amplitude, n):
+    grid = Grid(dim=1, n=n, length=LENGTH)
+    state = _state(grid, seed, amplitude)
+    got = remainder(state, PARAMS, _wave(grid)).stack()
+    want = reference_remainder(state, PARAMS, _wave(grid)).stack()
+    assert np.array_equal(got, want)
+
+
+def _count_ffts(monkeypatch):
+    calls = []
+    for name in TRANSFORMS:
+        def counted(*args, _f=getattr(np.fft, name), **kwargs):
+            calls.append(_f)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_polar_fft_counts(monkeypatch):
+    ws = _workspace(128)
+    state = _state(ws.grid, 0, 1e-3)
+    calls = _count_ffts(monkeypatch)
+    hats = state.hats()
+    assert len(calls) == 1
+    PerturbationState.from_hats(ws.grid, hats)
+    assert len(calls) == 2
+    ws.rhs_hats(hats, 0.0)
+    assert len(calls) == 4
+    remainder(state, PARAMS, ws.wave)
+    assert len(calls) == 8

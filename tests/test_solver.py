@@ -387,3 +387,19 @@ def test_evolve_ends_at_t_end_or_refuses_to_start(grid):
             evolve(FieldState.zeros(grid), params, config=SolverConfig(dt=0.3, t_end=t_end))
     summary = evolve(FieldState.zeros(grid), params, config=SolverConfig(dt=0.3, t_end=0.9))
     assert summary.final.t == pytest.approx(0.9, rel=1e-12)
+
+
+def test_blowup_keeps_the_rows_recorded_before_it(grid):
+    params = SystemParams.constants(m=-1.0, xi=1.0)
+    rng = np.random.default_rng(6)
+    state = FieldState(
+        P=SpectralField.zeros(grid),
+        omega=(band_limited_noise(grid, rng, amplitude=1e-3, real=True),),
+    )
+    config = SolverConfig(dt=5e-3, t_end=50.0, cadence=10, k_cutoff=4.0)
+    with pytest.raises(StepUnstable) as excinfo:
+        evolve(state, params, config=config)
+    rows = excinfo.value.rows
+    times = [row["t"] for row in rows]
+    assert len(rows) > 1 and times[0] == 0.0
+    assert times == sorted(times) and times[-1] < excinfo.value.t
