@@ -306,8 +306,7 @@ def cmd_dispersion(cfg: dict, out: Path, seed: int, threads: int) -> int:
         ["k", "re1", "im1", "re2", "im2", "re3", "im3"],
         rows,
     )
-    samples = [dispersion.SpectrumSample(k=float(k), lambdas=l) for k, l in zip(ks, lams)]
-    verdict = dispersion.classify_spectrum(samples)
+    verdict = dispersion.classify_spectrum(ks, lams)
     write_json(out / "verdict.json", "cglb.verdict.v1", verdict.to_json_dict())
     return 0
 
@@ -364,10 +363,7 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int, threads: int) -> int:
             continue
         mats = dispersion.build_matrices(params, wave, d["coupling"])
         lams = dispersion.spectrum_table(mats, ks)
-        samples = [
-            dispersion.SpectrumSample(k=float(k), lambdas=l) for k, l in zip(ks, lams)
-        ]
-        verdict = dispersion.classify_spectrum(samples)
+        verdict = dispersion.classify_spectrum(ks, lams)
         c = verdict.parabola_constant
         rows.append(
             base

@@ -17,6 +17,7 @@ are supported:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ RESIDUAL_TOL = 1e-9
 
 
 class EmptySampleSet(ValueError):
-    """classify_spectrum received no samples."""
+    """classify_spectrum received an empty spectrum table."""
 
 
 @dataclass(frozen=True)
@@ -107,24 +108,28 @@ def _sort_lambdas(lams: np.ndarray) -> np.ndarray:
     return np.take_along_axis(lams, order, axis=-1)
 
 
+def _char_coefficients(Ms: np.ndarray):
+    """Trace, sum of principal 2x2 minors and determinant of 3x3 matrices.
+
+    Closed form in the nine entries, elementwise over the leading axes.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = (
+        [Ms[..., row, col] for col in range(3)] for row in range(3)
+    )
+    ei_fh = e * i - f * h
+    tr = a + e + i
+    minors = (a * e - b * d) + (a * i - c * g) + ei_fh
+    det = a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)
+    return tr, minors, det
+
+
 def _char_residuals(Ms: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Relative characteristic-polynomial residual of each eigenvalue."""
-    tr = np.trace(Ms, axis1=-2, axis2=-1)
-    tr2 = np.trace(Ms @ Ms, axis1=-2, axis2=-1)
-    minors = 0.5 * (tr**2 - tr2)
-    det = np.linalg.det(Ms)
-    lam = lams
-    p = lam**3 - tr[..., None] * lam**2 + minors[..., None] * lam - det[..., None]
-    scale = np.maximum.reduce(
-        [
-            np.abs(lam) ** 3,
-            np.abs(tr[..., None]) * np.abs(lam) ** 2,
-            np.abs(minors[..., None]) * np.abs(lam),
-            np.abs(det[..., None]) * np.ones_like(np.abs(lam)),
-            np.ones_like(np.abs(lam)),
-        ]
-    )
-    return np.abs(p) / scale
+    tr, minors, det = (x[..., None] for x in _char_coefficients(Ms))
+    p = lams**3 - tr * lams**2 + minors * lams - det
+    mag = np.abs(lams)
+    terms = (mag**3, np.abs(tr) * mag**2, np.abs(minors) * mag, np.abs(det), 1.0)
+    return np.abs(p) / functools.reduce(np.maximum, terms)
 
 
 def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
@@ -365,8 +370,14 @@ def default_k_grid(k_extent: float = 16.0, samples: int = 1024) -> np.ndarray:
     return np.unique(np.concatenate([ks, [0.0]]))
 
 
-def classify_spectrum(samples: list[SpectrumSample], tol: float = 1e-9) -> SpectralVerdict:
-    """Classify spectral stability from sampled eigenvalue triples.
+def classify_spectrum(
+    ks: np.ndarray, lams: np.ndarray, tol: float = 1e-9
+) -> SpectralVerdict:
+    """Classify spectral stability from a sampled spectrum.
+
+    ``ks`` holds the ``(n,)`` sampled wavenumbers and ``lams`` the ``(n, 3)``
+    eigenvalue triples at them, as returned by :func:`spectrum_table`.  The
+    grid must include k = 0 and be symmetric about it.
 
     Stable verdicts report the largest admissible C > 0 with
     Re(lambda) <= -C * Im(lambda)^2 at every sample (infinity when no sample
@@ -375,15 +386,15 @@ def classify_spectrum(samples: list[SpectrumSample], tol: float = 1e-9) -> Spect
     verdicts report the sampled band of growing wavenumbers and the infimum
     of the positive real parts.
     """
-    if not samples:
+    ks = np.asarray(ks, dtype=float)
+    lams = np.asarray(lams)
+    if ks.size == 0:
         raise EmptySampleSet("no spectrum samples supplied")
-    ks = np.array([s.k for s in samples])
     if float(np.min(np.abs(ks))) > tol:
         raise ValueError("sample grid must include k = 0")
     if np.max(np.abs(np.sort(ks) + np.sort(ks)[::-1])) > 1e-9:
         raise ValueError("sample grid must be symmetric about k = 0")
 
-    lams = np.stack([s.lambdas for s in samples])
     nonzero_k = np.abs(ks) > tol
     sup_real = float(np.max(lams[nonzero_k].real)) if nonzero_k.any() else 0.0
 

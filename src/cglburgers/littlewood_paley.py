@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import numpy as np
 
 from .solver import FieldState, Forcing, diagonal_operators, etd2_step, linear_propagator
@@ -92,6 +92,19 @@ class DyadicPartition:
     def phi(self, q: int) -> np.ndarray:
         return self._phi[q]
 
+    @cached_property
+    def homogeneous_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Scales q and the stacked multipliers of the homogeneous blocks."""
+        qs = self.homogeneous_range()
+        return np.array(qs, dtype=float), np.stack([self.phi(q) for q in qs])
+
+    @cached_property
+    def nonhomogeneous_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """As :attr:`homogeneous_blocks`, led by the low-pass block q = -1."""
+        qs = self.nonhomogeneous_range()
+        mults = [self.chi] + [self.phi(q) for q in qs]
+        return np.array([-1, *qs], dtype=float), np.stack(mults)
+
     def homogeneous_range(self) -> range:
         return range(self.q_min, self.q_max + 1)
 
@@ -107,12 +120,8 @@ class DyadicPartition:
 
     def partition_deviation(self) -> tuple[float, float]:
         """Max pointwise deviation from 1 of both partitions of unity."""
-        total_nh = self.chi.copy()
-        for q in self.nonhomogeneous_range():
-            total_nh = total_nh + self.phi(q)
-        total_h = np.zeros(self.grid.shape)
-        for q in self.homogeneous_range():
-            total_h = total_h + self.phi(q)
+        total_nh = self.nonhomogeneous_blocks[1].sum(axis=0)
+        total_h = self.homogeneous_blocks[1].sum(axis=0)
         nonzero = self.grid.k_magnitude > 0
         dev_nh = float(np.max(np.abs(total_nh - 1.0)))
         dev_h = float(np.max(np.abs(total_h[nonzero] - 1.0))) if nonzero.any() else 0.0
@@ -120,9 +129,7 @@ class DyadicPartition:
 
     def quadratic_sum_bounds(self) -> tuple[float, float]:
         """Range of chi^2 + sum_q phi_q^2 over the discrete wavenumbers."""
-        total = self.chi**2
-        for q in self.nonhomogeneous_range():
-            total = total + self.phi(q) ** 2
+        total = (self.nonhomogeneous_blocks[1] ** 2).sum(axis=0)
         return float(np.min(total)), float(np.max(total))
 
 
@@ -160,20 +167,29 @@ def dyadic_block(f: SpectralField, q: int, variant: str = "homogeneous") -> Spec
 
 
 def _block_lp_norms(f: SpectralField, idx: BesovIndex) -> tuple[np.ndarray, np.ndarray]:
-    """(scales q, L^p norms of the blocks) for the requested variant."""
+    """(scales q, L^p norms of the blocks) for the requested variant.
+
+    All blocks come from one product of the spectrum with the stacked
+    multipliers.  At p = 2 the norms follow from Parseval with no transform;
+    any other p takes one inverse transform over the spatial axes of the
+    stack.
+    """
     part = partition_for(f.grid)
-    fhat = f.spectral().copy()
+    qs, mults = part.homogeneous_blocks if idx.homogeneous else part.nonhomogeneous_blocks
+    fhat = f.spectral()
     if idx.homogeneous:
+        fhat = fhat.copy()
         fhat[(0,) * f.grid.dim] = 0.0
-        qs = list(part.homogeneous_range())
-        mults = [part.phi(q) for q in qs]
-    else:
-        qs = [-1] + list(part.nonhomogeneous_range())
-        mults = [part.chi] + [part.phi(q) for q in part.nonhomogeneous_range()]
-    norms = [
-        lp_norm(SpectralField.from_spectral(f.grid, fhat * m), idx.p) for m in mults
-    ]
-    return np.array(qs, dtype=float), np.array(norms)
+    blocks = fhat * mults
+    axes = tuple(range(1, blocks.ndim))
+    if idx.p == 2.0:
+        return qs, np.sqrt(np.sum(np.abs(blocks) ** 2, axis=axes))
+    mag = np.abs(np.fft.ifftn(blocks * f.grid.size, axes=axes))
+    if np.isinf(idx.p):
+        return qs, np.max(mag, axis=axes)
+    means = np.mean(mag**idx.p, axis=axes)
+    # The root per scalar: numpy's vectorized power can differ in the last bit.
+    return qs, np.array([m ** (1.0 / idx.p) for m in means])
 
 
 def _ell_r(values: np.ndarray, r: float) -> float:
@@ -200,48 +216,33 @@ def bony_split(u: SpectralField, v: SpectralField):
     if v.grid != grid:
         raise ValueError("fields must share one grid")
     mask_over = ~grid.index_mask(grid.n / 6.0)
-    for name, f in (("u", u), ("v", v)):
-        excess = float(np.max(np.abs(f.spectral()[mask_over]), initial=0.0))
-        if excess > 1e-13 * max(1.0, float(np.max(np.abs(f.spectral())))):
+    hats = u.spectral(), v.spectral()
+    for name, fhat in zip("uv", hats):
+        excess = float(np.max(np.abs(fhat[mask_over]), initial=0.0))
+        if excess > 1e-13 * max(1.0, float(np.max(np.abs(fhat)))):
             raise ValueError(
                 f"{name} carries energy above one third of the Nyquist index"
             )
 
-    part = partition_for(grid)
-    qs = [-1] + list(part.nonhomogeneous_range())
-    uhat, vhat = u.spectral(), v.spectral()
-
-    def blocks(fhat):
-        out = {}
-        for q in qs:
-            mult = part.chi if q == -1 else part.phi(q)
-            out[q] = np.fft.ifftn(fhat * mult * grid.size)
-        return out
-
-    bu, bv = blocks(uhat), blocks(vhat)
+    mults = partition_for(grid).nonhomogeneous_blocks[1]
+    axes = tuple(range(1, mults.ndim))
+    bu, bv = (np.fft.ifftn(fhat * mults * grid.size, axes=axes) for fhat in hats)
+    n_blocks = len(mults)
     zero = np.zeros(grid.shape, dtype=complex)
-
-    def low_pass(bdict, q):
-        # S_q = sum of blocks with index <= q - 1
-        acc = zero.copy()
-        for p in qs:
-            if p <= q - 1:
-                acc = acc + bdict[p]
-        return acc
-
-    Tuv = zero.copy()
-    Tvu = zero.copy()
-    Ruv = zero.copy()
-    for q in qs:
-        Su = low_pass(bu, q - 1)
-        Sv = low_pass(bv, q - 1)
-        Tuv = Tuv + Su * bv[q]
-        Tvu = Tvu + Sv * bu[q]
-        near = zero.copy()
-        for shift in (-1, 0, 1):
-            if q + shift in bv:
-                near = near + bv[q + shift]
-        Ruv = Ruv + bu[q] * near
+    Tuv = Tvu = Ruv = zero
+    # S_{q-1}, the sum of the blocks below q - 1, kept as running sums.
+    Su = Sv = zero
+    for i in range(n_blocks):
+        if i >= 2:
+            Su = Su + bu[i - 2]
+            Sv = Sv + bv[i - 2]
+        Tuv = Tuv + Su * bv[i]
+        Tvu = Tvu + Sv * bu[i]
+        near = zero
+        for j in (i - 1, i, i + 1):
+            if 0 <= j < n_blocks:
+                near = near + bv[j]
+        Ruv = Ruv + bu[i] * near
     make = lambda arr: SpectralField.from_physical(grid, arr)
     return make(Tuv), make(Tvu), make(Ruv)
 
@@ -382,13 +383,8 @@ def space_time_besov_norm(
 ) -> float:
     """Block-wise time-integrated Besov norm of a field trajectory."""
     idx = BesovIndex(s=sigma, p=p, r=np.inf, homogeneous=True)
-    qs = None
-    per_time = []
-    for f in fields:
-        qs, norms = _block_lp_norms(f, idx)
-        per_time.append(norms)
-    per_block = np.array(per_time)  # shape (n_times, n_blocks)
-    qs = np.asarray(qs, dtype=float)
+    qs = partition_for(fields[0].grid).homogeneous_blocks[0]
+    per_block = np.array([_block_lp_norms(f, idx)[1] for f in fields])  # (times, blocks)
     time_norms = np.array(
         [_time_norm(per_block[:, j], times, rho) for j in range(per_block.shape[1])]
     )

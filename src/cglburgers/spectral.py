@@ -197,10 +197,6 @@ def lp_norm(f: SpectralField, p: float = 2.0) -> float:
     return float(np.mean(mag**p) ** (1.0 / p))
 
 
-def l2_norm(f: SpectralField) -> float:
-    return lp_norm(f, 2.0)
-
-
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """H^s norm: sqrt(sum_k (1+|k|^2)^s |fhat(k)|^2)."""
     if s < 0:

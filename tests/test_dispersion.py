@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cglburgers import dispersion
 from cglburgers.dispersion import (
     EmptySampleSet,
-    SpectrumSample,
     build_matrices,
     classify_spectrum,
     closed_form_lambda,
@@ -223,8 +224,7 @@ def test_classify_stable_reports_parabola_constant():
     mats = build_matrices(params, unit_wave(w0=1.3))
     ks = default_k_grid(8.0, 257)
     lams = spectrum_table(mats, ks)
-    samples = [SpectrumSample(k=float(k), lambdas=l) for k, l in zip(ks, lams)]
-    verdict = classify_spectrum(samples)
+    verdict = classify_spectrum(ks, lams)
     assert verdict.kind == "stable"
     assert verdict.parabola_constant == pytest.approx(0.5 / 1.3**2, rel=1e-12)
 
@@ -234,8 +234,7 @@ def test_classify_stable_unconstrained_sentinel():
     mats = build_matrices(params, unit_wave(w0=0.0))
     ks = default_k_grid(8.0, 257)
     lams = spectrum_table(mats, ks)
-    samples = [SpectrumSample(k=float(k), lambdas=l) for k, l in zip(ks, lams)]
-    verdict = classify_spectrum(samples)
+    verdict = classify_spectrum(ks, lams)
     assert verdict.kind == "stable"
     assert np.isinf(verdict.parabola_constant)
 
@@ -245,8 +244,7 @@ def test_classify_unstable_negative_diffusivity():
     mats = build_matrices(params, unit_wave())
     ks = default_k_grid(8.0, 257)
     lams = spectrum_table(mats, ks)
-    samples = [SpectrumSample(k=float(k), lambdas=l) for k, l in zip(ks, lams)]
-    verdict = classify_spectrum(samples)
+    verdict = classify_spectrum(ks, lams)
     assert verdict.kind == "unstable"
     # Growth maximized at the largest sampled wavenumber.
     sup_k = max(abs(verdict.unstable_band[0]), verdict.unstable_band[1])
@@ -262,17 +260,18 @@ def test_classify_verdict_stable_under_grid_doubling():
     for samples_n in (257, 513):
         ks = default_k_grid(8.0, samples_n)
         lams = spectrum_table(mats, ks)
-        samples = [SpectrumSample(k=float(k), lambdas=l) for k, l in zip(ks, lams)]
-        verdict = classify_spectrum(samples)
+        verdict = classify_spectrum(ks, lams)
         assert verdict.kind == "unstable"
 
 
 def test_classify_requires_samples_and_symmetry():
     with pytest.raises(EmptySampleSet):
-        classify_spectrum([])
-    sample = SpectrumSample(k=1.0, lambdas=np.array([-1.0, -2.0, -3.0], dtype=complex))
-    with pytest.raises(ValueError):
-        classify_spectrum([sample])
+        classify_spectrum(np.array([]), np.empty((0, 3), dtype=complex))
+    triple = np.array([[-1.0, -2.0, -3.0]], dtype=complex)
+    with pytest.raises(ValueError, match="include k = 0"):
+        classify_spectrum(np.array([1.0]), triple)
+    with pytest.raises(ValueError, match="symmetric"):
+        classify_spectrum(np.array([0.0, 1.0]), np.repeat(triple, 2, axis=0))
 
 
 def test_stability_conditions_on_reference_case():
@@ -319,3 +318,33 @@ def test_residual_guard_rejects_no_valid_cases():
     mats = build_matrices(params, unit_wave())
     lams = spectrum_table(mats, np.linspace(-16, 16, 129))
     assert lams.shape == (129, 3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    count=st.integers(1, 64),
+)
+def test_closed_form_char_coefficients_match_numpy(seed, log_scale, count):
+    rng = np.random.default_rng(seed)
+    Ms = 10.0**log_scale * (
+        rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
+    )
+    tr = np.trace(Ms, axis1=-2, axis2=-1)
+    minors = 0.5 * (tr**2 - np.trace(Ms @ Ms, axis1=-2, axis2=-1))
+    det = np.linalg.det(Ms)
+    # Each coefficient is homogeneous of its degree in the entries.
+    size = np.max(np.abs(Ms), axis=(-2, -1))
+    got = dispersion._char_coefficients(Ms)
+    for degree, g, want in zip((1, 2, 3), got, (tr, minors, det)):
+        assert np.all(np.abs(g - want) <= 1e-12 * size**degree)
+
+
+def test_residual_guard_fires_on_shifted_roots(monkeypatch):
+    params = SystemParams.constants(m=1.0)
+    mats = build_matrices(params, unit_wave(w0=0.4))
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda Ms: eigvals(Ms) + 1e-6)
+    with pytest.raises(ArithmeticError, match="eigenvalue residual"):
+        spectrum_table(mats, np.linspace(-16, 16, 129))

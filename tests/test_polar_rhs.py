@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cglburgers import perturbation
 from cglburgers.model import PlaneWave, SystemParams
@@ -178,6 +178,7 @@ def _state(grid, seed, amplitude):
     dealias=st.booleans(),
     k_cutoff=st.sampled_from([None, 4.0]),
 )
+@example(seed=139, amplitude=0.1875, n=256, dealias=False, k_cutoff=None)
 def test_polar_rhs_matches_reference_bitwise(seed, amplitude, n, dealias, k_cutoff):
     ws = _workspace(n, dealias, k_cutoff)
     state = _state(ws.grid, seed, amplitude)
@@ -187,7 +188,23 @@ def test_polar_rhs_matches_reference_bitwise(seed, amplitude, n, dealias, k_cuto
         PerturbationState.from_hats(ws.grid, hats).stack(),
         np.stack(reference_fields(ws, hats)),
     )
-    assert np.array_equal(ws.rhs_hats(hats, state.t), reference_rhs_hats(ws, hats, state.t))
+    # Large noise can leave the polar chart; then both must refuse alike.
+    got, want = (
+        _outcome(rhs, hats, state.t)
+        for rhs in (ws.rhs_hats, lambda u, t: reference_rhs_hats(ws, u, t))
+    )
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert np.array_equal(got, want)
+
+
+def _outcome(rhs, hats, t):
+    """The right-hand side, or the class of the guard exception it raised."""
+    try:
+        return rhs(hats, t)
+    except (StepUnstable, ChartBreakdown) as exc:
+        return type(exc)
 
 
 @pytest.mark.parametrize("bad, error", [(np.nan, StepUnstable), (-2.0, ChartBreakdown)])
