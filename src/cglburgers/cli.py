@@ -256,7 +256,7 @@ def _slice_summary(cfg: dict, wave: PlaneWave) -> dict:
     }
 
 
-def cmd_simulate(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     grid = grid_from_config(cfg)
     sconf = solver_config_from_config(cfg)
@@ -289,7 +289,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_dispersion(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_dispersion(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     d = cfg["dispersion"]
@@ -324,7 +324,7 @@ def _scan_jobs(cfg: dict):
     return [dict(combo) for combo in itertools.product(*axes)]
 
 
-def cmd_stability_scan(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     d = cfg["dispersion"]
     jobs = _scan_jobs(cfg)
     ks = dispersion.default_k_grid(d["k_extent"], d["samples"])
@@ -381,7 +381,7 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return 0
 
 
-def cmd_decay_fit(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = Grid(dim=1, n=cfg["grid"]["n"], length=cfg["grid"]["length"])
@@ -408,7 +408,7 @@ def cmd_decay_fit(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return 0 if report.passed else 2
 
 
-def cmd_instability(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_instability(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = Grid(dim=1, n=cfg["grid"]["n"], length=cfg["grid"]["length"])
@@ -429,7 +429,7 @@ def cmd_instability(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return 0 if report.passed else 2
 
 
-def cmd_besov_check(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
     b = cfg["besov"]
     grid = Grid(dim=1, n=b["n"], length=_TWO_PI)
     rng = np.random.default_rng(seed)
@@ -487,7 +487,7 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int, threads: int) -> int:
     return 0 if passed else 2
 
 
-def cmd_quadratic_check(cfg: dict, out: Path, seed: int, threads: int) -> int:
+def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = Grid(dim=1, n=cfg["grid"]["n"], length=cfg["grid"]["length"])
@@ -534,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted; runs serially")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -546,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return COMMANDS[args.command](cfg, out, args.seed, args.threads)
+        return COMMANDS[args.command](cfg, out, args.seed)
     except (ValueError, ArithmeticError) as exc:
         return _fail_json(str(exc), 1)
     except (solver.StepUnstable, perturbation.ChartBreakdown) as exc:

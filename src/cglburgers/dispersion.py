@@ -90,8 +90,8 @@ def build_matrices(
     return LinearizationMatrices(A=A, B=B, C=C, coupling_mode=coupling)
 
 
-def pencil(mats: LinearizationMatrices, k: float) -> np.ndarray:
-    """The per-wavenumber operator -k^2*A + i*k*B + C."""
+def pencil(mats: LinearizationMatrices, k) -> np.ndarray:
+    """-k^2*A + i*k*B + C; k shaped (n, 1, 1) gives the (n, 3, 3) stack."""
     return -(k**2) * mats.A + 1j * k * mats.B + mats.C
 
 
@@ -133,19 +133,20 @@ def _char_residuals(Ms: np.ndarray, lams: np.ndarray) -> np.ndarray:
 
 
 def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalue triples for every wavenumber in ``ks``.
+    """Sorted eigenvalue triples of M(k) = -k^2*A + i*k*B + C for every k in ``ks``.
 
-    The roots come from a batched companion-matrix eigen-solve of the
-    per-wavenumber cubic; each root is validated against the characteristic
-    polynomial to a relative residual of 1e-9.
+    A, B and C are real, so M(-k) = conj M(k): on a mirror grid only the k >= 0
+    rows are solved and row n-1-i takes the conjugates of row i.  Every root is
+    checked against the characteristic polynomial of its own M(k) to 1e-9.
     """
     ks = np.asarray(ks, dtype=float)
-    Ms = (
-        -(ks[:, None, None] ** 2) * mats.A
-        + 1j * ks[:, None, None] * mats.B
-        + mats.C
-    )
-    lams = _sort_lambdas(np.linalg.eigvals(Ms))
+    Ms = pencil(mats, ks[:, None, None])
+    if np.array_equal(ks, -ks[::-1]):
+        half = np.linalg.eigvals(Ms[ks.size // 2 :])
+        raw = np.concatenate([half[::-1][: ks.size // 2].conj(), half])
+    else:
+        raw = np.linalg.eigvals(Ms)
+    lams = _sort_lambdas(raw)
     res = _char_residuals(Ms, lams)
     worst = float(np.max(res))
     if worst > RESIDUAL_TOL:
@@ -182,7 +183,7 @@ def closed_form_lambda(params: SystemParams, wave: PlaneWave, k):
     quadratic factor with principal square root of a + i*b.  The printed
     radicand is exact only on restricted parameter slices; use
     :func:`compare_closed_form` to detect and report deviations from the
-    companion-matrix roots.
+    eigenvalues of M(k).
     """
     k = np.asarray(k, dtype=float)
     r0, th0, w0 = wave.r0, wave.theta0, wave.w0
@@ -247,7 +248,7 @@ class ClosedFormComparison:
 def compare_closed_form(
     params: SystemParams, wave: PlaneWave, ks, tol: float = 1e-8
 ) -> ClosedFormComparison:
-    """Compare the printed closed form with companion-matrix roots.
+    """Compare the printed closed form with the eigenvalues of M(k).
 
     When the two disagree beyond ``tol`` the comparison additionally checks
     that replacing the printed radicand by the pencil-derived discriminant
@@ -365,8 +366,9 @@ class SpectralVerdict:
 
 
 def default_k_grid(k_extent: float = 16.0, samples: int = 1024) -> np.ndarray:
-    """Symmetric wavenumber grid including k = 0."""
+    """Grid including k = 0, mirror-symmetric bit for bit: ks[i] == -ks[-1-i]."""
     ks = np.linspace(-k_extent, k_extent, samples)
+    ks = 0.5 * (ks - ks[::-1])
     return np.unique(np.concatenate([ks, [0.0]]))
 
 

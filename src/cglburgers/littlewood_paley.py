@@ -85,8 +85,9 @@ class DyadicPartition:
         self.q_min = math.ceil(math.log2(3.0 * kmin / 8.0))
         self.q_max = math.floor(math.log2(4.0 * kmax / 3.0))
         self.chi = chi_profile(kmag)
+        # From q = 0 at the latest: on short periods blocks below q_min are zero.
         self._phi = {
-            q: phi_profile(kmag / 2.0**q) for q in range(self.q_min, self.q_max + 1)
+            q: phi_profile(kmag / 2.0**q) for q in range(min(self.q_min, 0), self.q_max + 1)
         }
 
     def phi(self, q: int) -> np.ndarray:

@@ -194,12 +194,12 @@ class _PolarWorkspace:
             mask = mask & (self.k <= config.k_cutoff + 1e-12)
         self.mask = mask[:, None]
         mats = true_linearization(params, wave)
-        self.M = (
-            -(self.k[:, None, None] ** 2) * mats.A
-            + 1j * self.k[:, None, None] * mats.B
-            + mats.C
-        )
+        self.M = dispersion.pencil(mats, self.k[:, None, None])
         self.ops = block_operators(self.M, config.dt)
+        # (c0, c1) of u, v, s1, s2 and kappa, each shaped (5, 1) against r.
+        p = params
+        coeffs = [p.u_coeffs, p.v_coeffs, p.s1_coeffs, p.s2_coeffs, p.kappa_coeffs]
+        self.coeffs = np.array(coeffs).T[:, :, None]
         # rfft multiplicities (n is even) and H^s weights of the diagnostics rows.
         self.mult = np.full(self.k.shape, 2.0)
         self.mult[[0, -1]] = 1.0
@@ -223,41 +223,38 @@ class _PolarWorkspace:
         derivatives, one forward transform the three tendencies.
         """
         n = self.grid.n
-        (rho, phi, h), (rho_x, phi_x, h_x), (rho_xx, phi_xx, h_xx) = np.fft.irfft(
-            self.ik_powers * hats.T * n, n=n
-        )
+        fields = np.fft.irfft(self.ik_powers * hats.T * n, n=n)
+        (rho, phi, h), (rho_x, phi_x, h_x), (rho_xx, phi_xx, h_xx) = fields
         r = self.wave.r0 + rho
-        floor = CHART_FLOOR_FRACTION * self.wave.r0
-        if float(np.min(r)) <= floor:
+        if float(r.min()) <= CHART_FLOOR_FRACTION * self.wave.r0:
             raise ChartBreakdown("polar amplitude r0 + rho reached zero", t)
-        amax = float(np.max(np.abs((rho, phi, h))))
+        amax = float(np.abs(fields[0]).max())
         check_magnitude(amax, self.config.blowup_threshold, t, "perturbation")
-        p = self.params
-        w = self.wave
-        tx = w.theta0 + phi_x
-        u_r = p.u_coeffs[0] + p.u_coeffs[1] * r
-        v_r = p.v_coeffs[0] + p.v_coeffs[1] * r
-        s1_r = p.s1_coeffs[0] + p.s1_coeffs[1] * r
-        s2_r = p.s2_coeffs[0] + p.s2_coeffs[1] * r
-        kap_r = p.kappa_coeffs[0] + p.kappa_coeffs[1] * r
+        tx = self.wave.theta0 + phi_x
+        u_r, v_r, s1_r, s2_r, kap_r = self.coeffs[0] + self.coeffs[1] * r
+        wh = self.wave.w0 + h
+        rx_tx = 2.0 * rho_x * tx
+        tx2 = tx**2
+        r2 = r**2
 
-        rho_t = (
+        tend = np.empty((3, n))
+        tend[0] = (
             rho_xx
-            - (w.w0 + h) * rho_x
-            - u_r * (2.0 * rho_x * tx + r * phi_xx)
-            + r * (1.0 - r**2 - tx**2 - s1_r * h_x)
+            - wh * rho_x
+            - u_r * (rx_tx + r * phi_xx)
+            + r * (1.0 - r2 - tx2 - s1_r * h_x)
         )
-        phi_t = (
-            -(w.w0 + h) * tx
-            + (2.0 * rho_x * tx + u_r * rho_xx) / r
-            - u_r * tx**2
+        tend[1] = (
+            (rx_tx + u_r * rho_xx) / r
+            - wh * tx
+            - u_r * tx2
             + phi_xx
-            - v_r * r**2
+            - v_r * r2
             - s2_r * h_x
         )
-        h_t = p.m * h_xx - (w.w0 + h) * h_x - 2.0 * kap_r * r * rho_x
+        tend[2] = self.params.m * h_xx - wh * h_x - 2.0 * kap_r * r * rho_x
 
-        full = np.fft.rfft(np.stack([rho_t, phi_t, h_t])).T / n
+        full = np.fft.rfft(tend).T / n
         if self.config.dealias:
             full = full * self.mask
         linear = np.einsum("mij,mj->mi", self.M, hats)

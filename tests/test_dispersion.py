@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cglburgers import dispersion
 from cglburgers.dispersion import (
+    COUPLING_MODES,
     EmptySampleSet,
     build_matrices,
     classify_spectrum,
@@ -14,6 +18,7 @@ from cglburgers.dispersion import (
     compare_closed_form,
     default_k_grid,
     eigenvalues_at_k,
+    pencil,
     spectrum_table,
     stability_conditions,
 )
@@ -348,3 +353,61 @@ def test_residual_guard_fires_on_shifted_roots(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda Ms: eigvals(Ms) + 1e-6)
     with pytest.raises(ArithmeticError, match="eigenvalue residual"):
         spectrum_table(mats, np.linspace(-16, 16, 129))
+
+
+def _multiset_gap(a, b):
+    """Per row, the smallest max |a - b| over the orderings of ``b``."""
+    gaps = [np.max(np.abs(a - b[:, perm]), axis=-1) for perm in itertools.permutations(range(3))]
+    return np.min(gaps, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kappa=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    coupling=st.sampled_from(COUPLING_MODES),
+    k_extent=st.floats(0.5, 16.0),
+    samples=st.integers(2, 301),
+)
+def test_spectrum_is_conjugate_symmetric_on_the_default_grid(
+    seed, kappa, coupling, k_extent, samples
+):
+    params, wave = random_constrained_pair(np.random.default_rng(seed))
+    params = dataclasses.replace(params, kappa_coeffs=kappa)
+    mats = build_matrices(params, wave, coupling)
+    ks = default_k_grid(k_extent, samples)
+    assert np.array_equal(ks, -ks[::-1])
+    assert 0.0 in ks
+    lams = spectrum_table(mats, ks)
+    scale = np.maximum(np.max(np.abs(lams), axis=-1), 1.0)
+    assert np.all(_multiset_gap(lams, lams[::-1].conj()) <= 1e-12 * scale)
+    direct = np.stack([np.linalg.eigvals(pencil(mats, k)) for k in ks])
+    assert np.all(_multiset_gap(lams, direct) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize(
+    "ks, rows",
+    [
+        (default_k_grid(8.0, 256), [129]),
+        (default_k_grid(8.0, 257), [129]),
+        (np.array([-2.0, -0.5, 0.5, 2.0]), [2]),
+        (np.linspace(0.0, 8.0, 65), [65]),
+        (np.array([0.3, 1.7, 4.0]), [3]),
+    ],
+)
+def test_mirror_grids_solve_only_the_nonnegative_half(monkeypatch, ks, rows):
+    params = SystemParams.constants(m=1.0, s1=0.4, kappa=0.7)
+    mats = build_matrices(params, unit_wave(w0=0.4), "kappa_gradient")
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def counting(Ms):
+        seen.append(len(Ms))
+        return eigvals(Ms)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    assert spectrum_table(mats, ks).shape == (len(ks), 3)
+    assert seen == rows
+    seen.clear()
+    eigenvalues_at_k(mats, 1.3)
+    assert seen == [1]

@@ -333,3 +333,39 @@ def test_smallness_monitor_single_block_bracket(grid):
     assert smallness_monitor(state, p=p) == pytest.approx(
         2.0 ** (2 * s) * lp_norm(f, p), rel=1e-12
     )
+
+
+# A period of 2 puts the lowest annulus at q_min = 1, above the first
+# nonhomogeneous block q = 0, which is then empty on the grid.
+SHORT = Grid(dim=1, n=64, length=2.0)
+
+
+def test_short_period_nonhomogeneous_besov_norm():
+    part = partition_for(SHORT)
+    assert part.q_min == 1
+    f = band_limited_noise(SHORT, np.random.default_rng(11), zero_mean=True)
+    nonhom = besov_norm(f, BesovIndex(s=0.0, homogeneous=False))
+    # Zero mean leaves the low-pass block and the empty q = 0 block at zero.
+    assert nonhom == besov_norm(f, BesovIndex(s=0.0))
+    assert part.partition_deviation()[0] <= 1e-15
+
+
+def test_short_period_nonhomogeneous_blocks():
+    part = partition_for(SHORT)
+    f = band_limited_noise(SHORT, np.random.default_rng(12))
+    assert np.all(dyadic_block(f, 0, "nonhomogeneous").spectral() == 0.0)
+    for q in range(part.q_min, part.q_max + 1):
+        np.testing.assert_array_equal(
+            dyadic_block(f, q, "nonhomogeneous").spectral(),
+            dyadic_block(f, q).spectral(),
+        )
+
+
+def test_short_period_bony_identity():
+    rng = np.random.default_rng(13)
+    u = band_limited_noise(SHORT, rng, max_index=SHORT.n // 8)
+    v = band_limited_noise(SHORT, rng, max_index=SHORT.n // 8)
+    tuv, tvu, ruv = bony_split(u, v)
+    product = u.physical() * v.physical()
+    err = np.max(np.abs(tuv.physical() + tvu.physical() + ruv.physical() - product))
+    assert err <= 1e-10 * max(np.max(np.abs(product)), 1.0)
