@@ -437,12 +437,12 @@ class StabilityConditions:
 
 
 def stability_conditions(
-    a: float, b: float, r0: float, k: float, m: float, check_consistency: bool = True
+    a: float, b: float, r0: float, k: float, m: float
 ) -> StabilityConditions:
     """Evaluate the three stability inequalities at one wavenumber.
 
-    With ``check_consistency`` (default) the implication is verified: when
-    all three hold, the closed-form real parts are strictly negative.
+    The implication is verified as a safety check: when all three hold, the
+    closed-form real parts are strictly negative.
     """
     s = r0**2 + k**2
     conds = StabilityConditions(
@@ -450,7 +450,7 @@ def stability_conditions(
         mean_bound=2.0 * s**2 >= a,
         discriminant_bound=4.0 * s**4 - 4.0 * a * s**2 > b**2,
     )
-    if check_consistency and conds.all_hold:
+    if conds.all_hold:
         re_plus = -s + np.sqrt((np.sqrt(a**2 + b**2) + a) / 2.0)
         re_lam1 = -(k**2) * m
         if not (re_plus < 0.0 and re_lam1 < 0.0):

@@ -11,6 +11,10 @@ and ``phi(xi) = chi(xi/2) - chi(xi)`` is supported in the annulus
 hold exactly (to round-off) at every discrete wavenumber, and adjacent
 multipliers are the only ones whose supports overlap.
 
+On a grid the multipliers phi(. / 2**q) are the rows of one stacked array
+(:class:`DyadicPartition`), and every block computation (block norms of a
+field or a trajectory, the Bony split) is one array expression over it.
+
 Physical-space L^p norms use the grid's normalized measure (see
 :mod:`cglburgers.spectral`).
 """
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import numpy as np
 
 from .solver import FieldState, Forcing, diagonal_operators, etd2_step, linear_propagator
@@ -28,6 +32,7 @@ from .spectral import Grid, SpectralField, lp_norm
 ANNULUS_INNER = 0.75
 ANNULUS_OUTER = 8.0 / 3.0
 BALL_RADIUS = 4.0 / 3.0
+GRADED_T_MIN_FRACTION = 1e-7  # first positive sample of graded_times, over t_end
 
 
 class OutOfRange(ValueError):
@@ -74,7 +79,13 @@ class BesovIndex:
 
 
 class DyadicPartition:
-    """Dyadic multiplier family evaluated on a grid's wavenumber set."""
+    """Dyadic multiplier family evaluated on a grid's wavenumber set.
+
+    One stack holds phi_q for q = min(q_min, 0)..q_max (rows below q_min are
+    zero on short periods); :meth:`phi` returns a row.  The pairs (scales,
+    multipliers) ``homogeneous_blocks`` (a view of rows q_min..q_max) and
+    ``nonhomogeneous_blocks`` (``chi``, then rows q >= 0) feed the block sums.
+    """
 
     def __init__(self, grid: Grid):
         self.grid = grid
@@ -85,26 +96,21 @@ class DyadicPartition:
         self.q_min = math.ceil(math.log2(3.0 * kmin / 8.0))
         self.q_max = math.floor(math.log2(4.0 * kmax / 3.0))
         self.chi = chi_profile(kmag)
-        # From q = 0 at the latest: on short periods blocks below q_min are zero.
-        self._phi = {
-            q: phi_profile(kmag / 2.0**q) for q in range(min(self.q_min, 0), self.q_max + 1)
-        }
+        self._q_lo = lo = min(self.q_min, 0)
+        qs = np.arange(lo, self.q_max + 1)
+        # ldexp scales by 2**-q exactly, as kmag / 2.0**q does.
+        self._phis = phi_profile(np.ldexp(kmag, -qs.reshape(-1, *(1,) * grid.dim)))
+        h = self.q_min - lo
+        self.homogeneous_blocks = qs[h:].astype(float), self._phis[h:]
+        self.nonhomogeneous_blocks = (
+            np.arange(-1.0, self.q_max + 1),
+            np.concatenate([self.chi[None], self._phis[-lo:]]),
+        )
 
     def phi(self, q: int) -> np.ndarray:
-        return self._phi[q]
-
-    @cached_property
-    def homogeneous_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Scales q and the stacked multipliers of the homogeneous blocks."""
-        qs = self.homogeneous_range()
-        return np.array(qs, dtype=float), np.stack([self.phi(q) for q in qs])
-
-    @cached_property
-    def nonhomogeneous_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """As :attr:`homogeneous_blocks`, led by the low-pass block q = -1."""
-        qs = self.nonhomogeneous_range()
-        mults = [self.chi] + [self.phi(q) for q in qs]
-        return np.array([-1, *qs], dtype=float), np.stack(mults)
+        if not self._q_lo <= q <= self.q_max:
+            raise KeyError(q)  # a negative row index would wrap around
+        return self._phis[q - self._q_lo]
 
     def homogeneous_range(self) -> range:
         return range(self.q_min, self.q_max + 1)
@@ -115,7 +121,7 @@ class DyadicPartition:
 
     def low_pass(self, q: int) -> np.ndarray:
         """Multiplier of S_q = sum_{p <= q-1} Delta_p (nonhomogeneous)."""
-        if q <= 0:
+        if q < 0:
             return np.zeros(self.grid.shape)
         return chi_profile(self.grid.k_magnitude / 2.0**q)
 
@@ -135,62 +141,52 @@ class DyadicPartition:
 
 
 @lru_cache(maxsize=16)
-def _partition_cache(dim: int, n: int, length: float) -> DyadicPartition:
-    return DyadicPartition(Grid(dim=dim, n=n, length=length))
-
-
 def partition_for(grid: Grid) -> DyadicPartition:
-    return _partition_cache(grid.dim, grid.n, grid.length)
+    return DyadicPartition(grid)
 
 
 def dyadic_block(f: SpectralField, q: int, variant: str = "homogeneous") -> SpectralField:
     """Frequency-annulus projection of ``f`` at dyadic scale ``q``."""
     part = partition_for(f.grid)
     if variant == "homogeneous":
-        if not part.q_min <= q <= part.q_max:
-            raise OutOfRange(
-                f"dyadic scale {q} outside resolvable range "
-                f"[{part.q_min}, {part.q_max}]"
-            )
-        mult = part.phi(q)
+        qs, mults = part.homogeneous_blocks
     elif variant == "nonhomogeneous":
         if q <= -2:
             return SpectralField.from_spectral(f.grid, np.zeros(f.grid.shape, complex))
-        if q == -1:
-            mult = part.chi
-        elif q <= part.q_max:
-            mult = part.phi(q)
-        else:
-            raise OutOfRange(f"dyadic scale {q} above resolvable maximum {part.q_max}")
+        qs, mults = part.nonhomogeneous_blocks
     else:
         raise ValueError("variant must be 'homogeneous' or 'nonhomogeneous'")
-    return SpectralField.from_spectral(f.grid, f.spectral() * mult)
+    lo, hi = int(qs[0]), int(qs[-1])
+    if not lo <= q <= hi:
+        raise OutOfRange(f"dyadic scale {q} outside resolvable range [{lo}, {hi}]")
+    return SpectralField.from_spectral(f.grid, f.spectral() * mults[q - lo])
 
 
-def _block_lp_norms(f: SpectralField, idx: BesovIndex) -> tuple[np.ndarray, np.ndarray]:
+def _block_lp_norms(
+    grid: Grid, spectra: np.ndarray, idx: BesovIndex
+) -> tuple[np.ndarray, np.ndarray]:
     """(scales q, L^p norms of the blocks) for the requested variant.
 
-    All blocks come from one product of the spectrum with the stacked
-    multipliers.  At p = 2 the norms follow from Parseval with no transform;
-    any other p takes one inverse transform over the spatial axes of the
-    stack.
+    ``spectra`` has shape ``(..., *grid.shape)`` and the norms come back as
+    ``(..., blocks)``, all from one product with the stacked multipliers.
+    At p = 2 the norms follow from Parseval with no transform; any other p
+    takes one inverse transform over the spatial axes.  The mean needs no
+    removal for the homogeneous variant: every phi_q vanishes at k = 0.
     """
-    part = partition_for(f.grid)
+    part = partition_for(grid)
     qs, mults = part.homogeneous_blocks if idx.homogeneous else part.nonhomogeneous_blocks
-    fhat = f.spectral()
-    if idx.homogeneous:
-        fhat = fhat.copy()
-        fhat[(0,) * f.grid.dim] = 0.0
-    blocks = fhat * mults
-    axes = tuple(range(1, blocks.ndim))
+    lead = spectra.shape[: spectra.ndim - grid.dim]
+    blocks = spectra.reshape(*lead, 1, *grid.shape) * mults
+    axes = tuple(range(-grid.dim, 0))
     if idx.p == 2.0:
         return qs, np.sqrt(np.sum(np.abs(blocks) ** 2, axis=axes))
-    mag = np.abs(np.fft.ifftn(blocks * f.grid.size, axes=axes))
+    mag = np.abs(np.fft.ifftn(blocks * grid.size, axes=axes))
     if np.isinf(idx.p):
         return qs, np.max(mag, axis=axes)
     means = np.mean(mag**idx.p, axis=axes)
     # The root per scalar: numpy's vectorized power can differ in the last bit.
-    return qs, np.array([m ** (1.0 / idx.p) for m in means])
+    roots = [m ** (1.0 / idx.p) for m in means.ravel()]
+    return qs, np.array(roots).reshape(means.shape)
 
 
 def _ell_r(values: np.ndarray, r: float) -> float:
@@ -201,7 +197,7 @@ def _ell_r(values: np.ndarray, r: float) -> float:
 
 def besov_norm(f: SpectralField, idx: BesovIndex) -> float:
     """Discrete Besov norm: ell^r over scales of 2**(q*s) * ||Delta_q f||_p."""
-    qs, norms = _block_lp_norms(f, idx)
+    qs, norms = _block_lp_norms(f.grid, f.spectral(), idx)
     return _ell_r(2.0 ** (qs * idx.s) * norms, idx.r)
 
 
@@ -228,22 +224,14 @@ def bony_split(u: SpectralField, v: SpectralField):
     mults = partition_for(grid).nonhomogeneous_blocks[1]
     axes = tuple(range(1, mults.ndim))
     bu, bv = (np.fft.ifftn(fhat * mults * grid.size, axes=axes) for fhat in hats)
-    n_blocks = len(mults)
-    zero = np.zeros(grid.shape, dtype=complex)
-    Tuv = Tvu = Ruv = zero
-    # S_{q-1}, the sum of the blocks below q - 1, kept as running sums.
-    Su = Sv = zero
-    for i in range(n_blocks):
-        if i >= 2:
-            Su = Su + bu[i - 2]
-            Sv = Sv + bv[i - 2]
-        Tuv = Tuv + Su * bv[i]
-        Tvu = Tvu + Sv * bu[i]
-        near = zero
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < n_blocks:
-                near = near + bv[j]
-        Ruv = Ruv + bu[i] * near
+    zeros = np.zeros((2, *grid.shape), dtype=complex)
+    # S_{q-1} of block q: the running sum of the blocks up to q - 2.
+    Su, Sv = (np.concatenate([zeros, np.cumsum(b, axis=0)[:-2]]) for b in (bu, bv))
+    padded = np.concatenate([zeros[:1], bv, zeros[:1]])
+    near = padded[:-2] + padded[1:-1] + padded[2:]
+    Tuv = (Su * bv).sum(axis=0)
+    Tvu = (Sv * bu).sum(axis=0)
+    Ruv = (bu * near).sum(axis=0)
     make = lambda arr: SpectralField.from_physical(grid, arr)
     return make(Tuv), make(Tvu), make(Ruv)
 
@@ -319,6 +307,14 @@ def check_semigroup_decay(
     return report
 
 
+def _source_spectrum(g: Forcing, grid: Grid, t: float) -> np.ndarray:
+    """Spectrum of the source g.f1(t), given as a field or a physical array."""
+    src = g.f1(t)
+    if not isinstance(src, SpectralField):
+        src = SpectralField.from_physical(grid, src)
+    return src.spectral()
+
+
 def heat_solution_series(
     f0: SpectralField,
     g: Forcing | None,
@@ -335,36 +331,30 @@ def heat_solution_series(
     grid = f0.grid
     times = np.asarray(times, dtype=float)
     L = -mu * (1.0 + 1j * u_disp) * grid.k_squared
-    fhat = f0.spectral().copy()
-    out = [SpectralField.from_spectral(grid, fhat.copy())]
-
-    def source_hat(f, t):
-        src = g.f1(t)
-        if isinstance(src, SpectralField):
-            return src.spectral()
-        return np.fft.fftn(np.asarray(src, dtype=complex)) / grid.size
-
+    fhat = f0.spectral()
+    out = [SpectralField.from_spectral(grid, fhat)]
+    source = lambda f, t: _source_spectrum(g, grid, t)
     for t0, t1 in zip(times[:-1], times[1:]):
         dt = t1 - t0
         if g is None or g.f1 is None:
             fhat = np.exp(L * dt) * fhat
         else:
-            fhat, _ = etd2_step(fhat, t0, source_hat, diagonal_operators(L, dt), dt)
-        out.append(SpectralField.from_spectral(grid, fhat.copy()))
+            fhat, _ = etd2_step(fhat, t0, source, diagonal_operators(L, dt), dt)
+        out.append(SpectralField.from_spectral(grid, fhat))
     return out
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def graded_times(t_end: float, n_steps: int, t_min_fraction: float = 1e-7) -> np.ndarray:
+def graded_times(t_end: float, n_steps: int) -> np.ndarray:
     """Geometrically graded time grid resolving all diffusive scales.
 
     A uniform grid cannot resolve the decay of the fastest dyadic blocks
     without an absurd step count; log spacing keeps the trapezoid error of
     every block's time integral uniformly small.
     """
-    inner = np.geomspace(t_end * t_min_fraction, t_end, n_steps)
+    inner = np.geomspace(t_end * GRADED_T_MIN_FRACTION, t_end, n_steps)
     return np.concatenate([[0.0], inner])
 
 
@@ -375,20 +365,22 @@ def _time_norm(series: np.ndarray, times: np.ndarray, rho: float) -> float:
 
 
 def space_time_besov_norm(
-    fields: list[SpectralField],
+    grid: Grid,
+    spectra: np.ndarray,
     times: np.ndarray,
     sigma: float,
     p: float,
     r: float,
     rho: float,
 ) -> float:
-    """Block-wise time-integrated Besov norm of a field trajectory."""
+    """Block-wise time-integrated Besov norm of a trajectory of spectra.
+
+    ``spectra`` stacks one spectrum per time sample: ``(times, *grid.shape)``.
+    """
     idx = BesovIndex(s=sigma, p=p, r=np.inf, homogeneous=True)
-    qs = partition_for(fields[0].grid).homogeneous_blocks[0]
-    per_block = np.array([_block_lp_norms(f, idx)[1] for f in fields])  # (times, blocks)
-    time_norms = np.array(
-        [_time_norm(per_block[:, j], times, rho) for j in range(per_block.shape[1])]
-    )
+    qs, per_block = _block_lp_norms(grid, spectra, idx)  # (times, blocks)
+    # One time norm per block: a vectorized trapezoid or power moves the last bits.
+    time_norms = np.array([_time_norm(series, times, rho) for series in per_block.T])
     return _ell_r(2.0 ** (qs * sigma) * time_norms, r)
 
 
@@ -403,19 +395,6 @@ class SmoothingRatioReport:
     rho: float
     rho1: float
     mu: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "sigma": self.sigma,
-            "p": self.p,
-            "r": self.r,
-            "rho": self.rho,
-            "rho1": self.rho1,
-            "mu": self.mu,
-        }
 
 
 def check_smoothing_estimate(
@@ -438,20 +417,17 @@ def check_smoothing_estimate(
     """
     rho = idx.rho if idx.rho is not None else 1.0
     times = graded_times(t_end, n_steps)
+    grid = f0.grid
     fields = heat_solution_series(f0, g, mu, u_disp, times)
+    spectra = np.stack([f.spectral() for f in fields])
     lhs = mu ** (1.0 / rho) * space_time_besov_norm(
-        fields, times, idx.s + 2.0 / rho1, idx.p, idx.r, rho1
+        grid, spectra, times, idx.s + 2.0 / rho1, idx.p, idx.r, rho1
     )
     rhs = besov_norm(f0, BesovIndex(s=idx.s, p=idx.p, r=idx.r, homogeneous=True))
     if g is not None and g.f1 is not None:
-        g_fields = []
-        for t in times:
-            src = g.f1(t)
-            if not isinstance(src, SpectralField):
-                src = SpectralField.from_physical(f0.grid, src)
-            g_fields.append(src)
+        sources = np.stack([_source_spectrum(g, grid, t) for t in times])
         rhs = rhs + mu ** (1.0 / rho - 1.0) * space_time_besov_norm(
-            g_fields, times, idx.s - 2.0 + 2.0 / rho, idx.p, idx.r, rho
+            grid, sources, times, idx.s - 2.0 + 2.0 / rho, idx.p, idx.r, rho
         )
     ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / max(rhs, 1e-300)
     return SmoothingRatioReport(

@@ -31,6 +31,10 @@ from .solver import SolverConfig, StepUnstable, block_operators, check_magnitude
 from .spectral import Grid, SpectralField
 
 CHART_FLOOR_FRACTION = 0.01
+QUADRATIC_SPREAD_TOLERANCE = 0.10  # passing spread of ||psi(eps*dir)|| / eps^2
+DECAY_FIT_WINDOW = (1e-4, 1e-1)  # fitted band of the norm, times its initial value
+GROWTH_RATE_TOLERANCE = 0.05  # passing relative error of the fitted growth rate
+GROWTH_FIT_CEILING = 1e-4  # growth fits stay below max(this, 4 * initial amplitude)
 
 
 class ChartBreakdown(RuntimeError):
@@ -422,7 +426,6 @@ def quadratic_order_check(
     params: SystemParams,
     wave: PlaneWave,
     eps_list,
-    spread_tolerance: float = 0.10,
 ) -> QuadraticOrderReport:
     """Measure ||psi(eps*dir)||_{L2} / eps^2 across scales.
 
@@ -458,7 +461,7 @@ def quadratic_order_check(
         quadratic_ratios=quad,
         linear_ratios=lin,
         spread=spread,
-        passed=spread < spread_tolerance,
+        passed=spread < QUADRATIC_SPREAD_TOLERANCE,
     )
 
 
@@ -507,14 +510,13 @@ def decay_experiment(
     pi0: PerturbationState,
     s: float,
     config: SolverConfig,
-    fit_window: tuple[float, float] = (1e-4, 1e-1),
 ) -> DecayReport:
     """Fit the decay rate of ||pi||_{H^{s+1}} against the spectral gap.
 
     The k = 0 modes (neutral translation/phase/drift directions) are
     projected out of the data and of the recorded norms.  An exponential
     rate is fitted on the window where the norm lies in
-    ``fit_window`` times its initial value; the algebraic exponent
+    ``DECAY_FIT_WINDOW`` times its initial value; the algebraic exponent
     -0.5*(1.5+s) is reported alongside as a whole-line reference, not as a
     pass/fail gate.
     """
@@ -545,7 +547,7 @@ def decay_experiment(
             times=times,
             norms=norms,
         )
-    lo, hi = fit_window
+    lo, hi = DECAY_FIT_WINDOW
     mask = (norms >= lo * norm0) & (norms <= hi * norm0) & (norms > 0)
     degenerate = int(np.sum(mask)) < 3
     if degenerate:
@@ -602,14 +604,12 @@ def instability_experiment(
     amp: float,
     config: SolverConfig,
     grid: Grid | None = None,
-    rate_tolerance: float = 0.05,
-    fit_ceiling: float = 1e-4,
 ) -> GrowthReport:
     """Seed one Fourier mode along its fastest eigenvector and fit its growth.
 
     The linear-regime growth rate of the seeded mode is compared against the
     largest real part of the dispersion eigenvalues at ``k_seed`` (relative
-    tolerance 5 percent by default).  Also reports the infimum of positive
+    tolerance ``GROWTH_RATE_TOLERANCE``).  Also reports the infimum of positive
     real parts over the resolved band.  A spectral cutoff (default twice the
     seeded wavenumber) pins the resolved band, since negative drift
     diffusivity grows without bound in k.  Blow-up after the linear window
@@ -644,7 +644,7 @@ def instability_experiment(
     peak = int(np.argmax(amps))
     if amps[peak] > 2.0 * amps[0]:
         idx = np.arange(len(amps))
-        mask = (idx <= peak) & (amps > 0) & (amps <= max(fit_ceiling, 4.0 * amps[0]))
+        mask = (idx <= peak) & (amps > 0) & (amps <= max(GROWTH_FIT_CEILING, 4.0 * amps[0]))
     else:
         mask = amps > 0
     if int(np.sum(mask)) >= 3:
@@ -660,7 +660,7 @@ def instability_experiment(
     omega_plus = float(np.min(positive)) if positive.size else 0.0
 
     grew = bool(np.isfinite(rate) and rate > 0) if reference > 0 else bool(rate <= 0)
-    passed = bool(np.isfinite(rate) and rel_err <= rate_tolerance and grew)
+    passed = bool(np.isfinite(rate) and rel_err <= GROWTH_RATE_TOLERANCE and grew)
     return GrowthReport(
         rate=rate,
         reference_rate=reference,

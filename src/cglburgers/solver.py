@@ -11,7 +11,7 @@ BDF2 for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -427,7 +427,6 @@ def evolve(
     params: SystemParams,
     forcing: Forcing | None = None,
     config: SolverConfig | None = None,
-    observers: Sequence[Callable[[FieldState], dict]] = (),
 ) -> TrajectorySummary:
     """Advance to t_end recording diagnostics every ``cadence`` steps.
 
@@ -445,13 +444,7 @@ def evolve(
             "advective CFL exceeds 1 for the initial state; reduce dt"
         )
 
-    def row(u, t):
-        out = _diagnostics_row(grid, u, t, config.hs_exponent, config.besov_p)
-        if observers:
-            state = _unstack(grid, u, t)
-            for obs in observers:
-                out.update(obs(state))
-        return out
+    row = lambda u, t: _diagnostics_row(grid, u, t, config.hs_exponent, config.besov_p)
 
     u, t = _stack(state0), state0.t
     rows = [row(u, t)]

@@ -6,12 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from cglburgers.littlewood_paley import (
     BesovIndex,
+    OutOfRange,
     besov_norm,
     bony_split,
+    check_smoothing_estimate,
+    dyadic_block,
+    graded_times,
+    heat_solution_series,
     partition_for,
     smallness_monitor,
 )
-from cglburgers.solver import FieldState
+from cglburgers.solver import FieldState, Forcing
 from cglburgers.spectral import Grid, SpectralField, band_limited_noise, lp_norm
 
 GRIDS = {1: Grid(dim=1, n=128), 2: Grid(dim=2, n=32, length=5.0)}
@@ -38,12 +43,15 @@ def reference_block_norms(f, idx):
     return np.array(qs, dtype=float), np.array(norms)
 
 
+def reference_ell_r(values, r):
+    if np.isinf(r):
+        return float(np.max(values))
+    return float(np.sum(values**r) ** (1.0 / r))
+
+
 def reference_besov_norm(f, idx):
     qs, norms = reference_block_norms(f, idx)
-    values = 2.0 ** (qs * idx.s) * norms
-    if np.isinf(idx.r):
-        return float(np.max(values))
-    return float(np.sum(values**idx.r) ** (1.0 / idx.r))
+    return reference_ell_r(2.0 ** (qs * idx.s) * norms, idx.r)
 
 
 def reference_smallness_monitor(state, p):
@@ -87,6 +95,43 @@ def reference_bony_split(u, v):
                 near = near + bv[q + shift]
         Ruv = Ruv + bu[q] * near
     return Tuv, Tvu, Ruv
+
+
+def reference_space_time_norm(fields, times, sigma, p, r, rho):
+    """Block norms of each time sample separately, then a time norm per block."""
+    idx = BesovIndex(s=sigma, p=p, r=np.inf)
+    per_time = [reference_block_norms(f, idx) for f in fields]
+    qs = per_time[0][0]
+    time_norms = []
+    for j in range(len(qs)):
+        series = np.array([norms[j] for _, norms in per_time])
+        if np.isinf(rho):
+            time_norms.append(float(np.max(series)))
+        else:
+            time_norms.append(float(np.trapezoid(series**rho, times) ** (1.0 / rho)))
+    return reference_ell_r(2.0 ** (qs * sigma) * np.array(time_norms), r)
+
+
+def reference_smoothing_sides(f0, g, mu, u_disp, idx, rho1, t_end, n_steps):
+    """(LHS, RHS) of the smoothing estimate, one field per time sample."""
+    rho = idx.rho
+    times = graded_times(t_end, n_steps)
+    fields = heat_solution_series(f0, g, mu, u_disp, times)
+    lhs = mu ** (1.0 / rho) * reference_space_time_norm(
+        fields, times, idx.s + 2.0 / rho1, idx.p, idx.r, rho1
+    )
+    rhs = reference_besov_norm(f0, BesovIndex(s=idx.s, p=idx.p, r=idx.r))
+    if g is not None:
+        sources = []
+        for t in times:
+            src = g.f1(t)
+            if not isinstance(src, SpectralField):
+                src = SpectralField.from_physical(f0.grid, src)
+            sources.append(src)
+        rhs = rhs + mu ** (1.0 / rho - 1.0) * reference_space_time_norm(
+            sources, times, idx.s - 2.0 + 2.0 / rho, idx.p, idx.r, rho
+        )
+    return lhs, rhs
 
 
 def _assert_matches(got, want, p):
@@ -146,6 +191,58 @@ def test_bony_split_matches_per_block_reference_bitwise(dim, seed, amplitude):
     v = band_limited_noise(grid, rng, max_index=grid.n // 6, real=True)
     for got, want in zip(bony_split(u, v), reference_bony_split(u, v)):
         assert np.array_equal(got.physical(), want)
+
+
+def _source(kind, grid, seed):
+    if kind == "none":
+        return None
+    gs = _field(grid, seed + 1, 1.0, real=True)
+    if kind == "spectral":
+        return Forcing(f1=lambda t: SpectralField.from_spectral(grid, gs.spectral() * np.cos(t)))
+    return Forcing(f1=lambda t: gs.physical() * (1.0 + t))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("source", ["none", "spectral", "physical"])
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.sampled_from(EXPONENTS),
+    r=st.sampled_from((1.0, 2.0, np.inf)),
+    rho=st.sampled_from((1.0, 2.0)),
+    rho1=st.sampled_from((1.0, 2.0, np.inf)),
+)
+def test_smoothing_estimate_matches_per_time_reference(dim, source, seed, p, r, rho, rho1):
+    grid = GRIDS[dim]
+    f0 = band_limited_noise(grid, np.random.default_rng(seed), max_index=grid.n // 4, zero_mean=True)
+    g = _source(source, grid, seed)
+    idx = BesovIndex(s=dim / p - 1.0, p=p, r=r, rho=rho)
+    rep = check_smoothing_estimate(f0, g, 1.3, 0.4, idx, rho1, t_end=2.0, n_steps=16)
+    lhs, rhs = reference_smoothing_sides(f0, g, 1.3, 0.4, idx, rho1, t_end=2.0, n_steps=16)
+    _assert_matches(rep.lhs, lhs, p)
+    _assert_matches(rep.rhs, rhs, p)
+
+
+SHORT = Grid(dim=1, n=64, length=2.0)
+
+
+@pytest.mark.parametrize("grid", [GRIDS[1], GRIDS[2], SHORT], ids=["1d", "2d", "short"])
+def test_dyadic_block_matches_multiplier_products(grid):
+    part = partition_for(grid)
+    f = _field(grid, 3, 1.0, real=False)
+    fhat = f.spectral()
+    for q in part.homogeneous_range():
+        assert np.array_equal(dyadic_block(f, q).spectral(), fhat * part.phi(q))
+    for q in part.nonhomogeneous_range():
+        got = dyadic_block(f, q, "nonhomogeneous").spectral()
+        assert np.array_equal(got, fhat * part.phi(q))
+    assert np.array_equal(dyadic_block(f, -1, "nonhomogeneous").spectral(), fhat * part.chi)
+    assert np.all(dyadic_block(f, -2, "nonhomogeneous").spectral() == 0.0)
+    for q, variant in ((part.q_min - 1, "homogeneous"), (part.q_max + 1, "homogeneous"),
+                       (part.q_max + 1, "nonhomogeneous")):
+        with pytest.raises(OutOfRange):
+            dyadic_block(f, q, variant)
+    assert np.shares_memory(part.homogeneous_blocks[1], part.phi(part.q_max))
 
 
 def _count_ffts(monkeypatch):

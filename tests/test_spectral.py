@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cglburgers.spectral import (
     Grid,
@@ -89,28 +90,46 @@ def test_dealias_kills_nyquist(grid1d):
     assert np.max(np.abs(dealias(f).spectral())) == 0.0
 
 
-def test_dealiased_product_matches_fine_grid(grid1d):
-    rng = np.random.default_rng(4)
-    third_of_nyquist = grid1d.n // 6
-    u = band_limited_noise(grid1d, rng, max_index=third_of_nyquist)
-    v = band_limited_noise(grid1d, rng, max_index=third_of_nyquist)
-    product = SpectralField.from_physical(grid1d, u.physical() * v.physical())
-    coarse = dealias(product).physical()
+# Property tests draw a grid of dimension 1 or 2 and a power-of-two size.
+DIMS = st.sampled_from([1, 2])
+LOG2_N = st.integers(3, 6)
+SEEDS = st.integers(0, 2**32 - 1)
 
-    fine = Grid(dim=1, n=2 * grid1d.n, length=grid1d.length)
 
-    def upsample(f):
-        fhat = f.spectral()
-        out = np.zeros(fine.shape, dtype=complex)
-        half = grid1d.n // 2
-        out[:half] = fhat[:half]
-        out[-half:] = fhat[-half:]
-        return SpectralField.from_spectral(fine, out)
+@settings(max_examples=25, deadline=None)
+@given(dim=DIMS, log2_n=LOG2_N, seed=SEEDS, real=st.booleans())
+def test_dealias_idempotent(dim, log2_n, seed, real):
+    grid = Grid(dim=dim, n=2**log2_n, length=3.0)
+    f = band_limited_noise(grid, np.random.default_rng(seed), max_index=grid.n // 2, real=real)
+    once = dealias(f).spectral()
+    assert np.array_equal(dealias(SpectralField.from_spectral(grid, once)).spectral(), once)
 
-    exact = upsample(u).physical() * upsample(v).physical()
-    restricted = exact[::2]
-    scale = max(np.max(np.abs(restricted)), 1.0)
-    assert np.max(np.abs(coarse - restricted)) < 1e-12 * scale
+
+def _on_fine_grid(f: SpectralField, fine: Grid) -> SpectralField:
+    """The same trigonometric polynomial, sampled on the finer grid."""
+    pos = np.fft.fftfreq(f.grid.n, d=1.0 / f.grid.n).astype(int) % fine.n
+    out = np.zeros(fine.shape, dtype=complex)
+    out[np.ix_(*[pos] * f.grid.dim)] = f.spectral()
+    return SpectralField.from_spectral(fine, out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=DIMS, log2_n=LOG2_N, seed=SEEDS)
+def test_dealiased_product_matches_fine_grid(dim, log2_n, seed):
+    # Inputs up to n/3: the coarse product aliases, but only onto the modes
+    # the 2/3 rule discards.  The doubled grid holds the product exactly.
+    grid = Grid(dim=dim, n=2**log2_n, length=2.0 * np.pi)
+    fine = Grid(dim=dim, n=2 * grid.n, length=grid.length)
+    rng = np.random.default_rng(seed)
+    u, v = (band_limited_noise(grid, rng, max_index=grid.n // 3) for _ in range(2))
+    coarse = dealias(SpectralField.from_physical(grid, u.physical() * v.physical()))
+    exact = SpectralField.from_physical(
+        fine, _on_fine_grid(u, fine).physical() * _on_fine_grid(v, fine).physical()
+    )
+    pos = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(int) % fine.n
+    kept = exact.spectral()[np.ix_(*[pos] * dim)] * grid.dealias_mask()
+    scale = max(np.max(np.abs(kept)), 1.0)
+    assert np.max(np.abs(coarse.spectral() - kept)) < 1e-12 * scale
 
 
 def test_sobolev_norm_zero(grid1d):
@@ -129,11 +148,15 @@ def test_sobolev_s0_is_l2(grid1d):
     assert sobolev_norm(f, 0.0) == pytest.approx(lp_norm(f, 2.0), rel=1e-10)
 
 
-def test_parseval_2d():
-    grid = Grid(dim=2, n=32, length=2.0 * np.pi)
-    rng = np.random.default_rng(6)
-    f = band_limited_noise(grid, rng)
-    assert sobolev_norm(f, 0.0) == pytest.approx(lp_norm(f, 2.0), rel=1e-10)
+@settings(max_examples=25, deadline=None)
+@given(dim=DIMS, log2_n=LOG2_N, seed=SEEDS, amplitude=st.floats(1e-6, 1e6))
+@example(dim=2, log2_n=5, seed=6, amplitude=1.0)
+def test_parseval(dim, log2_n, seed, amplitude):
+    # The p = 2 Besov block norms take this identity instead of a transform.
+    grid = Grid(dim=dim, n=2**log2_n, length=2.0 * np.pi)
+    f = band_limited_noise(grid, np.random.default_rng(seed), amplitude=amplitude).as_physical()
+    want = np.sqrt(np.sum(np.abs(f.spectral()) ** 2))
+    assert abs(lp_norm(f, 2.0) - want) <= 1e-13 * want
 
 
 def test_derivative_commutes_with_dealias(grid1d):
