@@ -65,7 +65,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "dt": ("float", 1e-3),
         "t_end": ("float", 1.0),
         "scheme": ("str", "exponential-rk2"),
-        "dealias": ("bool", True),
         "cadence": ("int", 10),
         "blowup": ("float", 1e6),
         "k_cutoff": ("optfloat", None),
@@ -206,7 +205,6 @@ def solver_config_from_config(cfg: dict) -> solver.SolverConfig:
         dt=s["dt"],
         t_end=s["t_end"],
         scheme=s["scheme"],
-        dealias=s["dealias"],
         cadence=s["cadence"],
         blowup_threshold=s["blowup"],
         k_cutoff=s["k_cutoff"],
@@ -384,7 +382,7 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
 def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
-    grid = Grid(dim=1, n=cfg["grid"]["n"], length=cfg["grid"]["length"])
+    grid = grid_from_config(cfg)
     sconf = solver_config_from_config(cfg)
     exp = cfg["experiment"]
     rng = np.random.default_rng(seed)
@@ -411,7 +409,7 @@ def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
 def cmd_instability(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
-    grid = Grid(dim=1, n=cfg["grid"]["n"], length=cfg["grid"]["length"])
+    grid = grid_from_config(cfg)
     sconf = solver_config_from_config(cfg)
     exp = cfg["experiment"]
     report = perturbation.instability_experiment(
@@ -490,7 +488,7 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
 def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
-    grid = Grid(dim=1, n=cfg["grid"]["n"], length=cfg["grid"]["length"])
+    grid = grid_from_config(cfg)
     exp = cfg["experiment"]
     rng = np.random.default_rng(seed)
     n = grid.n

@@ -188,11 +188,11 @@ class PlaneWaveFamily:
     params: SystemParams
     w0: float = 0.0
 
-    def representative(self, r0: float = 1.0, theta_sign: float = 1.0) -> PlaneWave:
+    def representative(self, r0: float = 1.0) -> PlaneWave:
         """Pick the member with amplitude ``r0`` (default r0=1, theta0=0)."""
         if not 0.0 <= r0 <= 1.0:
             raise ValueError("family members require 0 <= r0 <= 1")
-        theta0 = theta_sign * float(np.sqrt(max(1.0 - r0**2, 0.0)))
+        theta0 = float(np.sqrt(max(1.0 - r0**2, 0.0)))
         return PlaneWave(r0=float(r0), theta0=theta0, w0=self.w0)
 
 
@@ -219,7 +219,6 @@ def solve_plane_wave(
     branch: int | None = None,
     w0: float = 0.0,
     drift_compatibility: bool = False,
-    theta_sign: float = 1.0,
 ):
     """Solve the plane-wave constraint equations.
 
@@ -271,7 +270,7 @@ def solve_plane_wave(
             f"branch {index} requested but only {len(candidates)} root(s) exist"
         ) from None
 
-    theta0 = theta_sign * float(np.sqrt(max(1.0 - r0**2, 0.0)))
+    theta0 = float(np.sqrt(max(1.0 - r0**2, 0.0)))
     if drift_compatibility and theta0 != 0.0:
         w0 = -params.u(r0) * theta0
 

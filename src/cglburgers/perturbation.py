@@ -175,6 +175,18 @@ def true_linearization(
     return dispersion.LinearizationMatrices(A=A, B=B, C=C, coupling_mode="kappa_gradient")
 
 
+def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """rfft wavenumbers of a 1D grid and the mask of the modes a run keeps.
+
+    The mask is the grid's 2/3-rule band, cut at |k| <= ``k_cutoff`` if given.
+    """
+    half = grid.n // 2 + 1
+    keep = grid.dealias_mask()[:half]
+    if k_cutoff is not None:
+        keep = keep & grid.kmax_mask(k_cutoff)[:half]
+    return grid.k_min_positive * np.arange(half), keep
+
+
 def _ik_powers(k: np.ndarray) -> np.ndarray:
     """[1, ik, (ik)**2], shaped (order, 1, mode) to broadcast over field rows."""
     return (1j * k) ** np.arange(3)[:, None, None]
@@ -190,12 +202,8 @@ class _PolarWorkspace:
         self.params = params
         self.wave = wave
         self.config = config
-        n = grid.n
-        self.k = 2.0 * np.pi / grid.length * np.arange(n // 2 + 1)
+        self.k, mask = _kept_band(grid, config.k_cutoff)
         self.ik_powers = _ik_powers(self.k)
-        mask = np.arange(n // 2 + 1) <= n / 3.0
-        if config.k_cutoff is not None:
-            mask = mask & (self.k <= config.k_cutoff + 1e-12)
         self.mask = mask[:, None]
         mats = true_linearization(params, wave)
         self.M = dispersion.pencil(mats, self.k[:, None, None])
@@ -258,9 +266,7 @@ class _PolarWorkspace:
         )
         tend[2] = self.params.m * h_xx - wh * h_x - 2.0 * kap_r * r * rho_x
 
-        full = np.fft.rfft(tend).T / n
-        if self.config.dealias:
-            full = full * self.mask
+        full = np.fft.rfft(tend).T / n * self.mask
         linear = np.einsum("mij,mj->mi", self.M, hats)
         return full - linear
 
@@ -274,7 +280,6 @@ class PolarTrajectory:
     rows: list[dict]
     final: PerturbationState
     status: str = "completed"
-    failure_time: float | None = None
 
     def mode_amplitudes(self, mode_index: int) -> np.ndarray:
         """Euclidean norm of the (rho, phi, h) coefficients of one mode."""
@@ -306,17 +311,17 @@ def evolve_polar(
     ws = _PolarWorkspace(state0.grid, params, wave, config)
     hats, t = state0.hats() * ws.mask, state0.t
     times, snaps, rows = [t], [hats], [_polar_row(ws, hats, t)]
-    status, fail_t = "completed", None
+    status = "completed"
     try:
         for hats, t, row_due in integrate(hats, t, ws.rhs_hats, ws.ops, config, ws.mask):
             if row_due:
                 times.append(t)
                 snaps.append(hats)
                 rows.append(_polar_row(ws, hats, t))
-    except StepUnstable as exc:
+    except StepUnstable:
         if not tolerate_blowup:
             raise
-        status, fail_t = "unstable", exc.t
+        status = "unstable"
 
     return PolarTrajectory(
         times=np.array(times),
@@ -324,7 +329,6 @@ def evolve_polar(
         rows=rows,
         final=PerturbationState.from_hats(state0.grid, hats, t),
         status=status,
-        failure_time=fail_t,
     )
 
 
@@ -352,10 +356,8 @@ def remainder(
     w0*theta0 + u(r0)*theta0^2 = 0 holds (and the nonlinear-dispersion
     contribution v(r0)*r0^2 vanishes).  All products are dealiased.
     """
-    grid = state.grid
-    n = grid.n
-    k = 2.0 * np.pi / grid.length * np.arange(n // 2 + 1)
-    mask = np.arange(n // 2 + 1) <= n / 3.0
+    n = state.grid.n
+    k, mask = _kept_band(state.grid, None)
     rho, phi, h = state.rho, state.phi, state.h
     (rho_x, phi_x, h_x), (rho_xx, phi_xx, _) = np.fft.irfft(
         _ik_powers(k)[1:] * np.fft.rfft(state.stack()), n=n
@@ -495,12 +497,8 @@ def resolved_spectral_gap(
 ) -> float:
     """max Re(lambda) over the nonzero wavenumbers resolved on the grid."""
     mats = dispersion.build_matrices(params, wave, "kappa_gradient")
-    kmin = grid.k_min_positive
-    j_max = int(grid.n / 3.0)
-    ks = kmin * np.arange(1, j_max + 1)
-    if k_cutoff is not None:
-        ks = ks[ks <= k_cutoff + 1e-12]
-    lams = dispersion.spectrum_table(mats, ks)
+    k, keep = _kept_band(grid, k_cutoff)
+    lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
     return float(np.max(lams.real))
 
 
@@ -654,8 +652,8 @@ def instability_experiment(
     reference = float(lam_max.real)
     rel_err = abs(rate - reference) / abs(reference) if reference != 0 else np.inf
 
-    ks_band = kmin * np.arange(1, int(config.k_cutoff / kmin) + 1)
-    lams = dispersion.spectrum_table(mats, ks_band)
+    k, keep = _kept_band(grid, config.k_cutoff)
+    lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
     positive = lams.real[lams.real > 0]
     omega_plus = float(np.min(positive)) if positive.size else 0.0
 

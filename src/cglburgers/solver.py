@@ -92,7 +92,6 @@ class SolverConfig:
     dt: float = 1e-3
     t_end: float = 1.0
     scheme: str = "exponential-rk2"
-    dealias: bool = True
     cadence: int = 10
     blowup_threshold: float = BLOWUP_DEFAULT
     k_cutoff: float | None = None
@@ -114,7 +113,6 @@ class TrajectorySummary:
 
     rows: list[dict]
     final: FieldState
-    status: str = "completed"
 
     @property
     def times(self) -> np.ndarray:
@@ -164,15 +162,17 @@ def _nonlinear_hats(
     u: np.ndarray,
     t: float,
     forcing: Forcing,
-    mask: np.ndarray | None,
+    mask: np.ndarray,
 ):
     """Explicit right-hand sides of both equations, in spectral form.
 
     ``u`` stacks the coefficients of (P, Omega_1..Omega_d).  Each equation is
     assembled in physical space, transformed once and projected by the
-    2/3-rule ``mask``, if given.  Masking is linear and idempotent, so the
-    products need no projection of their own; only |P|^2 is masked first,
-    because it is a factor of the cubic term.  Returns the stacked N, where
+    2/3-rule ``mask``.  Masking is linear and idempotent, so the products
+    need no projection of their own; only |P|^2 is masked first, because it
+    is a factor of the cubic term.  The mask drops the Nyquist modes, which
+    have no real derivative, so kappa*grad|P|^2 has none and the drift stays
+    real.  Returns the stacked N, where
     dP/dt = (1+iu)*Lap(P) + N[0] and dOmega_a/dt = m*Lap(Omega_a) + N[1+a],
     the largest physical field magnitude and the largest drift magnitude
     max|Omega| (each NaN when a field value it covers is NaN).
@@ -187,10 +187,8 @@ def _nonlinear_hats(
     dO = [[np.fft.ifftn(1j * k * oh * size) for k in ks] for oh in Ohs]
 
     absP2 = P * np.conj(P)
-    absP2_hat = np.fft.fftn(absP2) / size
-    if mask is not None:
-        absP2_hat *= mask
-        absP2 = np.fft.ifftn(absP2_hat * size)
+    absP2_hat = np.fft.fftn(absP2) / size * mask
+    absP2 = np.fft.ifftn(absP2_hat * size)
 
     NP = (
         -sum(O[a] * dP[a] for a in range(dim))
@@ -204,18 +202,13 @@ def _nonlinear_hats(
 
     N = np.empty_like(u)
     N[0] = np.fft.fftn(NP) / size
-    # The Nyquist mode has no real derivative: grad|P|^2 leaves it out, so
-    # that the drift stays real also without dealiasing.
-    nyquist = grid.mode_indices() == -(grid.n // 2)
     for a in range(dim):
         NO = -sum(O[b] * dO[a][b] for b in range(dim))
         if f2 is not None:
             NO = NO + _physical(f2[a])
-        k = np.where(nyquist.reshape(ks[a].shape), 0.0, ks[a])
         # Drop imaginary round-off so the drift components stay real-valued.
-        N[1 + a] = np.fft.fftn(NO.real) / size - consts.kappa * 1j * k * absP2_hat
-    if mask is not None:
-        N *= mask
+        N[1 + a] = np.fft.fftn(NO.real) / size - consts.kappa * 1j * ks[a] * absP2_hat
+    N *= mask
     vmax = float(np.max(np.abs(np.real(O))))
     return N, float(np.max([np.max(np.abs(P)), vmax])), vmax
 
@@ -364,7 +357,7 @@ def _field_system(grid: Grid, params: SystemParams, forcing, config: SolverConfi
         # ETD2 never reads the BDF2 solve; kept, it would hold a state's memory.
         ops = ops._replace(bdf2=None)
 
-    dealias = grid.dealias_mask() if config.dealias else None
+    dealias = grid.dealias_mask()
     k_max = grid.k_max
 
     def N(u, t):

@@ -107,6 +107,30 @@ def test_simulate_refuses_a_wave_in_two_dimensions(tmp_path, capsys):
     assert "dim = 2" in error["error"]
 
 
+@pytest.mark.parametrize("command", ["decay-fit", "instability", "quadratic-check"])
+def test_polar_commands_refuse_a_two_dimensional_grid(tmp_path, capsys, command):
+    # These commands used to build a 1D grid whatever [grid] dim said.
+    path = write(
+        tmp_path,
+        "polar2d.ini",
+        "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\ndim = 2\nn = 16\n\n"
+        "[solver]\ndt = 0.01\nt_end = 0.02\n",
+    )
+    code = main([command, "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": "polar perturbations are one-dimensional", "exit_code": 1}
+
+
+def test_dealias_is_an_unknown_solver_key(tmp_path, capsys):
+    # Every run dealiases; the key used to be accepted and ignored by the polar runs.
+    path = write(tmp_path, "alias.ini", DISPERSION_INI + "\n[solver]\ndealias = false\n")
+    code = main(["dispersion", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": "unknown key 'dealias' in section [solver]", "exit_code": 1}
+
+
 SCAN_INI = """
 [grid]
 n = 32

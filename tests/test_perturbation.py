@@ -485,6 +485,26 @@ def test_instability_negative_diffusivity():
     assert report.omega_plus == pytest.approx(1.0, abs=1e-9)
 
 
+def test_instability_omega_plus_stays_in_the_kept_band(monkeypatch):
+    # n = 32 keeps |index| <= 10; the default cutoff 2*k_seed = 16 used to
+    # let omega_plus range over k = 1..16.
+    grid = Grid(dim=1, n=32, length=2.0 * np.pi)
+    params = SystemParams.constants(u=0.0, v=0.0, m=-1.0)
+    config = SolverConfig(dt=1e-3, t_end=0.02, cadence=5)
+    captured = []
+
+    def spectrum_table(mats, ks):
+        captured.append(np.atleast_1d(ks))
+        return real_spectrum_table(mats, ks)
+
+    real_spectrum_table = dispersion.spectrum_table
+    monkeypatch.setattr(dispersion, "spectrum_table", spectrum_table)
+    instability_experiment(params, unit_wave(), k_seed=8.0, amp=1e-6, config=config, grid=grid)
+    ks = np.concatenate(captured)
+    assert ks.size > 0
+    assert np.max(ks) <= 10.0
+
+
 def test_instability_contrapositive_stable_slice():
     grid = Grid(dim=1, n=128, length=2.0 * np.pi)
     params = SystemParams.constants(u=0.0, v=0.0, m=1.0)

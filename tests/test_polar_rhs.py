@@ -38,9 +38,9 @@ def _wave(grid):
     return PlaneWave(r0=float(np.sqrt(1.0 - theta0**2)), theta0=theta0, w0=0.3)
 
 
-def _workspace(n, dealias=True, k_cutoff=None):
+def _workspace(n, k_cutoff=None):
     grid = Grid(dim=1, n=n, length=LENGTH)
-    config = SolverConfig(dt=1e-3, dealias=dealias, k_cutoff=k_cutoff)
+    config = SolverConfig(dt=1e-3, k_cutoff=k_cutoff)
     return perturbation._PolarWorkspace(grid, PARAMS, _wave(grid), config)
 
 
@@ -101,8 +101,7 @@ def reference_rhs_hats(ws, hats, t):
         [np.fft.rfft(rho_t) / n, np.fft.rfft(phi_t) / n, np.fft.rfft(h_t) / n],
         axis=-1,
     )
-    if ws.config.dealias:
-        full = full * ws.mask
+    full = full * ws.mask
     linear = np.einsum("mij,mj->mi", ws.M, hats)
     return full - linear
 
@@ -175,12 +174,11 @@ def _state(grid, seed, amplitude):
     seed=st.integers(0, 2**32 - 1),
     amplitude=st.floats(1e-8, 0.2),
     n=st.sampled_from([128, 256]),
-    dealias=st.booleans(),
     k_cutoff=st.sampled_from([None, 4.0]),
 )
-@example(seed=139, amplitude=0.1875, n=256, dealias=False, k_cutoff=None)
-def test_polar_rhs_matches_reference_bitwise(seed, amplitude, n, dealias, k_cutoff):
-    ws = _workspace(n, dealias, k_cutoff)
+@example(seed=139, amplitude=0.1875, n=256, k_cutoff=None)
+def test_polar_rhs_matches_reference_bitwise(seed, amplitude, n, k_cutoff):
+    ws = _workspace(n, k_cutoff)
     state = _state(ws.grid, seed, amplitude)
     hats = state.hats()
     assert np.array_equal(hats, reference_hats(ws, state))

@@ -118,22 +118,19 @@ def _assert_close(got, want):
 @given(
     seed=st.integers(0, 2**32 - 1),
     amplitude=st.floats(1e-3, 10.0),
-    dealias=st.booleans(),
     k_cutoff=st.sampled_from([None, 4.0]),
     forced=st.booleans(),
 )
-def test_field_system_rhs_matches_reference(
-    dim, seed, amplitude, dealias, k_cutoff, forced
-):
+def test_field_system_rhs_matches_reference(dim, seed, amplitude, k_cutoff, forced):
     grid = GRIDS[dim]
     forcing = _forcing(grid, seed) if forced else Forcing.zero()
-    config = SolverConfig(dt=1e-9, dealias=dealias, k_cutoff=k_cutoff)
+    config = SolverConfig(dt=1e-9, k_cutoff=k_cutoff)
     _, N, cutoff = solver._field_system(grid, PARAMS, forcing, config)
     state = _state(grid, seed, amplitude)
     u = solver._stack(state)
     if cutoff is not None:
         u = u * cutoff
-    want = reference_hats(grid, PARAMS.require_constant(), u, state.t, forcing, dealias)
+    want = reference_hats(grid, PARAMS.require_constant(), u, state.t, forcing, True)
     _assert_close(N(u, state.t), want)
 
 

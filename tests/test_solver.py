@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cglburgers.model import SystemParams
 from cglburgers.solver import (
+    SCHEMES,
     FieldState,
     Forcing,
     SolverConfig,
@@ -403,3 +405,31 @@ def test_blowup_keeps_the_rows_recorded_before_it(grid):
     times = [row["t"] for row in rows]
     assert len(rows) > 1 and times[0] == 0.0
     assert times == sorted(times) and times[-1] < excinfo.value.t
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(SCHEMES),
+    k_cutoff=st.sampled_from([None, 4.0]),
+)
+def test_drift_stays_real_under_evolve(dim, seed, scheme, k_cutoff):
+    # Noise on every mode, the Nyquist modes included: a real drift has a
+    # real Nyquist coefficient, and kappa*grad|P|^2 must not add an
+    # imaginary one.
+    grid = Grid(dim=dim, n=64 if dim == 1 else 32, length=5.0)
+    params = SystemParams.constants(u=0.3, v=-0.7, xi=1.2, m=0.8, kappa=0.6, s1=0.4, s2=-0.9)
+    rng = np.random.default_rng(seed)
+    top = grid.n // 2
+    state = FieldState(
+        P=band_limited_noise(grid, rng, max_index=top, amplitude=0.05),
+        omega=tuple(
+            band_limited_noise(grid, rng, max_index=top, amplitude=0.05, real=True)
+            for _ in range(dim)
+        ),
+    )
+    config = SolverConfig(dt=1e-3, t_end=0.02, scheme=scheme, k_cutoff=k_cutoff)
+    final = evolve(state, params, config=config).final
+    for w in final.omega:
+        assert w.is_real_valued(tol=1e-13)
