@@ -612,6 +612,7 @@ def instability_experiment(
     seeded wavenumber) pins the resolved band, since negative drift
     diffusivity grows without bound in k.  Blow-up after the linear window
     is tolerated; failure to grow on an unstable slice fails the report.
+    Raises ValueError if the run's kept band drops the seeded mode.
     """
     grid = grid or Grid(dim=1, n=256, length=2.0 * np.pi)
     kmin = grid.k_min_positive
@@ -633,6 +634,13 @@ def instability_experiment(
     hats = np.zeros((n // 2 + 1, 3), dtype=complex)
     hats[j_seed] = amp * vec
     state0 = PerturbationState.from_hats(grid, hats)
+    k, keep = _kept_band(grid, config.k_cutoff)
+    if not keep[j_seed]:
+        k_kept = np.max(k[keep], initial=0.0)
+        raise ValueError(
+            f"k_seed = {k_seed:g} lies outside the kept band |k| <= {k_kept:g} "
+            "of this grid and k_cutoff"
+        )
 
     traj = evolve_polar(state0, params, wave, config, tolerate_blowup=True)
     amps = traj.mode_amplitudes(j_seed)
@@ -652,7 +660,6 @@ def instability_experiment(
     reference = float(lam_max.real)
     rel_err = abs(rate - reference) / abs(reference) if reference != 0 else np.inf
 
-    k, keep = _kept_band(grid, config.k_cutoff)
     lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
     positive = lams.real[lams.real > 0]
     omega_plus = float(np.min(positive)) if positive.size else 0.0

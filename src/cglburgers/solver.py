@@ -11,6 +11,7 @@ BDF2 for cross-checking.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -19,6 +20,8 @@ from .model import ConstantCoefficients, SystemParams
 from .spectral import Grid, SpectralField
 
 BLOWUP_DEFAULT = 1e6
+# Largest max|Im Omega| / max|Re Omega| of an initial drift that evolve accepts.
+DRIFT_IMAG_TOL = 1e-10
 
 SCHEMES = ("exponential-rk2", "imex-bdf2")
 
@@ -156,6 +159,67 @@ def _physical(f) -> np.ndarray:
     return f.physical() if isinstance(f, SpectralField) else np.asarray(f)
 
 
+class _Layout:
+    """Packed layout of the full-field state, and its per-grid constants.
+
+    The state is one flat complex vector: the ``fftn`` coefficients of P,
+    then the ``rfftn`` coefficients (last axis n//2 + 1) of each real drift
+    component.  Every operator and mask is elementwise, so each is packed
+    the same way.  The drift's derivative multipliers are zero at the
+    Nyquist index of their axis: that mode's derivative vanishes on the
+    grid, and a nonzero multiplier would give a real field an imaginary
+    derivative (Trefethen 2000, ch. 3).
+    """
+
+    def __init__(self, grid: Grid):
+        n, dim = grid.n, grid.dim
+        self.dim, self.size, self.shape = dim, grid.size, grid.shape
+        self.h = n // 2 + 1
+        self.axes = tuple(range(-dim, 0))
+        self.ikP = tuple(1j * k * grid.size for k in grid.wavenumbers())
+        idx = grid.mode_indices()
+        k = np.where(np.abs(idx) == n // 2, 0.0, grid.k_min_positive * idx)
+        axes_k = [k] * (dim - 1) + [k[: self.h]]
+        self.ik_half = 1j * np.array(np.meshgrid(*axes_k, indexing="ij"))
+        # [1, ik_1, .., ik_d] * size: one irfftn gives each Omega_a and its gradient.
+        ones = np.ones((1, *self.ik_half.shape[1:]))
+        self.value_grad = np.concatenate([ones, self.ik_half]) * grid.size
+        self.k2_half = self.half(grid.k_squared)
+        self.dealias_half = self.half(grid.dealias_mask())
+        self.dealias = self.pack(grid.dealias_mask(), self.dealias_half)
+
+    def half(self, full: np.ndarray) -> np.ndarray:
+        """The rfftn half (last axis 0..n/2) of a full-layout array."""
+        return full[..., : self.h]
+
+    def pack(self, p: np.ndarray, o_half: np.ndarray) -> np.ndarray:
+        """Flat vector of a P-layout array and one drift-layout array per component."""
+        return np.concatenate([np.ravel(p)] + [np.ravel(o_half)] * self.dim)
+
+    def split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Views of P's full spectrum and of the (dim, ...) stack of drift halves."""
+        return (
+            u[: self.size].reshape(self.shape),
+            u[self.size :].reshape(self.dim, *self.shape[:-1], self.h),
+        )
+
+    def full(self, half: np.ndarray) -> np.ndarray:
+        """Full spectrum of a real field from its rfftn half (Hermitian symmetry)."""
+        n = self.shape[-1]
+        out = np.empty(self.shape, dtype=complex)
+        out[..., : self.h] = half
+        tail = half[..., n // 2 - 1 : 0 : -1]
+        if self.dim == 2:
+            tail = tail[-np.arange(n) % n]
+        out[..., self.h :] = np.conj(tail)
+        return out
+
+
+@lru_cache(maxsize=16)
+def _layout(grid: Grid) -> _Layout:
+    return _Layout(grid)
+
+
 def _nonlinear_hats(
     grid: Grid,
     consts: ConstantCoefficients,
@@ -164,63 +228,71 @@ def _nonlinear_hats(
     forcing: Forcing,
     mask: np.ndarray,
 ):
-    """Explicit right-hand sides of both equations, in spectral form.
+    """Explicit right-hand sides of both equations, in the packed layout.
 
-    ``u`` stacks the coefficients of (P, Omega_1..Omega_d).  Each equation is
+    ``u`` is the packed state (see :class:`_Layout`).  Each equation is
     assembled in physical space, transformed once and projected by the
     2/3-rule ``mask``.  Masking is linear and idempotent, so the products
     need no projection of their own; only |P|^2 is masked first, because it
-    is a factor of the cubic term.  The mask drops the Nyquist modes, which
-    have no real derivative, so kappa*grad|P|^2 has none and the drift stays
-    real.  Returns the stacked N, where
-    dP/dt = (1+iu)*Lap(P) + N[0] and dOmega_a/dt = m*Lap(Omega_a) + N[1+a],
+    is a factor of the cubic term.  P and grad P are complex, one ``ifftn``
+    each; the drift and its gradient are real and come from one stacked
+    ``irfftn``, and the drift tendencies go back through one stacked
+    ``rfftn``: 7 transforms in 1D, 8 in 2D.  Returns the packed N, where
+    dP/dt = (1+iu)*Lap(P) + N_P and dOmega_a/dt = m*Lap(Omega_a) + N_a,
     the largest physical field magnitude and the largest drift magnitude
     max|Omega| (each NaN when a field value it covers is NaN).
     """
-    size, dim = grid.size, grid.dim
-    ks = grid.wavenumbers()
-    Ph, Ohs = u[0], u[1:]
+    lay = _layout(grid)
+    size, dim, axes = lay.size, lay.dim, lay.axes
+    Ph, Ohs = lay.split(u)
     P = np.fft.ifftn(Ph * size)
-    O = [np.fft.ifftn(oh * size) for oh in Ohs]
-    dP = [np.fft.ifftn(1j * k * Ph * size) for k in ks]
-    # dO[a][b] = d_b Omega_a, read by the drift advection and by div Omega.
-    dO = [[np.fft.ifftn(1j * k * oh * size) for k in ks] for oh in Ohs]
+    dP = [np.fft.ifftn(ik * Ph) for ik in lay.ikP]
+    # V[a, 0] = Omega_a and V[a, 1 + b] = d_b Omega_a, all real.
+    V = np.fft.irfftn(Ohs[:, None] * lay.value_grad, s=grid.shape, axes=axes)
+    O = V[:, 0]
 
-    absP2 = P * np.conj(P)
-    absP2_hat = np.fft.fftn(absP2) / size * mask
-    absP2 = np.fft.ifftn(absP2_hat * size)
+    absP2_hat = np.fft.rfftn(P.real**2 + P.imag**2) / size * lay.dealias_half
+    absP2 = np.fft.irfftn(absP2_hat * size, s=grid.shape, axes=axes)
 
     NP = (
         -sum(O[a] * dP[a] for a in range(dim))
         + consts.xi * P
         - (1.0 + 1j * consts.v) * absP2 * P
-        - consts.r1 * P * sum(dO[a][a] for a in range(dim))
+        - consts.r1 * P * sum(V[a, 1 + a] for a in range(dim))
     )
     if forcing.f1 is not None:
         NP = NP + _physical(forcing.f1(t))
     f2 = forcing.f2(t) if forcing.f2 is not None else None
 
-    N = np.empty_like(u)
-    N[0] = np.fft.fftn(NP) / size
+    NO = np.empty((dim, *grid.shape))
     for a in range(dim):
-        NO = -sum(O[b] * dO[a][b] for b in range(dim))
+        NO[a] = -sum(O[b] * V[a, 1 + b] for b in range(dim))
         if f2 is not None:
-            NO = NO + _physical(f2[a])
-        # Drop imaginary round-off so the drift components stay real-valued.
-        N[1 + a] = np.fft.fftn(NO.real) / size - consts.kappa * 1j * ks[a] * absP2_hat
+            NO[a] += _physical(f2[a]).real
+
+    N = np.empty_like(u)
+    N[:size] = np.fft.fftn(NP).ravel() / size
+    NOh = np.fft.rfftn(NO, axes=axes) / size - consts.kappa * lay.ik_half * absP2_hat
+    N[size:] = NOh.ravel()
     N *= mask
-    vmax = float(np.max(np.abs(np.real(O))))
+    vmax = float(np.max(np.abs(O)))
     return N, float(np.max([np.max(np.abs(P)), vmax])), vmax
 
 
 def _stack(state: FieldState) -> np.ndarray:
-    return np.stack([state.P.spectral(), *(w.spectral() for w in state.omega)])
+    """Pack a state; each drift keeps the rfftn half of its spectrum."""
+    lay = _layout(state.grid)
+    return np.concatenate(
+        [state.P.spectral().ravel()] + [lay.half(w.spectral()).ravel() for w in state.omega]
+    )
 
 
 def _unstack(grid: Grid, u: np.ndarray, t: float) -> FieldState:
+    lay = _layout(grid)
+    Ph, Ohs = lay.split(u)
     return FieldState(
-        P=SpectralField.from_spectral(grid, u[0]),
-        omega=tuple(SpectralField.from_spectral(grid, oh) for oh in u[1:]),
+        P=SpectralField.from_spectral(grid, Ph),
+        omega=tuple(SpectralField.from_spectral(grid, lay.full(oh)) for oh in Ohs),
         t=t,
     )
 
@@ -231,11 +303,10 @@ def rhs_nonlinear(state: FieldState, params: SystemParams, forcing: Forcing | No
     grid = state.grid
     forcing = forcing or Forcing.zero()
     N, _, _ = _nonlinear_hats(
-        grid, consts, _stack(state), state.t, forcing, grid.dealias_mask()
+        grid, consts, _stack(state), state.t, forcing, _layout(grid).dealias
     )
-    dP = SpectralField.from_spectral(grid, N[0]).as_physical()
-    dO = tuple(SpectralField.from_spectral(grid, noh).as_physical() for noh in N[1:])
-    return dP, dO
+    rates = _unstack(grid, N, state.t)
+    return rates.P.as_physical(), tuple(w.as_physical() for w in rates.omega)
 
 
 def check_magnitude(value: float, threshold: float, t: float, what: str) -> None:
@@ -345,29 +416,31 @@ def integrate(u, t0: float, N, ops: Operators, config: SolverConfig, mask=None):
 
 
 def _field_system(grid: Grid, params: SystemParams, forcing, config: SolverConfig):
-    """Operators, right-hand side and cutoff mask of the stacked (P, Omega)."""
+    """Operators, right-hand side and cutoff mask of the packed (P, Omega)."""
     consts = params.require_constant()
     forcing = forcing or Forcing.zero()
-    k2 = grid.k_squared
-    # One evaluation per distinct diagonal (P and Omega), one row per component.
-    ops_P = diagonal_operators(-(1.0 + 1j * consts.u) * k2, config.dt)
-    ops_O = diagonal_operators(-consts.m * k2, config.dt)
-    ops = Operators(*(np.stack([p] + [o] * grid.dim) for p, o in zip(ops_P, ops_O)))
+    lay = _layout(grid)
+    # One evaluation per distinct diagonal: P, and Omega on the rfftn half.
+    ops_P = diagonal_operators(-(1.0 + 1j * consts.u) * grid.k_squared, config.dt)
+    ops_O = diagonal_operators(-consts.m * lay.k2_half, config.dt)
+    ops = Operators(*(lay.pack(p, o) for p, o in zip(ops_P, ops_O)))
     if config.scheme == "exponential-rk2":
         # ETD2 never reads the BDF2 solve; kept, it would hold a state's memory.
         ops = ops._replace(bdf2=None)
 
-    dealias = grid.dealias_mask()
     k_max = grid.k_max
 
     def N(u, t):
-        Nu, amax, vmax = _nonlinear_hats(grid, consts, u, t, forcing, dealias)
+        Nu, amax, vmax = _nonlinear_hats(grid, consts, u, t, forcing, lay.dealias)
         # The blow-up guard goes first, so that a NaN is reported as one.
         check_magnitude(amax, config.blowup_threshold, t, "field")
         check_magnitude(config.dt * vmax * k_max, 1.0, t, "advective CFL")
         return Nu
 
-    mask = None if config.k_cutoff is None else grid.kmax_mask(config.k_cutoff)
+    mask = None
+    if config.k_cutoff is not None:
+        keep = grid.kmax_mask(config.k_cutoff)
+        mask = lay.pack(keep, lay.half(keep))
     return ops, N, mask
 
 
@@ -384,10 +457,11 @@ def step(
     return _unstack(state.grid, u, state.t + config.dt)
 
 
-def _diagnostics_row(grid, u, t, hs_exponent, besov_p):
+def _diagnostics_row(state: FieldState, hs_exponent, besov_p):
     from . import littlewood_paley as lp
 
-    Ph, Ohs = u[0], u[1:]
+    grid = state.grid
+    Ph, Ohs = state.P.spectral(), [w.spectral() for w in state.omega]
     l2o = float(np.sqrt(sum(np.sum(np.abs(oh) ** 2) for oh in Ohs)))
     hso = float(
         np.sqrt(
@@ -398,21 +472,34 @@ def _diagnostics_row(grid, u, t, hs_exponent, besov_p):
         )
     )
     return {
-        "t": t,
+        "t": state.t,
         "L2_P": float(np.sqrt(np.sum(np.abs(Ph) ** 2))),
         "L2_Omega": l2o,
         "Hs_P": float(
             np.sqrt(np.sum((1.0 + grid.k_squared) ** hs_exponent * np.abs(Ph) ** 2))
         ),
         "Hs_Omega": hso,
-        "besov_proxy": lp.smallness_monitor(_unstack(grid, u, t), besov_p),
+        "besov_proxy": lp.smallness_monitor(state, besov_p),
     }
 
 
-def advective_cfl(state: FieldState, config: SolverConfig) -> float:
-    """CFL number dt * max|Omega| * k_max of the explicit advection terms."""
-    vmax = np.max([np.abs(w.physical().real) for w in state.omega])
-    return config.dt * float(vmax) * state.grid.k_max
+def _check_initial_drift(state: FieldState, config: SolverConfig) -> None:
+    """Refuse a drift that is not real, or whose advective CFL number exceeds 1.
+
+    The packed state keeps only the rfftn half of each drift spectrum, so an
+    imaginary part would be dropped.  The CFL number is
+    dt * max|Omega| * k_max.  A NaN passes both checks; the blow-up guard
+    reports it in the first step.
+    """
+    drift = np.array([w.physical() for w in state.omega])
+    vmax, imag = np.max(np.abs(drift.real)), np.max(np.abs(drift.imag))
+    if imag > DRIFT_IMAG_TOL * vmax:
+        raise ValueError(
+            f"the drift Omega must be real: max|Im Omega| = {imag:.3g} against "
+            f"max|Re Omega| = {vmax:.3g}"
+        )
+    if config.dt * vmax * state.grid.k_max > 1.0:
+        raise ValueError("advective CFL exceeds 1 for the initial state; reduce dt")
 
 
 def evolve(
@@ -427,17 +514,16 @@ def evolve(
     before it) if a field magnitude crosses the blow-up threshold or is NaN,
     or if the advective CFL number exceeds 1.  Raises ValueError if the
     initial state already exceeds that CFL bound, or if t_end is not a whole
-    number of steps away.
+    number of steps away, or if the initial drift is not real.
     """
     config = config or SolverConfig()
     grid = state0.grid
     ops, N, mask = _field_system(grid, params, forcing, config)
-    if advective_cfl(state0, config) > 1.0:
-        raise ValueError(
-            "advective CFL exceeds 1 for the initial state; reduce dt"
-        )
+    _check_initial_drift(state0, config)
 
-    row = lambda u, t: _diagnostics_row(grid, u, t, config.hs_exponent, config.besov_p)
+    row = lambda u, t: _diagnostics_row(
+        _unstack(grid, u, t), config.hs_exponent, config.besov_p
+    )
 
     u, t = _stack(state0), state0.t
     rows = [row(u, t)]

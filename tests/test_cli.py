@@ -312,3 +312,19 @@ def test_simulate_keeps_the_rows_recorded_before_a_blowup(tmp_path):
     lines = (out / "diagnostics.csv").read_text().splitlines()
     times = [float(line.split(",")[0]) for line in lines[2:]]
     assert len(times) > 1 and times[0] == 0.0 and times[-1] < failed_at
+
+
+def test_instability_refuses_a_seed_outside_the_kept_band(tmp_path, capsys):
+    # n = 32 keeps |j| <= 10; the seeded mode 12 used to be projected away
+    # at t = 0, with exit 2 and "rate": NaN in growth.json.
+    path = write(
+        tmp_path,
+        "inst.ini",
+        "[model]\nm = -1.0\n\n[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 32\n\n"
+        "[solver]\ndt = 0.001\nt_end = 0.1\ncadence = 20\n\n[experiment]\nk_seed = 12.0\n",
+    )
+    out = tmp_path / "out"
+    assert main(["instability", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "k_seed = 12" in error["error"] and "|k| <= 10" in error["error"]
+    assert not (out / "growth.json").exists()

@@ -433,3 +433,39 @@ def test_drift_stays_real_under_evolve(dim, seed, scheme, k_cutoff):
     final = evolve(state, params, config=config).final
     for w in final.omega:
         assert w.is_real_valued(tol=1e-13)
+
+
+def test_evolve_refuses_a_drift_that_is_not_real(grid):
+    # The packed state keeps the rfftn half of each drift spectrum, which
+    # would drop an imaginary part without a word.
+    rng = np.random.default_rng(5)
+    drift = band_limited_noise(grid, rng, max_index=8, amplitude=0.1)
+    state = FieldState(P=band_limited_noise(grid, rng, max_index=8), omega=(drift,))
+    params = SystemParams.constants(u=0.3, v=0.2, xi=0.5, m=1.0, kappa=0.5, s1=0.1)
+    with pytest.raises(ValueError, match="drift Omega must be real"):
+        evolve(state, params, config=SolverConfig(dt=1e-3, t_end=0.01))
+    real = FieldState(P=state.P, omega=(SpectralField.from_physical(grid, drift.physical().real),))
+    evolve(real, params, config=SolverConfig(dt=1e-3, t_end=0.01))
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 32, 64]),
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(SCHEMES),
+)
+def test_drift_stays_real_under_2d_evolve_on_every_grid(n, seed, scheme):
+    grid = Grid(dim=2, n=n, length=5.0)
+    params = SystemParams.constants(u=0.3, v=-0.7, xi=1.2, m=0.8, kappa=0.6, s1=0.4, s2=-0.9)
+    rng = np.random.default_rng(seed)
+    state = FieldState(
+        P=band_limited_noise(grid, rng, max_index=n // 2, amplitude=0.05),
+        omega=tuple(
+            band_limited_noise(grid, rng, max_index=n // 2, amplitude=0.05, real=True)
+            for _ in range(2)
+        ),
+    )
+    config = SolverConfig(dt=1e-3, t_end=0.02, scheme=scheme)
+    final = evolve(state, params, config=config).final
+    for w in final.omega:
+        assert w.is_real_valued(tol=1e-13)
