@@ -388,6 +388,13 @@ def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
     rng = np.random.default_rng(seed)
     n = grid.n
     modes = exp["init_modes"]
+    _, keep = perturbation._kept_band(grid, sconf.k_cutoff)
+    top = int(np.count_nonzero(keep)) - 1
+    if modes > top:
+        raise ValueError(
+            f"init_modes = {modes} exceeds the largest kept mode index {top} "
+            "of this grid and k_cutoff"
+        )
     hats = np.zeros((n // 2 + 1, 3), dtype=complex)
     hats[1 : modes + 1] = exp["amp"] * (
         rng.normal(size=(modes, 3)) + 1j * rng.normal(size=(modes, 3))

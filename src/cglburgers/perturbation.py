@@ -179,6 +179,8 @@ def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, np.ndarr
     """rfft wavenumbers of a 1D grid and the mask of the modes a run keeps.
 
     The mask is the grid's 2/3-rule band, cut at |k| <= ``k_cutoff`` if given.
+    Both keep |k| up to a bound, so the mask is a prefix: its first
+    count_nonzero(mask) entries.
     """
     half = grid.n // 2 + 1
     keep = grid.dealias_mask()[:half]
@@ -193,7 +195,13 @@ def _ik_powers(k: np.ndarray) -> np.ndarray:
 
 
 class _PolarWorkspace:
-    """Precomputed spectral data for the polar integrator."""
+    """Precomputed spectral data for the polar integrator.
+
+    The integrator's state holds only the ``nk`` kept modes, shaped (nk, 3):
+    the transforms zero-pad it to the grid's n//2 + 1 rfft modes and drop
+    the rest again, so the dropped modes cost no operator block and no
+    product.
+    """
 
     def __init__(self, grid: Grid, params: SystemParams, wave: PlaneWave, config: SolverConfig):
         if params.xi != 1.0:
@@ -202,9 +210,10 @@ class _PolarWorkspace:
         self.params = params
         self.wave = wave
         self.config = config
-        self.k, mask = _kept_band(grid, config.k_cutoff)
+        k_full, keep = _kept_band(grid, config.k_cutoff)
+        self.nk = int(np.count_nonzero(keep))
+        self.k = k_full[: self.nk]
         self.ik_powers = _ik_powers(self.k)
-        self.mask = mask[:, None]
         mats = true_linearization(params, wave)
         self.M = dispersion.pencil(mats, self.k[:, None, None])
         self.ops = block_operators(self.M, config.dt)
@@ -212,30 +221,40 @@ class _PolarWorkspace:
         p = params
         coeffs = [p.u_coeffs, p.v_coeffs, p.s1_coeffs, p.s2_coeffs, p.kappa_coeffs]
         self.coeffs = np.array(coeffs).T[:, :, None]
-        # rfft multiplicities (n is even) and H^s weights of the diagnostics rows.
-        self.mult = np.full(self.k.shape, 2.0)
+        # rfft multiplicities (n is even) and H^s weights of the diagnostics
+        # rows, which see the padded snapshots.
+        self.mult = np.full(k_full.shape, 2.0)
         self.mult[[0, -1]] = 1.0
-        self.hs_weight = (1.0 + self.k**2) ** config.hs_exponent
+        self.hs_weight = (1.0 + k_full**2) ** config.hs_exponent
         # A kept mode that one exact linear step amplifies by more than the
         # blow-up threshold (m < 0 at high k) would fail the first step, and
         # not say why.  A threshold below 1 bounds the data, not a gain.
-        gain = np.max(np.abs(self.ops.E[mask]), axis=(1, 2))
+        gain = np.max(np.abs(self.ops.E), axis=(1, 2))
         worst = int(np.argmax(gain))
         if config.blowup_threshold >= 1.0 and not gain[worst] <= config.blowup_threshold:
             raise ValueError(
                 f"ill-posed band: one step of dt = {config.dt:g} amplifies the mode k = "
-                f"{self.k[mask][worst]:g} by {gain[worst]:.3g}, more than the blow-up "
+                f"{self.k[worst]:g} by {gain[worst]:.3g}, more than the blow-up "
                 f"threshold {config.blowup_threshold:g}; set k_cutoff to keep the band well posed"
             )
+
+    def padded(self, hats: np.ndarray) -> np.ndarray:
+        """The kept-band state zero-padded to all n//2 + 1 rfft modes."""
+        out = np.zeros((self.grid.n // 2 + 1, 3), dtype=complex)
+        out[: self.nk] = hats
+        return out
 
     def rhs_hats(self, hats: np.ndarray, t: float) -> np.ndarray:
         """Nonlinear remainder (full polar tendency minus the linear part).
 
-        One inverse transform gives the fields and their first and second
-        derivatives, one forward transform the three tendencies.
+        ``hats`` holds the kept modes.  One inverse transform, zero-padding
+        them, gives the fields and their first and second derivatives; one
+        forward transform gives the three tendencies, of which the kept
+        modes stay.  Both are scaled by 1/n forward, the layout of
+        :meth:`PerturbationState.hats`.
         """
         n = self.grid.n
-        fields = np.fft.irfft(self.ik_powers * hats.T * n, n=n)
+        fields = np.fft.irfft(self.ik_powers * hats.T, n=n, norm="forward")
         (rho, phi, h), (rho_x, phi_x, h_x), (rho_xx, phi_xx, h_xx) = fields
         r = self.wave.r0 + rho
         if float(r.min()) <= CHART_FLOOR_FRACTION * self.wave.r0:
@@ -266,7 +285,7 @@ class _PolarWorkspace:
         )
         tend[2] = self.params.m * h_xx - wh * h_x - 2.0 * kap_r * r * rho_x
 
-        full = np.fft.rfft(tend).T / n * self.mask
+        full = np.fft.rfft(tend, norm="forward")[:, : self.nk].T
         linear = np.einsum("mij,mj->mi", self.M, hats)
         return full - linear
 
@@ -306,18 +325,31 @@ def evolve_polar(
     exponential scheme (or extrapolated semi-implicit BDF2).  Raises
     ChartBreakdown or StepUnstable unless ``tolerate_blowup`` converts the
     latter into an early, partially recorded trajectory, and ValueError if
-    t_end is not a whole number of steps away.
+    t_end is not a whole number of steps away or if the initial data,
+    projected onto the kept band, leaves the polar chart.  Snapshots and the
+    final state span all n//2 + 1 rfft modes, zero beyond the kept band.
     """
     ws = _PolarWorkspace(state0.grid, params, wave, config)
-    hats, t = state0.hats() * ws.mask, state0.t
-    times, snaps, rows = [t], [hats], [_polar_row(ws, hats, t)]
+    hats, t = state0.hats()[: ws.nk], state0.t
+    full = ws.padded(hats)
+    times, snaps, rows = [t], [full], [_polar_row(ws, full, t)]
     status = "completed"
     try:
-        for hats, t, row_due in integrate(hats, t, ws.rhs_hats, ws.ops, config, ws.mask):
+        for hats, t, row_due in integrate(hats, t, ws.rhs_hats, ws.ops, config):
             if row_due:
+                full = ws.padded(hats)
                 times.append(t)
-                snaps.append(hats)
-                rows.append(_polar_row(ws, hats, t))
+                snaps.append(full)
+                rows.append(_polar_row(ws, full, t))
+    except ChartBreakdown as exc:
+        # Only the first evaluation, on the projected initial data, runs at
+        # t0; its chart guard refuses the data before any step is taken.
+        if exc.t == state0.t:
+            raise ValueError(
+                "the initial data leaves the polar chart: min(r0 + rho) is at or below "
+                f"{CHART_FLOOR_FRACTION:g} * r0 on the kept band"
+            ) from exc
+        raise
     except StepUnstable:
         if not tolerate_blowup:
             raise
@@ -327,7 +359,7 @@ def evolve_polar(
         times=np.array(times),
         hats=snaps,
         rows=rows,
-        final=PerturbationState.from_hats(state0.grid, hats, t),
+        final=PerturbationState.from_hats(state0.grid, ws.padded(hats), t),
         status=status,
     )
 

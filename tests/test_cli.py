@@ -260,15 +260,16 @@ def test_csv_float_format_full_precision(tmp_path):
 UNSTABLE_DECAY_INI = (
     "[model]\nm = -1.0\n\n[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 64\n\n"
     "[solver]\ndt = 0.002\nt_end = 4.0\ncadence = 25\nk_cutoff = 3.0\n{extra}\n"
-    "[experiment]\ns = 1.0\namp = {amp}\n"
+    "[experiment]\ns = 1.0\namp = {amp}\ninit_modes = 3\n"
 )
 
 
 @pytest.mark.parametrize(
     "amp, extra, cause",
     [
-        # r0 + rho reaches zero: this used to end in a ChartBreakdown traceback.
-        ("0.5", "", "ChartBreakdown"),
+        # r0 + rho reaches zero at t = 0.844: this used to end in a
+        # ChartBreakdown traceback.
+        ("0.05", "", "ChartBreakdown"),
         ("1e-6", "blowup = 1e-3\n", "StepUnstable"),
     ],
 )
@@ -279,6 +280,18 @@ def test_unstable_polar_run_exits_with_json_error(tmp_path, capsys, amp, extra, 
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error["exit_code"] == 1
     assert error["error"].startswith(cause + " at t = ")
+    assert float(error["error"].split()[4].rstrip(":")) > 0.0
+
+
+def test_decay_fit_refuses_data_outside_the_polar_chart(tmp_path, capsys):
+    # amp = 0.5 starts with r0 + rho below the chart floor: this used to be
+    # reported as "ChartBreakdown at t = 0" by the first right-hand side.
+    path = write(tmp_path, "decay.ini", UNSTABLE_DECAY_INI.format(amp="0.5", extra=""))
+    out = tmp_path / "out"
+    assert main(["decay-fit", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "polar chart" in error["error"]
+    assert not (out / "decay.json").exists()
 
 
 SIM_BLOWUP_INI = """
@@ -328,3 +341,20 @@ def test_instability_refuses_a_seed_outside_the_kept_band(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "k_seed = 12" in error["error"] and "|k| <= 10" in error["error"]
     assert not (out / "growth.json").exists()
+
+
+def test_decay_fit_refuses_init_modes_outside_the_kept_band(tmp_path, capsys):
+    # n = 16 keeps |j| <= 5; init_modes = 8 used to keep modes 1..5 without
+    # saying so.
+    path = write(
+        tmp_path,
+        "decay.ini",
+        "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 16\n\n"
+        "[solver]\ndt = 0.002\nt_end = 0.1\ncadence = 25\n\n"
+        "[experiment]\ns = 1.0\ninit_modes = 8\n",
+    )
+    out = tmp_path / "out"
+    assert main(["decay-fit", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "init_modes = 8" in error["error"] and "index 5 " in error["error"]
+    assert not (out / "decay.json").exists()

@@ -15,7 +15,7 @@ from cglburgers.perturbation import (
     remainder,
     true_linearization,
 )
-from cglburgers.solver import FieldState, SolverConfig, StepUnstable, evolve
+from cglburgers.solver import SCHEMES, FieldState, SolverConfig, StepUnstable, evolve
 from cglburgers.spectral import Grid, SpectralField
 
 
@@ -606,3 +606,33 @@ def test_cutoff_keeps_a_negative_diffusivity_band_well_posed():
     config = SolverConfig(dt=1e-3, t_end=1e-2, k_cutoff=4.0)
     traj = evolve_polar(_small_polar_state(grid), params, unit_wave(), config)
     assert traj.final.t == pytest.approx(1e-2)
+
+
+def test_evolve_polar_refuses_data_outside_the_chart(grid, monkeypatch):
+    # decay-fit with amp = 0.5 used to report "ChartBreakdown at t = 0"
+    # from the first right-hand side; evolve refuses bad data before stepping.
+    x = grid.axis_coordinates()
+    params = SystemParams.constants(m=1.0)
+    calls = []
+    rhs = perturbation._PolarWorkspace.rhs_hats
+
+    def counting(self, hats, t):
+        calls.append(t)
+        return rhs(self, hats, t)
+
+    monkeypatch.setattr(perturbation._PolarWorkspace, "rhs_hats", counting)
+    for scheme in SCHEMES:
+        config = SolverConfig(dt=1e-3, t_end=1e-2, scheme=scheme)
+        for depth in (1.5, 1.0):
+            state = PerturbationState(
+                grid=grid, rho=-depth * np.cos(x), phi=np.zeros(grid.n), h=np.zeros(grid.n)
+            )
+            calls.clear()
+            with pytest.raises(ValueError, match="polar chart"):
+                evolve_polar(state, params, unit_wave(), config)
+            assert calls == [0.0]
+    state = PerturbationState(
+        grid=grid, rho=-0.98 * np.cos(x), phi=np.zeros(grid.n), h=np.zeros(grid.n)
+    )
+    config = SolverConfig(dt=1e-3, t_end=1e-3)
+    assert evolve_polar(state, params, unit_wave(), config).final.t == pytest.approx(1e-3)

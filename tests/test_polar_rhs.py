@@ -57,9 +57,20 @@ def reference_fields(ws, hats):
     return tuple(np.fft.irfft(hats[:, i] * n, n=n) for i in range(3))
 
 
-def reference_rhs_hats(ws, hats, t):
-    """The polar remainder with one transform per field and derivative: 12 FFTs."""
+def reference_rhs_hats(ws, kept, t):
+    """The polar remainder with one transform per field and derivative: 12 FFTs.
+
+    Works in the full rfft layout: the kept modes are zero-padded to all
+    n//2 + 1 modes, the tendencies projected by the full-layout mask of the
+    kept band, and only the kept modes returned.
+    """
     n = ws.grid.n
+    k = 2.0 * np.pi / ws.grid.length * np.arange(n // 2 + 1)
+    keep = np.arange(n // 2 + 1) <= n / 3.0
+    if ws.config.k_cutoff is not None:
+        keep &= k <= ws.config.k_cutoff + 1e-12
+    hats = np.zeros((n // 2 + 1, 3), dtype=complex)
+    hats[: ws.nk] = kept
     rho, phi, h = reference_fields(ws, hats)
     r = ws.wave.r0 + rho
     floor = CHART_FLOOR_FRACTION * ws.wave.r0
@@ -67,7 +78,7 @@ def reference_rhs_hats(ws, hats, t):
         raise ChartBreakdown("polar amplitude r0 + rho reached zero", t)
     amax = float(np.max(np.abs((rho, phi, h))))
     check_magnitude(amax, ws.config.blowup_threshold, t, "perturbation")
-    ik = 1j * ws.k
+    ik = 1j * k
     d = lambda col, order: np.fft.irfft((ik**order) * hats[:, col] * n, n=n)
     rho_x, rho_xx = d(0, 1), d(0, 2)
     phi_x, phi_xx = d(1, 1), d(1, 2)
@@ -101,8 +112,8 @@ def reference_rhs_hats(ws, hats, t):
         [np.fft.rfft(rho_t) / n, np.fft.rfft(phi_t) / n, np.fft.rfft(h_t) / n],
         axis=-1,
     )
-    full = full * ws.mask
-    linear = np.einsum("mij,mj->mi", ws.M, hats)
+    full = (full * keep[:, None])[: ws.nk]
+    linear = np.einsum("mij,mj->mi", ws.M, kept)
     return full - linear
 
 
@@ -188,7 +199,7 @@ def test_polar_rhs_matches_reference_bitwise(seed, amplitude, n, k_cutoff):
     )
     # Large noise can leave the polar chart; then both must refuse alike.
     got, want = (
-        _outcome(rhs, hats, state.t)
+        _outcome(rhs, hats[: ws.nk], state.t)
         for rhs in (ws.rhs_hats, lambda u, t: reference_rhs_hats(ws, u, t))
     )
     if isinstance(want, type):
@@ -213,7 +224,7 @@ def test_polar_rhs_guards_match_reference(bad, error):
     hats = state.hats()
     for rhs in (ws.rhs_hats, lambda u, t: reference_rhs_hats(ws, u, t)):
         with pytest.raises(error):
-            rhs(hats, 0.5)
+            rhs(hats[: ws.nk], 0.5)
 
 
 @pytest.mark.parametrize("scheme", ["exponential-rk2", "imex-bdf2"])
@@ -266,7 +277,36 @@ def test_polar_fft_counts(monkeypatch):
     assert len(calls) == 1
     PerturbationState.from_hats(ws.grid, hats)
     assert len(calls) == 2
-    ws.rhs_hats(hats, 0.0)
+    ws.rhs_hats(hats[: ws.nk], 0.0)
     assert len(calls) == 4
     remainder(state, PARAMS, ws.wave)
     assert len(calls) == 8
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([8, 16, 32, 64, 128, 256, 512]),
+    length=st.floats(0.5, 50.0),
+    k_cutoff=st.one_of(st.none(), st.floats(1e-3, 1e3)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_kept_band_is_a_prefix_and_snapshots_stay_in_it(n, length, k_cutoff, seed):
+    # The kept band |k| <= bound starts at k = 0, so the polar state can
+    # store its first nk modes and nothing else.
+    grid = Grid(dim=1, n=n, length=length)
+    _, keep = perturbation._kept_band(grid, k_cutoff)
+    nk = int(np.count_nonzero(keep))
+    assert np.array_equal(keep, np.arange(n // 2 + 1) < nk)
+
+    rng = np.random.default_rng(seed)
+    rho, phi, h = 1e-3 * rng.standard_normal((3, n))
+    state = PerturbationState(grid=grid, rho=rho, phi=phi, h=h)
+    params = SystemParams.constants(m=1.0)
+    wave = PlaneWave(r0=1.0, theta0=0.0)
+    dt = 1e-3 * min(1.0, (length / n) ** 2)
+    config = SolverConfig(dt=dt, t_end=2 * dt, cadence=1, k_cutoff=k_cutoff)
+    traj = evolve_polar(state, params, wave, config)
+    assert len(traj.hats) == 3
+    for snap in traj.hats:
+        assert snap.shape == (n // 2 + 1, 3)
+        assert not np.any(snap[nk:])

@@ -448,6 +448,34 @@ def test_evolve_refuses_a_drift_that_is_not_real(grid):
     evolve(real, params, config=SolverConfig(dt=1e-3, t_end=0.01))
 
 
+def test_step_and_rhs_refuse_a_drift_that_is_not_real(grid):
+    # Only evolve used to check; on this state the imaginary part of the
+    # drift moved the dP/dt of rhs_nonlinear by up to 29.
+    rng = np.random.default_rng(5)
+    drift = band_limited_noise(grid, rng, max_index=8, amplitude=0.1)
+    state = FieldState(P=band_limited_noise(grid, rng, max_index=8), omega=(drift,))
+    params = SystemParams.constants(u=0.3, v=0.2, xi=0.5, m=1.0, kappa=0.5, s1=0.1)
+    with pytest.raises(ValueError, match="drift Omega must be real"):
+        step(state, params, config=SolverConfig(dt=1e-3))
+    with pytest.raises(ValueError, match="drift Omega must be real"):
+        rhs_nonlinear(state, params)
+    nyquist = np.zeros(grid.n, dtype=complex)
+    nyquist[grid.n // 2] = 1e-3j
+    state.omega = (SpectralField.from_spectral(grid, nyquist),)
+    with pytest.raises(ValueError, match="drift Omega must be real"):
+        rhs_nonlinear(state, params)
+    # In 2D, a mode outside the packed rfftn half that breaks the symmetry.
+    grid2 = Grid(dim=2, n=16, length=2.0 * np.pi)
+    real = [band_limited_noise(grid2, rng, max_index=4, amplitude=0.1, real=True) for _ in range(2)]
+    state2 = FieldState(P=band_limited_noise(grid2, rng, max_index=4), omega=real)
+    rhs_nonlinear(state2, params)
+    spectrum = real[1].spectral().copy()
+    spectrum[1, 13] += 1e-3
+    state2.omega = (real[0], SpectralField.from_spectral(grid2, spectrum))
+    with pytest.raises(ValueError, match="drift Omega must be real"):
+        rhs_nonlinear(state2, params)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     n=st.sampled_from([8, 16, 32, 64]),
