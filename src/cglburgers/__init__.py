@@ -34,13 +34,11 @@ from .littlewood_paley import (
 from .dispersion import (
     EmptySampleSet,
     LinearizationMatrices,
-    SpectrumSample,
     build_matrices,
     classify_spectrum,
     closed_form_lambda,
     closed_form_lambda_coupled,
     compare_closed_form,
-    eigenvalues_at_k,
     spectrum_table,
     stability_conditions,
 )

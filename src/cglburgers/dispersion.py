@@ -43,14 +43,6 @@ class LinearizationMatrices:
     coupling_mode: str = "kappa_zero"
 
 
-@dataclass(frozen=True)
-class SpectrumSample:
-    """Eigenvalue triple at one wavenumber, sorted by descending real part."""
-
-    k: float
-    lambdas: np.ndarray
-
-
 def _gamma(params: SystemParams, wave: PlaneWave) -> float:
     r0, th0 = wave.r0, wave.theta0
     c1 = params.u_coeffs[1]
@@ -154,11 +146,6 @@ def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
             f"eigenvalue residual {worst:.2e} exceeds {RESIDUAL_TOL:g}"
         )
     return lams
-
-
-def eigenvalues_at_k(mats: LinearizationMatrices, k: float) -> SpectrumSample:
-    lams = spectrum_table(mats, np.array([float(k)]))[0]
-    return SpectrumSample(k=float(k), lambdas=lams)
 
 
 def closed_form_ab(params: SystemParams, wave: PlaneWave, k):

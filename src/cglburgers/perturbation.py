@@ -655,10 +655,7 @@ def instability_experiment(
         config = replace(config, k_cutoff=2.0 * abs(k_seed))
 
     mats = dispersion.build_matrices(params, wave, "kappa_gradient")
-    sample = dispersion.eigenvalues_at_k(mats, k_seed)
-    lam_max = sample.lambdas[0]
-    M = dispersion.pencil(mats, k_seed)
-    eigvals, eigvecs = np.linalg.eig(M)
+    eigvals, eigvecs = np.linalg.eig(dispersion.pencil(mats, k_seed))
     vec = eigvecs[:, int(np.argmax(eigvals.real))]
     vec = vec / np.linalg.norm(vec)
 
@@ -673,6 +670,9 @@ def instability_experiment(
             f"k_seed = {k_seed:g} lies outside the kept band |k| <= {k_kept:g} "
             "of this grid and k_cutoff"
         )
+    # The kept band is a prefix from k = 0, so row j_seed - 1 is the seeded mode.
+    lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
+    reference = float(lams[j_seed - 1, 0].real)
 
     traj = evolve_polar(state0, params, wave, config, tolerate_blowup=True)
     amps = traj.mode_amplitudes(j_seed)
@@ -689,10 +689,8 @@ def instability_experiment(
         rate = float(np.polyfit(times[mask], np.log(amps[mask]), 1)[0])
     else:
         rate = float("nan")
-    reference = float(lam_max.real)
     rel_err = abs(rate - reference) / abs(reference) if reference != 0 else np.inf
 
-    lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
     positive = lams.real[lams.real > 0]
     omega_plus = float(np.min(positive)) if positive.size else 0.0
 

@@ -68,11 +68,6 @@ class FieldState:
             t=t,
         )
 
-    def copy(self) -> "FieldState":
-        return FieldState(
-            P=self.P.copy(), omega=tuple(w.copy() for w in self.omega), t=self.t
-        )
-
 
 @dataclass
 class Forcing:
@@ -109,6 +104,8 @@ class SolverConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.cadence < 1:
             raise ValueError("diagnostics cadence must be >= 1")
+        if self.k_cutoff is not None and not self.k_cutoff > 0:
+            raise ValueError(f"k_cutoff must be positive, not {self.k_cutoff!r}")
 
 
 @dataclass
@@ -231,13 +228,12 @@ def _nonlinear_hats(
     u: np.ndarray,
     t: float,
     forcing: Forcing,
-    mask: np.ndarray,
 ):
     """Explicit right-hand sides of both equations, in the packed layout.
 
     ``u`` is the packed state (see :class:`_Layout`).  Each equation is
     assembled in physical space, transformed once and projected by the
-    2/3-rule ``mask``.  Masking is linear and idempotent, so the products
+    2/3-rule mask.  Masking is linear and idempotent, so the products
     need no projection of their own; only |P|^2 is masked first, because it
     is a factor of the cubic term.  P and grad P are complex, one ``ifftn``
     each; the drift and its gradient are real and come from one stacked
@@ -279,7 +275,7 @@ def _nonlinear_hats(
     N[:size] = np.fft.fftn(NP).ravel() / size
     NOh = np.fft.rfftn(NO, axes=axes) / size - consts.kappa * lay.ik_half * absP2_hat
     N[size:] = NOh.ravel()
-    N *= mask
+    N *= lay.dealias
     vmax = float(np.max(np.abs(O)))
     return N, float(np.max([np.max(np.abs(P)), vmax])), vmax
 
@@ -324,9 +320,7 @@ def rhs_nonlinear(state: FieldState, params: SystemParams, forcing: Forcing | No
     consts = params.require_constant()
     grid = state.grid
     forcing = forcing or Forcing.zero()
-    N, _, _ = _nonlinear_hats(
-        grid, consts, _stack(state), state.t, forcing, _layout(grid).dealias
-    )
+    N, _, _ = _nonlinear_hats(grid, consts, _stack(state), state.t, forcing)
     rates = _unstack(grid, N, state.t)
     return rates.P.as_physical(), tuple(w.as_physical() for w in rates.omega)
 
@@ -390,20 +384,14 @@ def _apply(op: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("mij,mj->mi", op, u)
 
 
-def etd2_step(u, t, N, ops: Operators, dt: float, mask=None):
-    """One ETD2 step (Cox & Matthews 2002); returns (u at t + dt, N(u, t)).
-
-    ``mask``, if given, projects both stages onto the kept modes.
-    """
+def etd2_step(u, t, N, ops: Operators, dt: float):
+    """One ETD2 step (Cox & Matthews 2002); returns (u at t + dt, N(u, t))."""
     N0 = N(u, t)
     a = _apply(ops.E, u) + _apply(ops.phi1, N0)
-    if mask is not None:
-        a = a * mask
-    out = a + _apply(ops.phi2, N(a, t + dt) - N0)
-    return (out if mask is None else out * mask), N0
+    return a + _apply(ops.phi2, N(a, t + dt) - N0), N0
 
 
-def integrate(u, t0: float, N, ops: Operators, config: SolverConfig, mask=None):
+def integrate(u, t0: float, N, ops: Operators, config: SolverConfig):
     """Advance du/dt = L*u + N(u, t) from t0 to ``config.t_end``.
 
     ETD2, or BDF2 whose first step is ETD2.  Yields (u, t, row_due) after
@@ -423,13 +411,11 @@ def integrate(u, t0: float, N, ops: Operators, config: SolverConfig, mask=None):
     for i in range(n_steps):
         t = t0 + i * dt
         if history is None:
-            new, N0 = etd2_step(u, t, N, ops, dt, mask)
+            new, N0 = etd2_step(u, t, N, ops, dt)
         else:
             u_prev, N_prev = history
             N0 = N(u, t)
             new = _apply(ops.bdf2, 4.0 * u - u_prev + 2.0 * dt * (2.0 * N0 - N_prev))
-            if mask is not None:
-                new = new * mask
         if bdf2:
             history = u, N0
         del N0  # held into the next step, it would cost a state's memory
@@ -438,7 +424,11 @@ def integrate(u, t0: float, N, ops: Operators, config: SolverConfig, mask=None):
 
 
 def _field_system(grid: Grid, params: SystemParams, forcing, config: SolverConfig):
-    """Operators, right-hand side and cutoff mask of the packed (P, Omega)."""
+    """Operators and right-hand side of the packed (P, Omega).
+
+    A ``k_cutoff`` zeroes every operator entry of the modes above it, so
+    those modes are zero after every step.
+    """
     consts = params.require_constant()
     forcing = forcing or Forcing.zero()
     lay = _layout(grid)
@@ -449,21 +439,21 @@ def _field_system(grid: Grid, params: SystemParams, forcing, config: SolverConfi
     if config.scheme == "exponential-rk2":
         # ETD2 never reads the BDF2 solve; kept, it would hold a state's memory.
         ops = ops._replace(bdf2=None)
+    if config.k_cutoff is not None:
+        keep = grid.kmax_mask(config.k_cutoff)
+        keep = lay.pack(keep, lay.half(keep))
+        ops = Operators(*(None if op is None else op * keep for op in ops))
 
     k_max = grid.k_max
 
     def N(u, t):
-        Nu, amax, vmax = _nonlinear_hats(grid, consts, u, t, forcing, lay.dealias)
+        Nu, amax, vmax = _nonlinear_hats(grid, consts, u, t, forcing)
         # The blow-up guard goes first, so that a NaN is reported as one.
         check_magnitude(amax, config.blowup_threshold, t, "field")
         check_magnitude(config.dt * vmax * k_max, 1.0, t, "advective CFL")
         return Nu
 
-    mask = None
-    if config.k_cutoff is not None:
-        keep = grid.kmax_mask(config.k_cutoff)
-        mask = lay.pack(keep, lay.half(keep))
-    return ops, N, mask
+    return ops, N
 
 
 def step(
@@ -477,32 +467,23 @@ def step(
     Raises ValueError if the drift is not real.
     """
     config = config or SolverConfig()
-    ops, N, mask = _field_system(state.grid, params, forcing, config)
-    u, _ = etd2_step(_stack(state), state.t, N, ops, config.dt, mask)
+    ops, N = _field_system(state.grid, params, forcing, config)
+    u, _ = etd2_step(_stack(state), state.t, N, ops, config.dt)
     return _unstack(state.grid, u, state.t + config.dt)
 
 
 def _diagnostics_row(state: FieldState, hs_exponent, besov_p):
     from . import littlewood_paley as lp
 
-    grid = state.grid
+    weight = (1.0 + state.grid.k_squared) ** hs_exponent
     Ph, Ohs = state.P.spectral(), [w.spectral() for w in state.omega]
     l2o = float(np.sqrt(sum(np.sum(np.abs(oh) ** 2) for oh in Ohs)))
-    hso = float(
-        np.sqrt(
-            sum(
-                np.sum((1.0 + grid.k_squared) ** hs_exponent * np.abs(oh) ** 2)
-                for oh in Ohs
-            )
-        )
-    )
+    hso = float(np.sqrt(sum(np.sum(weight * np.abs(oh) ** 2) for oh in Ohs)))
     return {
         "t": state.t,
         "L2_P": float(np.sqrt(np.sum(np.abs(Ph) ** 2))),
         "L2_Omega": l2o,
-        "Hs_P": float(
-            np.sqrt(np.sum((1.0 + grid.k_squared) ** hs_exponent * np.abs(Ph) ** 2))
-        ),
+        "Hs_P": float(np.sqrt(np.sum(weight * np.abs(Ph) ** 2))),
         "Hs_Omega": hso,
         "besov_proxy": lp.smallness_monitor(state, besov_p),
     }
@@ -534,7 +515,7 @@ def evolve(
     """
     config = config or SolverConfig()
     grid = state0.grid
-    ops, N, mask = _field_system(grid, params, forcing, config)
+    ops, N = _field_system(grid, params, forcing, config)
     u, t = _stack(state0), state0.t
     _check_initial_cfl(state0, config)
 
@@ -544,7 +525,7 @@ def evolve(
 
     rows = [row(u, t)]
     try:
-        for u, t, row_due in integrate(u, t, N, ops, config, mask):
+        for u, t, row_due in integrate(u, t, N, ops, config):
             if row_due:
                 rows.append(row(u, t))
     except StepUnstable as exc:

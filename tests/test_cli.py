@@ -1,6 +1,9 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cglburgers.cli import ConfigError, load_config, main
 
@@ -94,6 +97,22 @@ def test_simulate_zero_data_all_zero(tmp_path):
         assert all(v == 0.0 for v in values)
 
 
+def test_simulate_refuses_a_cutoff_that_is_not_positive(tmp_path, capsys):
+    # Such a run used to write a diagnostics.csv whose state was zero after
+    # the first step, and exit 0.
+    path = write(
+        tmp_path,
+        "cut.ini",
+        "[grid]\nn = 32\n\n[solver]\ndt = 0.01\nt_end = 0.05\nk_cutoff = -1.0\n",
+    )
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", path, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": "k_cutoff must be positive, not -1.0", "exit_code": 1}
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_simulate_refuses_a_wave_in_two_dimensions(tmp_path, capsys):
     # Such a run used to evolve zeros and exit 0.
     path = write(
@@ -171,16 +190,32 @@ def test_stability_scan_thread_independence(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_byte_identical_reruns(tmp_path):
-    path = write(tmp_path, "disp.ini", DISPERSION_INI)
-    blobs = []
-    for tag in ("a", "b"):
-        out = tmp_path / tag
-        assert main(["dispersion", "--config", path, "--out", str(out), "--seed", "3"]) == 0
-        blobs.append(
-            (out / "spectrum.csv").read_bytes() + (out / "verdict.json").read_bytes()
-        )
-    assert blobs[0] == blobs[1]
+RERUN_CONFIGS = {
+    "dispersion": DISPERSION_INI,
+    "besov-check": "[besov]\nn = 32\ncases = 3\n",
+    "decay-fit": (
+        "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 32\n\n"
+        "[solver]\ndt = 0.01\nt_end = 0.5\ncadence = 5\n"
+    ),
+}
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=3)
+def test_byte_identical_reruns(seed):
+    # A temporary directory per example: pytest's tmp_path is one per test.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for command, text in RERUN_CONFIGS.items():
+            path = write(root, f"{command}.ini", text)
+            runs = []
+            for tag in ("a", "b"):
+                out = root / command / tag
+                code = main([command, "--config", path, "--out", str(out), "--seed", str(seed)])
+                runs.append((code, {f.name: f.read_bytes() for f in out.iterdir()}))
+            assert runs[0][1], command
+            assert runs[0] == runs[1], command
 
 
 def test_quadratic_check_exit_codes(tmp_path):

@@ -17,7 +17,6 @@ from cglburgers.dispersion import (
     closed_form_real_parts,
     compare_closed_form,
     default_k_grid,
-    eigenvalues_at_k,
     pencil,
     spectrum_table,
     stability_conditions,
@@ -63,20 +62,16 @@ def test_constant_coupling_entry():
 def test_unit_wave_eigenvalues_k1():
     params = SystemParams.constants(m=1.0)
     mats = build_matrices(params, unit_wave())
-    sample = eigenvalues_at_k(mats, 1.0)
-    assert np.allclose(
-        sorted(sample.lambdas.real, reverse=True), [-1.0, -1.0, -3.0], atol=1e-12
-    )
-    assert np.allclose(sample.lambdas.imag, 0.0, atol=1e-12)
+    lams = spectrum_table(mats, np.array([1.0]))[0]
+    assert np.allclose(sorted(lams.real, reverse=True), [-1.0, -1.0, -3.0], atol=1e-12)
+    assert np.allclose(lams.imag, 0.0, atol=1e-12)
 
 
 def test_k_zero_reduces_to_zeroth_order_matrix():
     params = SystemParams.constants(m=1.0)
     mats = build_matrices(params, unit_wave())
-    sample = eigenvalues_at_k(mats, 0.0)
-    assert np.allclose(
-        sorted(sample.lambdas.real, reverse=True), [0.0, 0.0, -2.0], atol=1e-12
-    )
+    lams = spectrum_table(mats, np.array([0.0]))[0]
+    assert np.allclose(sorted(lams.real, reverse=True), [0.0, 0.0, -2.0], atol=1e-12)
 
 
 def test_pure_carrier_case():
@@ -85,7 +80,7 @@ def test_pure_carrier_case():
     wave = PlaneWave(r0=0.0, theta0=1.0, w0=0.4)
     mats = build_matrices(params, wave)
     for k in (0.5, 1.0, 3.3):
-        lam = sort_triple(eigenvalues_at_k(mats, k).lambdas)
+        lam = sort_triple(spectrum_table(mats, np.array([k]))[0])
         expected = sort_triple(
             np.array(
                 [
@@ -106,7 +101,7 @@ def test_zero_dispersion_generic_amplitude_slow_branch():
     wave = PlaneWave(r0=0.6, theta0=0.8, w0=0.4)
     mats = build_matrices(params, wave)
     for k in (0.7, 1.3, 3.0):
-        lam = sort_triple(eigenvalues_at_k(mats, k).lambdas)
+        lam = sort_triple(spectrum_table(mats, np.array([k]))[0])
         drift = -0.4j * k
         expected = sort_triple(
             np.array(
@@ -409,5 +404,5 @@ def test_mirror_grids_solve_only_the_nonnegative_half(monkeypatch, ks, rows):
     assert spectrum_table(mats, ks).shape == (len(ks), 3)
     assert seen == rows
     seen.clear()
-    eigenvalues_at_k(mats, 1.3)
+    spectrum_table(mats, np.array([1.3]))
     assert seen == [1]

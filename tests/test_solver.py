@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cglburgers import solver
 from cglburgers.model import SystemParams
 from cglburgers.solver import (
     SCHEMES,
@@ -391,6 +394,15 @@ def test_evolve_ends_at_t_end_or_refuses_to_start(grid):
     assert summary.final.t == pytest.approx(0.9, rel=1e-12)
 
 
+@pytest.mark.parametrize("k_cutoff", [0.0, -1.0, float("nan")])
+def test_solver_config_refuses_a_cutoff_that_is_not_positive(k_cutoff):
+    # A full-field evolve with k_cutoff = -1 used to zero the state in its
+    # first step, and evolve_polar died with numpy's "argmax of an empty
+    # sequence".
+    with pytest.raises(ValueError, match="k_cutoff must be positive"):
+        SolverConfig(dt=1e-3, k_cutoff=k_cutoff)
+
+
 def test_blowup_keeps_the_rows_recorded_before_it(grid):
     params = SystemParams.constants(m=-1.0, xi=1.0)
     rng = np.random.default_rng(6)
@@ -433,6 +445,80 @@ def test_drift_stays_real_under_evolve(dim, seed, scheme, k_cutoff):
     final = evolve(state, params, config=config).final
     for w in final.omega:
         assert w.is_real_valued(tol=1e-13)
+
+
+def _projected_integrate(u, t0, N, ops, config, mask):
+    """The step loop with the cutoff as a projection after each ETD2 stage
+    and each BDF2 solve, applied to operators that keep every mode."""
+    dt = config.dt
+    n_steps = round((config.t_end - t0) / dt)
+    history = None
+    for i in range(n_steps):
+        t = t0 + i * dt
+        N0 = N(u, t)
+        if history is None:
+            a = (ops.E * u + ops.phi1 * N0) * mask
+            new = (a + ops.phi2 * (N(a, t + dt) - N0)) * mask
+        else:
+            u_prev, N_prev = history
+            new = ops.bdf2 * (4.0 * u - u_prev + 2.0 * dt * (2.0 * N0 - N_prev)) * mask
+        if config.scheme == "imex-bdf2":
+            history = u, N0
+        u = new
+        yield u, t0 + (i + 1) * dt, (i + 1) % config.cadence == 0 or i == n_steps - 1
+
+
+def _projected_evolve(state0, params, config):
+    """Rows and final state of :func:`evolve` by the projection loop."""
+    grid = state0.grid
+    ops, N = solver._field_system(grid, params, None, replace(config, k_cutoff=None))
+    keep, lay = grid.kmax_mask(config.k_cutoff), solver._layout(grid)
+    mask = lay.pack(keep, lay.half(keep))
+
+    def row(u, t):
+        state = solver._unstack(grid, u, t)
+        return solver._diagnostics_row(state, config.hs_exponent, config.besov_p)
+
+    u, t = solver._stack(state0), state0.t
+    rows = [row(u, t)]
+    for u, t, row_due in _projected_integrate(u, t, N, ops, config, mask):
+        if row_due:
+            rows.append(row(u, t))
+    return rows, solver._unstack(grid, u, t)
+
+
+def _spectra(state):
+    return np.stack([state.P.spectral(), *(w.spectral() for w in state.omega)])
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("k_cutoff", [4.0, 0.5])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cutoff_in_the_operators_matches_the_projection_loop(dim, n, scheme, k_cutoff, seed):
+    # Noise on every mode: the data has energy above k_cutoff, which the
+    # first step must remove.
+    grid = Grid(dim=dim, n=n, length=2.0 * np.pi)
+    params = SystemParams.constants(u=0.3, v=-0.7, xi=1.2, m=0.8, kappa=0.6, s1=0.4, s2=-0.9)
+    rng = np.random.default_rng(seed)
+    state = FieldState(
+        P=band_limited_noise(grid, rng, max_index=n // 2, amplitude=0.05),
+        omega=tuple(
+            band_limited_noise(grid, rng, max_index=n // 2, amplitude=0.05, real=True)
+            for _ in range(dim)
+        ),
+    )
+    assert np.any(_spectra(state)[:, ~grid.kmax_mask(k_cutoff)] != 0.0)
+    config = SolverConfig(dt=1e-3, t_end=0.02, cadence=5, scheme=scheme, k_cutoff=k_cutoff)
+    summary = evolve(state, params, config=config)
+    rows, final = _projected_evolve(state, params, config)
+    assert summary.rows == rows
+    assert np.array_equal(_spectra(summary.final), _spectra(final))
+    assert summary.final.t == final.t
+
+    one_step = replace(config, scheme="exponential-rk2", t_end=config.dt)
+    _, final = _projected_evolve(state, params, one_step)
+    assert np.array_equal(_spectra(step(state, params, config=one_step)), _spectra(final))
 
 
 def test_evolve_refuses_a_drift_that_is_not_real(grid):
