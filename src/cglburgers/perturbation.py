@@ -28,7 +28,7 @@ import numpy as np
 from . import dispersion
 from .model import PlaneWave, SystemParams
 from .solver import SolverConfig, StepUnstable, block_operators, check_magnitude, integrate
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, irfft_axes, rfft_axes
 
 CHART_FLOOR_FRACTION = 0.01
 QUADRATIC_SPREAD_TOLERANCE = 0.10  # passing spread of ||psi(eps*dir)|| / eps^2
@@ -49,6 +49,11 @@ class AmplitudeVanishes(ValueError):
     """|P| is not bounded away from zero; the polar chart does not apply."""
 
 
+def _require_1d(grid: Grid) -> None:
+    if grid.dim != 1:
+        raise ValueError("polar perturbations are one-dimensional")
+
+
 @dataclass
 class PerturbationState:
     """Real perturbation fields (rho, phi, h) on a 1D periodic grid."""
@@ -60,8 +65,7 @@ class PerturbationState:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.grid.dim != 1:
-            raise ValueError("polar perturbations are one-dimensional")
+        _require_1d(self.grid)
         for name in ("rho", "phi", "h"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.grid.shape:
@@ -76,12 +80,13 @@ class PerturbationState:
     @classmethod
     def from_hats(cls, grid: Grid, hats: np.ndarray, t: float = 0.0) -> "PerturbationState":
         """The state whose 1/n-scaled rfft coefficients are ``hats``, by one transform."""
-        rho, phi, h = np.fft.irfft(hats.T * grid.n, n=grid.n)
+        _require_1d(grid)
+        rho, phi, h = irfft_axes(grid, hats.T)
         return cls(grid=grid, rho=rho, phi=phi, h=h, t=t)
 
     def hats(self) -> np.ndarray:
         """rfft coefficients / n, one column per field, by one transform."""
-        return np.fft.rfft(self.stack()).T / self.grid.n
+        return rfft_axes(self.grid, self.stack()).T
 
     def stack(self) -> np.ndarray:
         return np.stack([self.rho, self.phi, self.h])
@@ -180,8 +185,9 @@ def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, np.ndarr
 
     The mask is the grid's 2/3-rule band, cut at |k| <= ``k_cutoff`` if given.
     Both keep |k| up to a bound, so the mask is a prefix: its first
-    count_nonzero(mask) entries.
+    count_nonzero(mask) entries.  Raises ValueError unless the grid is 1D.
     """
+    _require_1d(grid)
     half = grid.n // 2 + 1
     keep = grid.dealias_mask()[:half]
     if k_cutoff is not None:
@@ -253,8 +259,7 @@ class _PolarWorkspace:
         modes stay.  Both are scaled by 1/n forward, the layout of
         :meth:`PerturbationState.hats`.
         """
-        n = self.grid.n
-        fields = np.fft.irfft(self.ik_powers * hats.T, n=n, norm="forward")
+        fields = irfft_axes(self.grid, self.ik_powers * hats.T)
         (rho, phi, h), (rho_x, phi_x, h_x), (rho_xx, phi_xx, h_xx) = fields
         r = self.wave.r0 + rho
         if float(r.min()) <= CHART_FLOOR_FRACTION * self.wave.r0:
@@ -268,7 +273,7 @@ class _PolarWorkspace:
         tx2 = tx**2
         r2 = r**2
 
-        tend = np.empty((3, n))
+        tend = np.empty((3, self.grid.n))
         tend[0] = (
             rho_xx
             - wh * rho_x
@@ -285,7 +290,7 @@ class _PolarWorkspace:
         )
         tend[2] = self.params.m * h_xx - wh * h_x - 2.0 * kap_r * r * rho_x
 
-        full = np.fft.rfft(tend, norm="forward")[:, : self.nk].T
+        full = rfft_axes(self.grid, tend)[:, : self.nk].T
         linear = np.einsum("mij,mj->mi", self.M, hats)
         return full - linear
 
@@ -388,11 +393,11 @@ def remainder(
     w0*theta0 + u(r0)*theta0^2 = 0 holds (and the nonlinear-dispersion
     contribution v(r0)*r0^2 vanishes).  All products are dealiased.
     """
-    n = state.grid.n
-    k, mask = _kept_band(state.grid, None)
+    grid = state.grid
+    k, mask = _kept_band(grid, None)
     rho, phi, h = state.rho, state.phi, state.h
-    (rho_x, phi_x, h_x), (rho_xx, phi_xx, _) = np.fft.irfft(
-        _ik_powers(k)[1:] * np.fft.rfft(state.stack()), n=n
+    (rho_x, phi_x, h_x), (rho_xx, phi_xx, _) = irfft_axes(
+        grid, _ik_powers(k)[1:] * rfft_axes(grid, state.stack())
     )
 
     r0, th0, w0 = wave.r0, wave.theta0, wave.w0
@@ -431,7 +436,7 @@ def remainder(
     psi3 = -h * h_x - 2.0 * kap * rho * rho_x
 
     # One round trip projects all three onto the 2/3-rule band.
-    psi = np.fft.irfft(np.fft.rfft(np.stack([psi1, psi2, psi3])) * mask, n=n)
+    psi = irfft_axes(grid, rfft_axes(grid, np.stack([psi1, psi2, psi3])) * mask)
     return RemainderBundle(*psi)
 
 
@@ -654,6 +659,14 @@ def instability_experiment(
     if config.k_cutoff is None:
         config = replace(config, k_cutoff=2.0 * abs(k_seed))
 
+    k, keep = _kept_band(grid, config.k_cutoff)
+    if not keep[j_seed]:
+        k_kept = np.max(k[keep], initial=0.0)
+        raise ValueError(
+            f"k_seed = {k_seed:g} lies outside the kept band |k| <= {k_kept:g} "
+            "of this grid and k_cutoff"
+        )
+
     mats = dispersion.build_matrices(params, wave, "kappa_gradient")
     eigvals, eigvecs = np.linalg.eig(dispersion.pencil(mats, k_seed))
     vec = eigvecs[:, int(np.argmax(eigvals.real))]
@@ -663,13 +676,6 @@ def instability_experiment(
     hats = np.zeros((n // 2 + 1, 3), dtype=complex)
     hats[j_seed] = amp * vec
     state0 = PerturbationState.from_hats(grid, hats)
-    k, keep = _kept_band(grid, config.k_cutoff)
-    if not keep[j_seed]:
-        k_kept = np.max(k[keep], initial=0.0)
-        raise ValueError(
-            f"k_seed = {k_seed:g} lies outside the kept band |k| <= {k_kept:g} "
-            "of this grid and k_cutoff"
-        )
     # The kept band is a prefix from k = 0, so row j_seed - 1 is the seeded mode.
     lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
     reference = float(lams[j_seed - 1, 0].real)

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import ConstantCoefficients, SystemParams
-from .spectral import Grid, SpectralField
+from .spectral import Grid, SpectralField, fft_axes, ifft_axes, irfft_axes, rfft_axes
 
 BLOWUP_DEFAULT = 1e6
 # Largest ratio of the anti-Hermitian to the Hermitian part of a drift
@@ -173,8 +173,7 @@ class _Layout:
         n, dim = grid.n, grid.dim
         self.dim, self.size, self.shape = dim, grid.size, grid.shape
         self.h = n // 2 + 1
-        self.axes = tuple(range(-dim, 0))
-        self.ikP = tuple(1j * k * grid.size for k in grid.wavenumbers())
+        self.ikP = tuple(1j * k for k in grid.wavenumbers())
         idx = grid.mode_indices()
         # Index of -k for each mode of the half: a real field has
         # F[-k] = conj(F[k]), and every pair (k, -k) has a member in the half.
@@ -183,9 +182,9 @@ class _Layout:
         k = np.where(np.abs(idx) == n // 2, 0.0, grid.k_min_positive * idx)
         axes_k = [k] * (dim - 1) + [k[: self.h]]
         self.ik_half = 1j * np.array(np.meshgrid(*axes_k, indexing="ij"))
-        # [1, ik_1, .., ik_d] * size: one irfftn gives each Omega_a and its gradient.
+        # [1, ik_1, .., ik_d]: one irfftn gives each Omega_a and its gradient.
         ones = np.ones((1, *self.ik_half.shape[1:]))
-        self.value_grad = np.concatenate([ones, self.ik_half]) * grid.size
+        self.value_grad = np.concatenate([ones, self.ik_half])
         self.k2_half = self.half(grid.k_squared)
         self.dealias_half = self.half(grid.dealias_mask())
         self.dealias = self.pack(grid.dealias_mask(), self.dealias_half)
@@ -244,40 +243,42 @@ def _nonlinear_hats(
     max|Omega| (each NaN when a field value it covers is NaN).
     """
     lay = _layout(grid)
-    size, dim, axes = lay.size, lay.dim, lay.axes
+    size, dim = lay.size, lay.dim
     Ph, Ohs = lay.split(u)
-    P = np.fft.ifftn(Ph * size)
-    dP = [np.fft.ifftn(ik * Ph) for ik in lay.ikP]
+    P = ifft_axes(grid, Ph)
+    dP = [ifft_axes(grid, ik * Ph) for ik in lay.ikP]
     # V[a, 0] = Omega_a and V[a, 1 + b] = d_b Omega_a, all real.
-    V = np.fft.irfftn(Ohs[:, None] * lay.value_grad, s=grid.shape, axes=axes)
+    V = irfft_axes(grid, Ohs[:, None] * lay.value_grad)
     O = V[:, 0]
 
-    absP2_hat = np.fft.rfftn(P.real**2 + P.imag**2) / size * lay.dealias_half
-    absP2 = np.fft.irfftn(absP2_hat * size, s=grid.shape, axes=axes)
+    absP2_hat = rfft_axes(grid, P.real**2 + P.imag**2) * lay.dealias_half
+    absP2 = irfft_axes(grid, absP2_hat)
 
-    NP = (
-        -sum(O[a] * dP[a] for a in range(dim))
-        + consts.xi * P
-        - (1.0 + 1j * consts.v) * absP2 * P
-        - consts.r1 * P * sum(V[a, 1 + a] for a in range(dim))
-    )
+    # Sums over the axes start from their first term; a sum from 0 costs a pass.
+    adv, div = O[0] * dP[0], V[0, 1]
+    for a in range(1, dim):
+        adv, div = adv + O[a] * dP[a], div + V[a, 1 + a]
+    NP = consts.xi * P
+    NP -= adv
+    NP -= (1.0 + 1j * consts.v) * absP2 * P
+    NP -= consts.r1 * P * div
     if forcing.f1 is not None:
-        NP = NP + _physical(forcing.f1(t))
-    f2 = forcing.f2(t) if forcing.f2 is not None else None
+        NP += _physical(forcing.f1(t))
 
-    NO = np.empty((dim, *grid.shape))
-    for a in range(dim):
-        NO[a] = -sum(O[b] * V[a, 1 + b] for b in range(dim))
-        if f2 is not None:
+    # NO[a] = -sum_b Omega_b * d_b Omega_a.
+    NO = -np.sum(V[:, 1:] * O, axis=1)
+    if forcing.f2 is not None:
+        f2 = forcing.f2(t)
+        for a in range(dim):
             NO[a] += _physical(f2[a]).real
 
     N = np.empty_like(u)
-    N[:size] = np.fft.fftn(NP).ravel() / size
-    NOh = np.fft.rfftn(NO, axes=axes) / size - consts.kappa * lay.ik_half * absP2_hat
+    N[:size] = fft_axes(grid, NP).ravel()
+    NOh = rfft_axes(grid, NO) - consts.kappa * lay.ik_half * absP2_hat
     N[size:] = NOh.ravel()
     N *= lay.dealias
-    vmax = float(np.max(np.abs(O)))
-    return N, float(np.max([np.max(np.abs(P)), vmax])), vmax
+    vmax = float(np.abs(O).max())
+    return N, float(np.maximum(np.abs(P).max(), vmax)), vmax
 
 
 def _stack(state: FieldState) -> np.ndarray:
@@ -472,10 +473,10 @@ def step(
     return _unstack(state.grid, u, state.t + config.dt)
 
 
-def _diagnostics_row(state: FieldState, hs_exponent, besov_p):
+def _diagnostics_row(state: FieldState, weight: np.ndarray, besov_p):
+    """One diagnostics row; ``weight`` holds the H^s weights (1 + |k|^2)^s."""
     from . import littlewood_paley as lp
 
-    weight = (1.0 + state.grid.k_squared) ** hs_exponent
     Ph, Ohs = state.P.spectral(), [w.spectral() for w in state.omega]
     l2o = float(np.sqrt(sum(np.sum(np.abs(oh) ** 2) for oh in Ohs)))
     hso = float(np.sqrt(sum(np.sum(weight * np.abs(oh) ** 2) for oh in Ohs)))
@@ -519,9 +520,8 @@ def evolve(
     u, t = _stack(state0), state0.t
     _check_initial_cfl(state0, config)
 
-    row = lambda u, t: _diagnostics_row(
-        _unstack(grid, u, t), config.hs_exponent, config.besov_p
-    )
+    weight = (1.0 + grid.k_squared) ** config.hs_exponent
+    row = lambda u, t: _diagnostics_row(_unstack(grid, u, t), weight, config.besov_p)
 
     rows = [row(u, t)]
     try:

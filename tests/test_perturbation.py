@@ -505,6 +505,22 @@ def test_instability_omega_plus_stays_in_the_kept_band(monkeypatch):
     assert np.max(ks) <= 10.0
 
 
+@pytest.mark.parametrize("k_cutoff", [None, 4.0])
+def test_polar_entry_points_refuse_a_two_dimensional_grid(k_cutoff):
+    # The kept band is a band of 1D real-FFT modes; a 2D grid used to fail
+    # inside it with numpy's "too many indices for array", and a 2D
+    # transform of the hats would fail to unpack into (rho, phi, h).
+    grid = Grid(dim=2, n=16)
+    params = SystemParams.constants(u=0.0, v=0.0, m=1.0)
+    config = SolverConfig(dt=1e-3, t_end=0.01, k_cutoff=k_cutoff)
+    with pytest.raises(ValueError, match="polar perturbations are one-dimensional"):
+        perturbation.resolved_spectral_gap(params, unit_wave(), grid, k_cutoff)
+    with pytest.raises(ValueError, match="polar perturbations are one-dimensional"):
+        instability_experiment(params, unit_wave(), 1.0, 1e-6, config, grid=grid)
+    with pytest.raises(ValueError, match="polar perturbations are one-dimensional"):
+        PerturbationState.from_hats(grid, np.zeros((grid.n // 2 + 1, 3), dtype=complex))
+
+
 def test_instability_contrapositive_stable_slice():
     grid = Grid(dim=1, n=128, length=2.0 * np.pi)
     params = SystemParams.constants(u=0.0, v=0.0, m=1.0)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cglburgers import solver
 from cglburgers.model import SystemParams
-from cglburgers.solver import FieldState, Forcing, SolverConfig, rhs_nonlinear
+from cglburgers.solver import FieldState, Forcing, SolverConfig, _physical, rhs_nonlinear
 from cglburgers.spectral import Grid, SpectralField, band_limited_noise
 
 PARAMS = SystemParams.constants(u=0.3, v=-0.7, xi=1.2, m=0.8, kappa=0.6, s1=0.4, s2=-0.9)
@@ -82,6 +82,55 @@ def reference_hats(grid, consts, u, t, forcing, use_dealias):
     if mask is not None:
         N *= mask
     return N
+
+
+class _ScaledLayout(solver._Layout):
+    """The layout with the multipliers of the unnormalized inverse transforms."""
+
+    def __init__(self, grid):
+        super().__init__(grid)
+        self.axes = tuple(range(-grid.dim, 0))
+        self.ikP = tuple(ik * grid.size for ik in self.ikP)
+        self.value_grad = self.value_grad * grid.size
+
+
+def _reference_nonlinear_hats(grid, consts, u, t, forcing):
+    """The right-hand side with explicit 1/size scalings and sums from 0."""
+    lay = _ScaledLayout(grid)
+    size, dim, axes = lay.size, lay.dim, lay.axes
+    Ph, Ohs = lay.split(u)
+    P = np.fft.ifftn(Ph * size)
+    dP = [np.fft.ifftn(ik * Ph) for ik in lay.ikP]
+    # V[a, 0] = Omega_a and V[a, 1 + b] = d_b Omega_a, all real.
+    V = np.fft.irfftn(Ohs[:, None] * lay.value_grad, s=grid.shape, axes=axes)
+    O = V[:, 0]
+
+    absP2_hat = np.fft.rfftn(P.real**2 + P.imag**2) / size * lay.dealias_half
+    absP2 = np.fft.irfftn(absP2_hat * size, s=grid.shape, axes=axes)
+
+    NP = (
+        -sum(O[a] * dP[a] for a in range(dim))
+        + consts.xi * P
+        - (1.0 + 1j * consts.v) * absP2 * P
+        - consts.r1 * P * sum(V[a, 1 + a] for a in range(dim))
+    )
+    if forcing.f1 is not None:
+        NP = NP + _physical(forcing.f1(t))
+    f2 = forcing.f2(t) if forcing.f2 is not None else None
+
+    NO = np.empty((dim, *grid.shape))
+    for a in range(dim):
+        NO[a] = -sum(O[b] * V[a, 1 + b] for b in range(dim))
+        if f2 is not None:
+            NO[a] += _physical(f2[a]).real
+
+    N = np.empty_like(u)
+    N[:size] = np.fft.fftn(NP).ravel() / size
+    NOh = np.fft.rfftn(NO, axes=axes) / size - consts.kappa * lay.ik_half * absP2_hat
+    N[size:] = NOh.ravel()
+    N *= lay.dealias
+    vmax = float(np.max(np.abs(O)))
+    return N, float(np.max([np.max(np.abs(P)), vmax])), vmax
 
 
 def _state(grid, seed, amplitude):
@@ -234,3 +283,23 @@ def test_packed_rhs_matches_reference_on_band_limited_data(dim, n, seed, amplitu
         grid, PARAMS.require_constant(), _spectra(state), 0.0, Forcing.zero(), True
     )
     _assert_close(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k_cutoff", [None, 4.0])
+@pytest.mark.parametrize("forced", [False, True])
+def test_nonlinear_hats_match_the_scaled_reference_bitwise(dim, seed, k_cutoff, forced):
+    # Every scaling by the grid size is an exact power of two, so moving it
+    # into the transforms' normalization changes no bit.
+    grid = GRIDS[dim]
+    consts = PARAMS.require_constant()
+    forcing = _forcing(grid, seed) if forced else Forcing.zero()
+    u = solver._stack(_state(grid, seed, 0.5))
+    if k_cutoff is not None:
+        keep, lay = grid.kmax_mask(k_cutoff), solver._layout(grid)
+        u = u * lay.pack(keep, lay.half(keep))
+    N, amax, vmax = solver._nonlinear_hats(grid, consts, u, 0.3, forcing)
+    N_ref, amax_ref, vmax_ref = _reference_nonlinear_hats(grid, consts, u, 0.3, forcing)
+    assert np.array_equal(N, N_ref)
+    assert amax == amax_ref and vmax == vmax_ref

@@ -475,9 +475,11 @@ def _projected_evolve(state0, params, config):
     keep, lay = grid.kmax_mask(config.k_cutoff), solver._layout(grid)
     mask = lay.pack(keep, lay.half(keep))
 
+    weight = (1.0 + grid.k_squared) ** config.hs_exponent
+
     def row(u, t):
         state = solver._unstack(grid, u, t)
-        return solver._diagnostics_row(state, config.hs_exponent, config.besov_p)
+        return solver._diagnostics_row(state, weight, config.besov_p)
 
     u, t = solver._stack(state0), state0.t
     rows = [row(u, t)]

@@ -8,7 +8,11 @@ from cglburgers.spectral import (
     band_limited_noise,
     dealias,
     derivative,
+    fft_axes,
+    ifft_axes,
+    irfft_axes,
     lp_norm,
+    rfft_axes,
     sobolev_norm,
 )
 
@@ -171,3 +175,33 @@ def test_lp_norm_infinity(grid1d):
     x = grid1d.axis_coordinates()
     f = SpectralField.from_physical(grid1d, 2.0 * np.cos(x))
     assert lp_norm(f, np.inf) == pytest.approx(2.0, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim_log2_n=st.one_of(
+        st.tuples(st.just(1), st.integers(3, 9)), st.tuples(st.just(2), st.integers(3, 7))
+    ),
+    seed=SEEDS,
+    lead=st.sampled_from([(), (3,)]),
+    exponent=st.integers(-30, 30),
+)
+def test_transform_helpers_match_the_scaled_transforms_bitwise(dim_log2_n, seed, lead, exponent):
+    # The forward normalization is exact on power-of-two grids, so each
+    # helper gives the bits of the unnormalized transform scaled by size.
+    dim, log2_n = dim_log2_n
+    n = 2**log2_n
+    grid = Grid(dim=dim, n=n)
+    size, axes = grid.size, tuple(range(-dim, 0))
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    half = (*lead, *grid.shape[:-1], n // 2 + 1)
+    x = scale * (rng.normal(size=(*lead, *grid.shape)) + 1j * rng.normal(size=(*lead, *grid.shape)))
+    xr = scale * rng.normal(size=(*lead, *grid.shape))
+    xh = scale * (rng.normal(size=half) + 1j * rng.normal(size=half))
+    assert np.array_equal(fft_axes(grid, x), np.fft.fftn(x, axes=axes) / size)
+    assert np.array_equal(ifft_axes(grid, x), np.fft.ifftn(x * size, axes=axes))
+    assert np.array_equal(rfft_axes(grid, xr), np.fft.rfftn(xr, axes=axes) / size)
+    assert np.array_equal(
+        irfft_axes(grid, xh), np.fft.irfftn(xh * size, s=grid.shape, axes=axes)
+    )
