@@ -84,20 +84,36 @@ def build_matrices(
 
 def pencil(mats: LinearizationMatrices, k) -> np.ndarray:
     """-k^2*A + i*k*B + C; k shaped (n, 1, 1) gives the (n, 3, 3) stack."""
-    return -(k**2) * mats.A + 1j * k * mats.B + mats.C
+    # Summed in place; IEEE addition commutes, so the bits are those of
+    # (-k^2*A + i*k*B) + C.
+    M = 1j * k * mats.B
+    M += -(k**2) * mats.A
+    M += mats.C
+    return M
+
+
+def _order_key(lams: np.ndarray) -> np.ndarray:
+    """Real parts quantized at 1e-9 of each triple's magnitude (at least 1).
+
+    Round-off jitter on analytically equal real parts then ties, so the
+    ordering falls through to the imaginary part.  Conjugation leaves the key
+    unchanged.
+    """
+    # Column by column: numpy reduces a length-3 last axis slowly.
+    mag = np.abs(lams)
+    scale = np.maximum(np.maximum(mag[..., 0], mag[..., 1]), np.maximum(mag[..., 2], 1.0))
+    return np.round(lams.real / (1e-9 * scale[..., None]))
+
+
+def _order_by(lams: np.ndarray, key: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Each triple by descending ``key``, ties by ascending ``imag``, then by position."""
+    order = np.lexsort((imag, -key), axis=-1)
+    return np.take_along_axis(lams, order, axis=-1)
 
 
 def _sort_lambdas(lams: np.ndarray) -> np.ndarray:
-    """Descending real part, ties broken by ascending imaginary part.
-
-    Real parts are quantized at 1e-9 of the triple's magnitude so that
-    round-off jitter on analytically equal real parts still falls through
-    to the imaginary-part tie-break.
-    """
-    scale = np.maximum(np.max(np.abs(lams), axis=-1, keepdims=True), 1.0)
-    key = np.round(lams.real / (1e-9 * scale))
-    order = np.lexsort((lams.imag, -key), axis=-1)
-    return np.take_along_axis(lams, order, axis=-1)
+    """Descending real part (quantized by :func:`_order_key`), ties by ascending imaginary part."""
+    return _order_by(lams, _order_key(lams), lams.imag)
 
 
 def _char_coefficients(Ms: np.ndarray):
@@ -127,24 +143,28 @@ def _char_residuals(Ms: np.ndarray, lams: np.ndarray) -> np.ndarray:
 def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
     """Sorted eigenvalue triples of M(k) = -k^2*A + i*k*B + C for every k in ``ks``.
 
-    A, B and C are real, so M(-k) = conj M(k): on a mirror grid only the k >= 0
-    rows are solved and row n-1-i takes the conjugates of row i.  Every root is
-    checked against the characteristic polynomial of its own M(k) to 1e-9.
+    A, B and C are real, so M(-k) = conj M(k).  On a mirror grid
+    (ks[i] == -ks[-1-i]) only the k >= 0 half is solved, sorted and checked
+    against the characteristic polynomial of its own M(k) to 1e-9; row n-1-i
+    holds the exact conjugates of row i, whose residuals are the same numbers.
+    On any other grid every row is solved and checked.
     """
     ks = np.asarray(ks, dtype=float)
-    Ms = pencil(mats, ks[:, None, None])
-    if np.array_equal(ks, -ks[::-1]):
-        half = np.linalg.eigvals(Ms[ks.size // 2 :])
-        raw = np.concatenate([half[::-1][: ks.size // 2].conj(), half])
-    else:
-        raw = np.linalg.eigvals(Ms)
-    lams = _sort_lambdas(raw)
-    res = _char_residuals(Ms, lams)
-    worst = float(np.max(res))
-    if worst > RESIDUAL_TOL:
+    n_neg = ks.size // 2 if np.array_equal(ks, -ks[::-1]) else 0
+    Ms = pencil(mats, ks[n_neg:, None, None])
+    raw = np.linalg.eigvals(Ms)
+    key = _order_key(raw)
+    lams = _order_by(raw, key, raw.imag)
+    worst = float(np.max(_char_residuals(Ms, lams)))
+    if not worst <= RESIDUAL_TOL:
         raise ArithmeticError(
-            f"eigenvalue residual {worst:.2e} exceeds {RESIDUAL_TOL:g}"
+            f"eigenvalue residual {worst:.2e} could not be verified to {RESIDUAL_TOL:g}"
         )
+    if n_neg:
+        # Conjugation keeps the key and flips the imaginary tie-break.
+        mirrored = slice(raw.shape[0] - n_neg, None)
+        neg = _order_by(raw[mirrored], key[mirrored], -raw.imag[mirrored])
+        lams = np.concatenate([neg[::-1].conj(), lams])
     return lams
 
 
@@ -366,7 +386,8 @@ def classify_spectrum(
 
     ``ks`` holds the ``(n,)`` sampled wavenumbers and ``lams`` the ``(n, 3)``
     eigenvalue triples at them, as returned by :func:`spectrum_table`.  The
-    grid must include k = 0 and be symmetric about it.
+    grid must include k = 0 and be symmetric about it, and every eigenvalue
+    must be finite.
 
     Stable verdicts report the largest admissible C > 0 with
     Re(lambda) <= -C * Im(lambda)^2 at every sample (infinity when no sample
@@ -381,30 +402,34 @@ def classify_spectrum(
         raise EmptySampleSet("no spectrum samples supplied")
     if float(np.min(np.abs(ks))) > tol:
         raise ValueError("sample grid must include k = 0")
-    if np.max(np.abs(np.sort(ks) + np.sort(ks)[::-1])) > 1e-9:
-        raise ValueError("sample grid must be symmetric about k = 0")
+    if not np.array_equal(ks, -ks[::-1]):
+        ordered = np.sort(ks)
+        if np.max(np.abs(ordered + ordered[::-1])) > 1e-9:
+            raise ValueError("sample grid must be symmetric about k = 0")
+    if not np.isfinite(lams).all():
+        raise ValueError("spectrum table holds non-finite eigenvalues")
 
+    re = lams.real
     nonzero_k = np.abs(ks) > tol
-    sup_real = float(np.max(lams[nonzero_k].real)) if nonzero_k.any() else 0.0
+    sup_real = float(np.max(re[nonzero_k])) if nonzero_k.any() else 0.0
 
-    if float(np.max(lams.real)) > tol:
+    growing = re > tol
+    if growing.any():
         # Genuine growth anywhere (including k = 0) beats the neutral modes.
-        positive = lams.real[lams.real > tol]
-        omega_plus = float(np.min(positive))
-        grow = ks[np.any(lams.real > tol, axis=1)]
+        grow = ks[np.any(growing, axis=1)]
         return SpectralVerdict(
             kind="unstable",
-            omega_plus=omega_plus,
+            omega_plus=float(np.min(re[growing])),
             unstable_band=(float(np.min(grow)), float(np.max(grow))),
-            sup_real=float(np.max(lams.real)),
+            sup_real=float(np.max(re)),
         )
     if sup_real > -tol:
         return SpectralVerdict(kind="marginal", sup_real=sup_real)
 
-    flat = lams.reshape(-1)
-    oscillatory = np.abs(flat.imag) > 1e-12
+    im = lams.imag
+    oscillatory = np.abs(im) > 1e-12
     if oscillatory.any():
-        constant = float(np.min(-flat.real[oscillatory] / flat.imag[oscillatory] ** 2))
+        constant = float(np.min(-re[oscillatory] / im[oscillatory] ** 2))
     else:
         constant = float("inf")
     return SpectralVerdict(kind="stable", parabola_constant=constant, sup_real=sup_real)

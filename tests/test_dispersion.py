@@ -406,3 +406,205 @@ def test_mirror_grids_solve_only_the_nonnegative_half(monkeypatch, ks, rows):
     seen.clear()
     spectrum_table(mats, np.array([1.3]))
     assert seen == [1]
+
+
+def test_residual_guard_fails_closed_on_non_finite_residuals():
+    # At |k| = 1e110 the roots are finite (about -1e220) but their cubes
+    # overflow, so every residual there is NaN: nothing is verified.
+    mats = build_matrices(SystemParams.constants(m=1.0), unit_wave())
+    ks = np.array([-1e110, 0.0, 1e110])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="could not be verified"):
+            spectrum_table(mats, ks)
+
+
+def _stable_table(ks):
+    return np.stack([-(ks**2) - 1.0 + 0.5j * ks, -(ks**2) - 2.0 * ks * 1j, -(ks**2) - 3.0], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "row, col, value",
+    [
+        (slice(None), slice(None), np.nan),
+        (3, 1, np.nan),
+        (0, 0, complex(-1.0, np.nan)),
+        (4, 2, complex(np.inf, 0.0)),
+        (8, 0, complex(-np.inf, 0.0)),
+    ],
+    ids=["all-nan", "one-nan", "nan-imag", "plus-inf", "minus-inf"],
+)
+def test_classify_refuses_non_finite_tables(row, col, value):
+    ks = default_k_grid(4.0, 9)
+    lams = _stable_table(ks)
+    assert classify_spectrum(ks, lams).kind == "stable"
+    lams[row, col] = value
+    with pytest.raises(ValueError, match="non-finite"):
+        classify_spectrum(ks, lams)
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [
+        np.array([1.0]),
+        np.array([-1.0, 1.0]),
+        np.array([-2.0, -0.5, 0.5, 2.0]),
+        np.array([-1.0, 1e-6, 1.0]),
+    ],
+)
+def test_classify_refuses_grids_without_k_zero(ks):
+    with pytest.raises(ValueError, match="include k = 0"):
+        classify_spectrum(ks, _stable_table(ks))
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [
+        np.array([0.0, 1.0]),
+        np.array([-1.0, 0.0, 2.0]),
+        np.array([-1.0, 0.0, 1.0, 2.0]),
+        np.array([-1.0, 0.0, 1.0 + 1e-8]),
+        default_k_grid(8.0, 257)[1:],
+    ],
+)
+def test_classify_refuses_asymmetric_grids(ks):
+    with pytest.raises(ValueError, match="symmetric"):
+        classify_spectrum(ks, _stable_table(ks))
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [
+        default_k_grid(8.0, 257),
+        np.random.default_rng(3).permutation(default_k_grid(8.0, 257)),
+        np.arange(-8.0, 8.05, 0.1),
+        np.array([1.0 + 1e-12, 0.0, -1.0]),
+        np.array([-1.0, 1e-10, 1.0]),
+    ],
+    ids=["mirror", "shuffled", "arange", "jittered", "near-zero"],
+)
+def test_classify_accepts_symmetric_grids_in_any_order(ks):
+    assert classify_spectrum(ks, _stable_table(ks)).kind == "stable"
+
+
+def _reference_sort_lambdas(lams: np.ndarray) -> np.ndarray:
+    """The ordering rule written out as one lexsort: the bitwise reference."""
+    scale = np.maximum(np.max(np.abs(lams), axis=-1, keepdims=True), 1.0)
+    key = np.round(lams.real / (1e-9 * scale))
+    order = np.lexsort((lams.imag, -key), axis=-1)
+    return np.take_along_axis(lams, order, axis=-1)
+
+
+def _reference_pencil(mats, k):
+    return -(k**2) * mats.A + 1j * k * mats.B + mats.C
+
+
+def _reference_spectrum_table(mats, ks):
+    """The full-grid spectrum table: every row is built, sorted and checked."""
+    ks = np.asarray(ks, dtype=float)
+    Ms = _reference_pencil(mats, ks[:, None, None])
+    if np.array_equal(ks, -ks[::-1]):
+        half = np.linalg.eigvals(Ms[ks.size // 2 :])
+        raw = np.concatenate([half[::-1][: ks.size // 2].conj(), half])
+    else:
+        raw = np.linalg.eigvals(Ms)
+    lams = _reference_sort_lambdas(raw)
+    res = dispersion._char_residuals(Ms, lams)
+    worst = float(np.max(res))
+    if worst > dispersion.RESIDUAL_TOL:
+        raise ArithmeticError(
+            f"eigenvalue residual {worst:.2e} exceeds {dispersion.RESIDUAL_TOL:g}"
+        )
+    return lams
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got, want)
+    # array_equal treats -0.0 and 0.0 as equal; the bytes do not.
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _grid(layout, k_extent, samples):
+    ks = default_k_grid(k_extent, samples)
+    if layout == "mirror-without-zero":
+        return ks[ks != 0.0]
+    if layout == "positive":
+        return ks[ks > 0.0]
+    if layout == "asymmetric":
+        return ks[ks > -k_extent / 3.0]
+    if layout == "single":
+        return ks[-1:]
+    return ks
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kappa=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    coupling=st.sampled_from(COUPLING_MODES),
+    k_extent=st.floats(0.5, 16.0),
+    samples=st.integers(2, 2049),
+    layout=st.sampled_from(
+        ["mirror", "mirror-without-zero", "positive", "asymmetric", "single"]
+    ),
+)
+def test_spectrum_table_is_bitwise_the_full_grid_table(
+    seed, kappa, coupling, k_extent, samples, layout
+):
+    params, wave = random_constrained_pair(np.random.default_rng(seed))
+    params = dataclasses.replace(params, kappa_coeffs=kappa)
+    mats = build_matrices(params, wave, coupling)
+    ks = _grid(layout, k_extent, samples)
+    assert np.array_equal(ks, -ks[::-1]) == layout.startswith("mirror")
+    _assert_same_bits(pencil(mats, ks[:, None, None]), _reference_pencil(mats, ks[:, None, None]))
+    want = _reference_spectrum_table(mats, ks)
+    _assert_same_bits(spectrum_table(mats, ks), want)
+    if layout.startswith("mirror"):
+        # The k < 0 residuals, which the half-grid check skips, are the k > 0 ones.
+        res = dispersion._char_residuals(_reference_pencil(mats, ks[:, None, None]), want)
+        assert np.array_equal(res, res[::-1])
+
+
+def _diagonal_mats(a, b, c):
+    return dispersion.LinearizationMatrices(A=np.diag(a), B=np.diag(b), C=np.asarray(c, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "mats",
+    [
+        # A triple root at every k: full ties, the stable order decides.
+        _diagonal_mats([1.0, 1.0, 1.0], [0.3, 0.3, 0.3], np.diag([-1.0, -1.0, -1.0])),
+        # Real parts equal after quantization but not bitwise, equal imaginary parts.
+        _diagonal_mats([1.0, 1.0, 1.0], [0.3, 0.3, 0.3], np.diag([-1.0, -1.0 + 1e-13, -1.0 - 1e-13])),
+        # Equal real parts, imaginary parts of both signs and a duplicate.
+        _diagonal_mats([1.0, 1.0, 1.0], [0.5, -0.5, 0.5], np.diag([-2.0, -2.0, -2.0])),
+        # A conjugate pair at k = 0 beside a real root with the same real part.
+        dispersion.LinearizationMatrices(
+            A=np.eye(3), B=np.zeros((3, 3)), C=np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+        ),
+        # Two coincident diffusive branches of the pure-carrier wave.
+        build_matrices(
+            SystemParams.constants(u=0.0, v=-0.8, m=1.6), PlaneWave(r0=0.0, theta0=1.0, w0=0.4)
+        ),
+        build_matrices(SystemParams.constants(m=1.0), unit_wave()),
+    ],
+    ids=["triple", "quantized", "imag-ties", "conjugate-pair", "carrier", "unit"],
+)
+@pytest.mark.parametrize("layout", ["mirror", "mirror-without-zero", "positive", "asymmetric"])
+def test_ordering_with_forced_ties_is_bitwise_the_full_grid_table(mats, layout):
+    ks = _grid(layout, 4.0, 33)
+    _assert_same_bits(spectrum_table(mats, ks), _reference_spectrum_table(mats, ks))
+
+
+def test_sort_lambdas_with_forced_ties_is_bitwise_the_reference():
+    lams = np.array(
+        [
+            [-1.0 + 2.0j, -1.0 - 2.0j, -1.0 + 0.0j],
+            [-1.0 + 1e-12 + 1.0j, -1.0 + 1.0j, -1.0 - 1e-12 + 1.0j],
+            [-2.0 + 0.0j, -2.0 + 0.0j, -2.0 + 0.0j],
+            [0.5 - 1.0j, -3.0 + 1.0j, 0.5 - 1.0j],
+            [complex(-1.0, -0.0), complex(-1.0, 0.0), complex(-1.0, -0.0)],
+            [1e12 + 1.0j, 1e12 + 100.0 + 0.5j, 1e12 - 100.0 + 0.0j],
+        ]
+    )
+    for table in (lams, lams.conj()):
+        _assert_same_bits(dispersion._sort_lambdas(table), _reference_sort_lambdas(table))
