@@ -30,7 +30,7 @@ RESIDUAL_TOL = 1e-9
 
 
 class EmptySampleSet(ValueError):
-    """classify_spectrum received an empty spectrum table."""
+    """An empty wavenumber grid reached spectrum_table or classify_spectrum."""
 
 
 @dataclass(frozen=True)
@@ -150,6 +150,8 @@ def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
     On any other grid every row is solved and checked.
     """
     ks = np.asarray(ks, dtype=float)
+    if ks.size == 0:
+        raise EmptySampleSet("empty wavenumber grid: no spectrum to solve")
     n_neg = ks.size // 2 if np.array_equal(ks, -ks[::-1]) else 0
     Ms = pencil(mats, ks[n_neg:, None, None])
     raw = np.linalg.eigvals(Ms)
@@ -386,8 +388,8 @@ def classify_spectrum(
 
     ``ks`` holds the ``(n,)`` sampled wavenumbers and ``lams`` the ``(n, 3)``
     eigenvalue triples at them, as returned by :func:`spectrum_table`.  The
-    grid must include k = 0 and be symmetric about it, and every eigenvalue
-    must be finite.
+    grid must be finite, include k = 0 and be symmetric about it, and every
+    eigenvalue must be finite.
 
     Stable verdicts report the largest admissible C > 0 with
     Re(lambda) <= -C * Im(lambda)^2 at every sample (infinity when no sample
@@ -400,6 +402,8 @@ def classify_spectrum(
     lams = np.asarray(lams)
     if ks.size == 0:
         raise EmptySampleSet("no spectrum samples supplied")
+    if not np.isfinite(ks).all():
+        raise ValueError("sample grid holds non-finite wavenumbers")
     if float(np.min(np.abs(ks))) > tol:
         raise ValueError("sample grid must include k = 0")
     if not np.array_equal(ks, -ks[::-1]):

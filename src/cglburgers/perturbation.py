@@ -27,7 +27,14 @@ import numpy as np
 
 from . import dispersion
 from .model import PlaneWave, SystemParams
-from .solver import SolverConfig, StepUnstable, block_operators, check_magnitude, integrate
+from .solver import (
+    Operators,
+    SolverConfig,
+    StepUnstable,
+    block_operators,
+    check_magnitude,
+    integrate,
+)
 from .spectral import Grid, SpectralField, irfft_axes, rfft_axes
 
 CHART_FLOOR_FRACTION = 0.01
@@ -195,13 +202,8 @@ def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, np.ndarr
     return grid.k_min_positive * np.arange(half), keep
 
 
-def _ik_powers(k: np.ndarray) -> np.ndarray:
-    """[1, ik, (ik)**2], shaped (order, 1, mode) to broadcast over field rows."""
-    return (1j * k) ** np.arange(3)[:, None, None]
-
-
 class _PolarWorkspace:
-    """Precomputed spectral data for the polar integrator.
+    """Precomputed spectral data of the polar tendency, for the integrator and :func:`remainder`.
 
     The integrator's state holds only the ``nk`` kept modes, shaped (nk, 3):
     the transforms zero-pad it to the grid's n//2 + 1 rfft modes and drop
@@ -219,10 +221,10 @@ class _PolarWorkspace:
         k_full, keep = _kept_band(grid, config.k_cutoff)
         self.nk = int(np.count_nonzero(keep))
         self.k = k_full[: self.nk]
-        self.ik_powers = _ik_powers(self.k)
+        # [1, ik, (ik)**2], shaped (order, 1, mode) to broadcast over field rows.
+        self.ik_powers = (1j * self.k) ** np.arange(3)[:, None, None]
         mats = true_linearization(params, wave)
         self.M = dispersion.pencil(mats, self.k[:, None, None])
-        self.ops = block_operators(self.M, config.dt)
         # (c0, c1) of u, v, s1, s2 and kappa, each shaped (5, 1) against r.
         p = params
         coeffs = [p.u_coeffs, p.v_coeffs, p.s1_coeffs, p.s2_coeffs, p.kappa_coeffs]
@@ -232,10 +234,17 @@ class _PolarWorkspace:
         self.mult = np.full(k_full.shape, 2.0)
         self.mult[[0, -1]] = 1.0
         self.hs_weight = (1.0 + k_full**2) ** config.hs_exponent
-        # A kept mode that one exact linear step amplifies by more than the
-        # blow-up threshold (m < 0 at high k) would fail the first step, and
-        # not say why.  A threshold below 1 bounds the data, not a gain.
-        gain = np.max(np.abs(self.ops.E), axis=(1, 2))
+
+    def operators(self) -> Operators:
+        """The exact linear step of every kept mode, by one batched expm.
+
+        Raises ValueError if it amplifies a kept mode by more than the
+        blow-up threshold (m < 0 at high k): the first step would fail, and
+        not say why.  A threshold below 1 bounds the data, not a gain.
+        """
+        config = self.config
+        ops = block_operators(self.M, config.dt)
+        gain = np.max(np.abs(ops.E), axis=(1, 2))
         worst = int(np.argmax(gain))
         if config.blowup_threshold >= 1.0 and not gain[worst] <= config.blowup_threshold:
             raise ValueError(
@@ -243,6 +252,7 @@ class _PolarWorkspace:
                 f"{self.k[worst]:g} by {gain[worst]:.3g}, more than the blow-up "
                 f"threshold {config.blowup_threshold:g}; set k_cutoff to keep the band well posed"
             )
+        return ops
 
     def padded(self, hats: np.ndarray) -> np.ndarray:
         """The kept-band state zero-padded to all n//2 + 1 rfft modes."""
@@ -250,14 +260,15 @@ class _PolarWorkspace:
         out[: self.nk] = hats
         return out
 
-    def rhs_hats(self, hats: np.ndarray, t: float) -> np.ndarray:
-        """Nonlinear remainder (full polar tendency minus the linear part).
+    def tendency_hats(self, hats: np.ndarray, t: float) -> np.ndarray:
+        """The full polar tendency of the kept modes ``hats``.
 
-        ``hats`` holds the kept modes.  One inverse transform, zero-padding
-        them, gives the fields and their first and second derivatives; one
-        forward transform gives the three tendencies, of which the kept
-        modes stay.  Both are scaled by 1/n forward, the layout of
-        :meth:`PerturbationState.hats`.
+        One inverse transform, zero-padding them, gives the fields and their
+        first and second derivatives; one forward transform gives the three
+        tendencies, of which the kept modes stay.  Both are scaled by 1/n
+        forward, the layout of :meth:`PerturbationState.hats`.  Raises
+        ChartBreakdown where min(r0 + rho) is at or below the chart floor and
+        StepUnstable where a field exceeds the blow-up threshold or is NaN.
         """
         fields = irfft_axes(self.grid, self.ik_powers * hats.T)
         (rho, phi, h), (rho_x, phi_x, h_x), (rho_xx, phi_xx, h_xx) = fields
@@ -290,9 +301,11 @@ class _PolarWorkspace:
         )
         tend[2] = self.params.m * h_xx - wh * h_x - 2.0 * kap_r * r * rho_x
 
-        full = rfft_axes(self.grid, tend)[:, : self.nk].T
-        linear = np.einsum("mij,mj->mi", self.M, hats)
-        return full - linear
+        return rfft_axes(self.grid, tend)[:, : self.nk].T
+
+    def rhs_hats(self, hats: np.ndarray, t: float) -> np.ndarray:
+        """Nonlinear remainder (full polar tendency minus the linear part)."""
+        return self.tendency_hats(hats, t) - np.einsum("mij,mj->mi", self.M, hats)
 
 
 @dataclass
@@ -335,12 +348,13 @@ def evolve_polar(
     final state span all n//2 + 1 rfft modes, zero beyond the kept band.
     """
     ws = _PolarWorkspace(state0.grid, params, wave, config)
+    ops = ws.operators()
     hats, t = state0.hats()[: ws.nk], state0.t
     full = ws.padded(hats)
     times, snaps, rows = [t], [full], [_polar_row(ws, full, t)]
     status = "completed"
     try:
-        for hats, t, row_due in integrate(hats, t, ws.rhs_hats, ws.ops, config):
+        for hats, t, row_due in integrate(hats, t, ws.rhs_hats, ops, config):
             if row_due:
                 full = ws.padded(hats)
                 times.append(t)
@@ -386,58 +400,25 @@ def _polar_row(ws: _PolarWorkspace, hats: np.ndarray, t: float) -> dict:
 def remainder(
     state: PerturbationState, params: SystemParams, wave: PlaneWave
 ) -> RemainderBundle:
-    """Evaluate the nonlinear remainder fields (psi1, psi2, psi3) term by term.
+    """The remainder fields (psi1, psi2, psi3) paired with the closed-form linearization.
 
-    These are the remainder expressions paired with the closed-form
-    linearization; they vanish at pi = 0 once the drift compatibility
-    w0*theta0 + u(r0)*theta0^2 = 0 holds (and the nonlinear-dispersion
-    contribution v(r0)*r0^2 vanishes).  All products are dealiased.
+    psi is the polar tendency that the integrator steps
+    (:meth:`_PolarWorkspace.tendency_hats`) minus the ``kappa_gradient``
+    pencil of :func:`dispersion.build_matrices`, both evaluated on the
+    state's projection onto the 2/3-rule band, and it is band-limited to
+    that band.  It vanishes at pi = 0 when the wave is an equilibrium of
+    the dynamics, and it is quadratic in pi on slices where the pencil is
+    the exact linearization (see :func:`true_linearization`).  Raises
+    ChartBreakdown (at ``state.t``) where the projection leaves the polar
+    chart, StepUnstable where it holds a NaN or exceeds the default blow-up
+    threshold, and ValueError unless xi = 1.
     """
-    grid = state.grid
-    k, mask = _kept_band(grid, None)
-    rho, phi, h = state.rho, state.phi, state.h
-    (rho_x, phi_x, h_x), (rho_xx, phi_xx, _) = irfft_axes(
-        grid, _ik_powers(k)[1:] * rfft_axes(grid, state.stack())
-    )
-
-    r0, th0, w0 = wave.r0, wave.theta0, wave.w0
-    c0, c1 = params.u_coeffs
-    r = r0 + rho
-    u0 = c0 + c1 * r0
-    s1_r = params.s1_coeffs[0] + params.s1_coeffs[1] * r
-    s1_0 = params.s1(r0)
-    s2_r = params.s2_coeffs[0] + params.s2_coeffs[1] * r
-    s2_0 = params.s2(r0)
-    v_r = params.v_coeffs[0] + params.v_coeffs[1] * r
-    v_0 = params.v(r0)
-    vp_0 = params.v_prime(r0)
-    kap = params.kappa(r0)
-
-    psi1 = (
-        -2.0 * th0 * c1 * rho * rho_x
-        - 2.0 * (c0 + c1 * r) * phi * rho_x
-        - u0 * rho * phi_xx
-        - h * rho_x
-        - r0 * (rho**2 + phi_x**2 + (s1_r - s1_0) * h_x)
-        - rho * (2.0 * r0 * rho + rho**2 + 2.0 * th0 * phi_x + phi_x**2 + s1_r * h_x)
-    )
-    psi2 = (
-        -h * phi_x
-        - w0 * th0
-        - u0 * (th0**2 + phi_x**2)
-        + c0 * rho_xx / r
-        - c1 * (2.0 * th0 * phi_x + phi_x**2)
-        - 2.0 * rho_x * (th0 + phi_x) / r
-        - v_r * rho**2
-        - (s2_r - s2_0) * h_x
-        - r0**2 * (v_r - vp_0 * rho)
-        - 2.0 * r0 * rho * (v_0 - v_r)
-    )
-    psi3 = -h * h_x - 2.0 * kap * rho * rho_x
-
-    # One round trip projects all three onto the 2/3-rule band.
-    psi = irfft_axes(grid, rfft_axes(grid, np.stack([psi1, psi2, psi3])) * mask)
-    return RemainderBundle(*psi)
+    ws = _PolarWorkspace(state.grid, params, wave, SolverConfig())
+    hats = state.hats()[: ws.nk]
+    closed = dispersion.build_matrices(params, wave, "kappa_gradient")
+    linear = np.einsum("mij,mj->mi", dispersion.pencil(closed, ws.k[:, None, None]), hats)
+    psi = ws.tendency_hats(hats, state.t) - linear
+    return RemainderBundle(*irfft_axes(state.grid, ws.padded(psi).T))
 
 
 @dataclass

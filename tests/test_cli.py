@@ -245,6 +245,33 @@ def test_quadratic_check_failure_exit_code_two(tmp_path):
     assert report["pass"] is False
 
 
+QUAD_UNIT_INI = "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 64\n"
+
+
+def test_quadratic_check_refuses_xi_other_than_one(tmp_path, capsys):
+    # This used to report on the xi = 1 dynamics and exit 0.
+    path = write(tmp_path, "quad_xi.ini", "[model]\nxi = 0.5\n\n" + QUAD_UNIT_INI)
+    out = tmp_path / "out"
+    assert main(["quadratic-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": "the polar dynamics are normalized to xi = 1", "exit_code": 1}
+    assert not (out / "quadratic.json").exists()
+
+
+def test_quadratic_check_refuses_scales_that_leave_the_polar_chart(tmp_path, capsys):
+    # eps = 3 takes r0 + rho across zero: this used to exit 2 with psi
+    # computed across r = 0.
+    path = write(
+        tmp_path, "quad_chart.ini", QUAD_UNIT_INI + "\n[experiment]\neps_list = 3.0, 1.0, 0.1\n"
+    )
+    out = tmp_path / "out"
+    assert main(["quadratic-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == 1
+    assert error["error"].startswith("ChartBreakdown at t = 0: ")
+    assert not (out / "quadratic.json").exists()
+
+
 def test_besov_check_runs(tmp_path):
     path = write(tmp_path, "besov.ini", "[besov]\nn = 64\ncases = 5\n")
     out = tmp_path / "out"

@@ -422,6 +422,30 @@ def _stable_table(ks):
     return np.stack([-(ks**2) - 1.0 + 0.5j * ks, -(ks**2) - 2.0 * ks * 1j, -(ks**2) - 3.0], axis=-1)
 
 
+def test_spectrum_table_refuses_an_empty_grid():
+    # This used to die in numpy's "zero-size array to reduction operation".
+    mats = build_matrices(SystemParams.constants(m=1.0), unit_wave())
+    with pytest.raises(EmptySampleSet, match="empty wavenumber grid"):
+        spectrum_table(mats, [])
+
+
+@pytest.mark.parametrize(
+    "ks",
+    [
+        np.array([-1.0, 0.0, np.nan]),
+        np.array([np.nan, 0.0, np.nan]),
+        np.array([-np.inf, 0.0, np.inf]),
+        np.array([-1.0, np.nan, 0.0, np.nan, 1.0]),
+    ],
+    ids=["one-nan", "two-nan", "infinite", "nan-inside"],
+)
+def test_classify_refuses_non_finite_wavenumbers(ks):
+    # Both grid guards compare with ">", which is false for NaN: [-1, 0, nan]
+    # used to read "stable" and [nan, 0, nan] "marginal".
+    with pytest.raises(ValueError, match="non-finite wavenumbers"):
+        classify_spectrum(ks, _stable_table(np.linspace(-1.0, 1.0, ks.size)))
+
+
 @pytest.mark.parametrize(
     "row, col, value",
     [

@@ -5,6 +5,7 @@ from cglburgers import dispersion, perturbation
 from cglburgers.model import PlaneWave, SystemParams
 from cglburgers.perturbation import (
     AmplitudeVanishes,
+    ChartBreakdown,
     PerturbationState,
     compose_polar,
     decay_experiment,
@@ -107,8 +108,28 @@ def test_remainder_single_term(grid):
     assert np.max(np.abs(psi.psi1)) < 1e-12
 
 
+def test_remainder_refuses_states_outside_the_polar_chart(grid):
+    # psi used to be computed across r = 0.
+    x = grid.axis_coordinates()
+    params = SystemParams.constants(m=1.0)
+    zero = np.zeros(grid.n)
+    for depth in (1.5, 1.0):
+        state = PerturbationState(grid=grid, rho=-depth * np.cos(x), phi=zero, h=zero, t=0.5)
+        with pytest.raises(ChartBreakdown) as info:
+            remainder(state, params, unit_wave())
+        assert info.value.t == 0.5
+    state = PerturbationState(grid=grid, rho=-0.98 * np.cos(x), phi=zero, h=zero)
+    assert np.isfinite(remainder(state, params, unit_wave()).stack()).all()
+
+
+def test_remainder_refuses_xi_other_than_one(grid):
+    params = SystemParams.constants(xi=0.5, m=1.0)
+    with pytest.raises(ValueError, match="normalized to xi = 1"):
+        remainder(PerturbationState.zeros(grid), params, unit_wave())
+
+
 def _psi_printed_reference(state, params, wave):
-    """Independent transcription of the remainder formulas (term lists)."""
+    """The remainder formulas written out as printed term lists."""
     grid = state.grid
     n = grid.n
     k = 2.0 * np.pi / grid.length * np.arange(n // 2 + 1)
@@ -165,8 +186,38 @@ def _psi_printed_reference(state, params, wave):
     return total(terms1), total(terms2), total(terms3)
 
 
-def test_remainder_dual_transcription(grid):
+def test_remainder_dual_transcription():
+    # The printed term list against the remainder of the stepped dynamics.
+    # The list carries -2*rho_x*(theta0+phi_x)/r in psi2 where (1+iu)*P_xx
+    # gives +2, so on the unit wave the two differ by exactly the 2/3-rule
+    # projection of 4*rho_x*(theta0+phi_x)/r, and agree in psi1 and psi3.
     rng = np.random.default_rng(1)
+    g = Grid(dim=1, n=64, length=2.0 * np.pi * np.sqrt(2.0))
+    state = state_from_modes(
+        g, {j: 0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3)) for j in (1, 2, 4)}
+    )
+    params = SystemParams(
+        u_coeffs=(0.0, 0.0),
+        v_coeffs=(0.0, 0.0),
+        m=1.2,
+        kappa_coeffs=(0.0, 0.0),
+        s1_coeffs=(0.125, 0.3),
+        s2_coeffs=(-0.2, 0.1),
+    )
+    wave = PlaneWave(r0=1.0, theta0=0.0, w0=0.3)
+    psi = remainder(state, params, wave)
+    ref1, ref2, ref3 = _psi_printed_reference(state, params, wave)
+    assert np.max(np.abs(psi.psi1 - ref1)) < 1e-14
+    assert np.max(np.abs(psi.psi3 - ref3)) < 1e-14
+    n = g.n
+    k = g.k_min_positive * np.arange(n // 2 + 1)
+    rho_x, phi_x = (np.fft.irfft(1j * k * np.fft.rfft(f), n=n) for f in (state.rho, state.phi))
+    gap = 4.0 * rho_x * (wave.theta0 + phi_x) / (wave.r0 + state.rho)
+    gap = np.fft.irfft(np.fft.rfft(gap) * (np.arange(n // 2 + 1) <= n / 3.0), n=n)
+    assert np.max(np.abs(gap)) > 1e-3
+    assert np.max(np.abs(psi.psi2 - ref2 - gap)) < 1e-14
+
+    # Every coefficient amplitude-dependent and a carrier wave: psi3 agrees.
     params = SystemParams(
         u_coeffs=(0.3, -0.4),
         v_coeffs=(0.2, 0.5),
@@ -175,19 +226,10 @@ def test_remainder_dual_transcription(grid):
         s1_coeffs=(0.125, 0.3),
         s2_coeffs=(-0.2, 0.1),
     )
-    length = 2.0 * np.pi * np.sqrt(2.0)
-    g = Grid(dim=1, n=64, length=length)
     theta0 = g.k_min_positive
     wave = PlaneWave(r0=float(np.sqrt(1 - theta0**2)), theta0=theta0, w0=0.3)
-    state = state_from_modes(
-        g, {j: 0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3)) for j in (1, 2, 4)}
-    )
     psi = remainder(state, params, wave)
-    ref1, ref2, ref3 = _psi_printed_reference(state, params, wave)
-    scale = max(psi.joint_l2(), 1.0)
-    assert np.max(np.abs(psi.psi1 - ref1)) < 1e-10 * scale
-    assert np.max(np.abs(psi.psi2 - ref2)) < 1e-10 * scale
-    assert np.max(np.abs(psi.psi3 - ref3)) < 1e-10 * scale
+    assert np.max(np.abs(psi.psi3 - _psi_printed_reference(state, params, wave)[2])) < 1e-14
 
 
 def test_remainder_derivative_lipschitz_spot_check(grid):
