@@ -16,7 +16,6 @@ from .solver import (
     StepUnstable,
     TrajectorySummary,
     evolve,
-    linear_propagator,
     rhs_nonlinear,
     step,
 )

@@ -27,6 +27,12 @@ from .model import PlaneWave, SystemParams
 COUPLING_MODES = ("kappa_zero", "kappa_constant", "kappa_gradient")
 
 RESIDUAL_TOL = 1e-9
+# Largest deviation of the printed closed form from the eigenvalues of M(k)
+# that :func:`compare_closed_form` counts as agreement.
+CLOSED_FORM_TOL = 1e-8
+# Wavenumbers and real parts within this of zero count as zero in
+# :func:`classify_spectrum`.
+CLASSIFY_TOL = 1e-9
 
 
 class EmptySampleSet(ValueError):
@@ -254,15 +260,13 @@ class ClosedFormComparison:
         }
 
 
-def compare_closed_form(
-    params: SystemParams, wave: PlaneWave, ks, tol: float = 1e-8
-) -> ClosedFormComparison:
+def compare_closed_form(params: SystemParams, wave: PlaneWave, ks) -> ClosedFormComparison:
     """Compare the printed closed form with the eigenvalues of M(k).
 
-    When the two disagree beyond ``tol`` the comparison additionally checks
-    that replacing the printed radicand by the pencil-derived discriminant
-    reproduces the oracle, so every discrepancy is explained rather than
-    silently reconciled.
+    When the two disagree beyond ``CLOSED_FORM_TOL`` the comparison
+    additionally checks that replacing the printed radicand by the
+    pencil-derived discriminant reproduces the oracle, so every discrepancy
+    is explained rather than silently reconciled.
     """
     ks = np.asarray(ks, dtype=float)
     mats = build_matrices(params, wave, "kappa_zero")
@@ -272,7 +276,7 @@ def compare_closed_form(
     dev = np.max(np.abs(closed - oracle), axis=-1)
     i_worst = int(np.argmax(dev))
     max_dev = float(dev[i_worst])
-    agrees = max_dev <= tol
+    agrees = max_dev <= CLOSED_FORM_TOL
 
     explained = agrees
     if not agrees:
@@ -284,7 +288,7 @@ def compare_closed_form(
         fixed = _sort_lambdas(
             np.stack([lam1, shift + root, shift - root], axis=-1)
         )
-        explained = bool(np.max(np.abs(fixed - oracle)) <= tol)
+        explained = bool(np.max(np.abs(fixed - oracle)) <= CLOSED_FORM_TOL)
 
     summary = {
         "r0": wave.r0,
@@ -381,9 +385,7 @@ def default_k_grid(k_extent: float = 16.0, samples: int = 1024) -> np.ndarray:
     return np.unique(np.concatenate([ks, [0.0]]))
 
 
-def classify_spectrum(
-    ks: np.ndarray, lams: np.ndarray, tol: float = 1e-9
-) -> SpectralVerdict:
+def classify_spectrum(ks: np.ndarray, lams: np.ndarray) -> SpectralVerdict:
     """Classify spectral stability from a sampled spectrum.
 
     ``ks`` holds the ``(n,)`` sampled wavenumbers and ``lams`` the ``(n, 3)``
@@ -404,7 +406,7 @@ def classify_spectrum(
         raise EmptySampleSet("no spectrum samples supplied")
     if not np.isfinite(ks).all():
         raise ValueError("sample grid holds non-finite wavenumbers")
-    if float(np.min(np.abs(ks))) > tol:
+    if float(np.min(np.abs(ks))) > CLASSIFY_TOL:
         raise ValueError("sample grid must include k = 0")
     if not np.array_equal(ks, -ks[::-1]):
         ordered = np.sort(ks)
@@ -414,10 +416,10 @@ def classify_spectrum(
         raise ValueError("spectrum table holds non-finite eigenvalues")
 
     re = lams.real
-    nonzero_k = np.abs(ks) > tol
+    nonzero_k = np.abs(ks) > CLASSIFY_TOL
     sup_real = float(np.max(re[nonzero_k])) if nonzero_k.any() else 0.0
 
-    growing = re > tol
+    growing = re > CLASSIFY_TOL
     if growing.any():
         # Genuine growth anywhere (including k = 0) beats the neutral modes.
         grow = ks[np.any(growing, axis=1)]
@@ -427,7 +429,7 @@ def classify_spectrum(
             unstable_band=(float(np.min(grow)), float(np.max(grow))),
             sup_real=float(np.max(re)),
         )
-    if sup_real > -tol:
+    if sup_real > -CLASSIFY_TOL:
         return SpectralVerdict(kind="marginal", sup_real=sup_real)
 
     im = lams.imag

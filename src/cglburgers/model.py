@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 CONSTRAINT_TOL = 1e-12
+# Newton steps that polish each amplitude root of np.roots.
+POLISH_ITERATIONS = 3
 
 CoeffPair = tuple[float, float]
 
@@ -203,9 +205,9 @@ def _amplitude_polynomial(params: SystemParams) -> np.ndarray:
     return np.array([d1 - c1, d0 - c0, c1, c0], dtype=float)
 
 
-def _polish_root(poly: np.ndarray, r: float, iterations: int = 3) -> float:
+def _polish_root(poly: np.ndarray, r: float) -> float:
     deriv = np.polyder(poly)
-    for _ in range(iterations):
+    for _ in range(POLISH_ITERATIONS):
         p = np.polyval(poly, r)
         dp = np.polyval(deriv, r)
         if dp == 0.0:

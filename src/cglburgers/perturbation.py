@@ -31,9 +31,10 @@ from .solver import (
     Operators,
     SolverConfig,
     StepUnstable,
+    TrajectorySummary,
     block_operators,
     check_magnitude,
-    integrate,
+    run,
 )
 from .spectral import Grid, SpectralField, irfft_axes, rfft_axes
 
@@ -309,24 +310,16 @@ class _PolarWorkspace:
 
 
 @dataclass
-class PolarTrajectory:
-    """Recorded polar evolution: times, spectral snapshots and norms."""
+class PolarTrajectory(TrajectorySummary):
+    """Recorded polar evolution: rows of norms and their spectral snapshots."""
 
-    times: np.ndarray
-    hats: list[np.ndarray]
-    rows: list[dict]
     final: PerturbationState
+    hats: list[np.ndarray]
     status: str = "completed"
 
     def mode_amplitudes(self, mode_index: int) -> np.ndarray:
         """Euclidean norm of the (rho, phi, h) coefficients of one mode."""
         return np.array([np.linalg.norm(h[mode_index]) for h in self.hats])
-
-    def component_mode_amplitudes(self, mode_index: int, component: int) -> np.ndarray:
-        return np.array([np.abs(h[mode_index, component]) for h in self.hats])
-
-    def hs_norms(self) -> np.ndarray:
-        return np.array([row["Hs_pi"] for row in self.rows])
 
 
 def evolve_polar(
@@ -349,17 +342,16 @@ def evolve_polar(
     """
     ws = _PolarWorkspace(state0.grid, params, wave, config)
     ops = ws.operators()
-    hats, t = state0.hats()[: ws.nk], state0.t
-    full = ws.padded(hats)
-    times, snaps, rows = [t], [full], [_polar_row(ws, full, t)]
+    snaps = []
+
+    def record(hats, t):
+        full = ws.padded(hats)
+        snaps.append(full)
+        return _polar_row(ws, full, t)
+
     status = "completed"
     try:
-        for hats, t, row_due in integrate(hats, t, ws.rhs_hats, ops, config):
-            if row_due:
-                full = ws.padded(hats)
-                times.append(t)
-                snaps.append(full)
-                rows.append(_polar_row(ws, full, t))
+        rows, hats, t = run(state0.hats()[: ws.nk], state0.t, ws.rhs_hats, ops, config, record)
     except ChartBreakdown as exc:
         # Only the first evaluation, on the projected initial data, runs at
         # t0; its chart guard refuses the data before any step is taken.
@@ -369,16 +361,16 @@ def evolve_polar(
                 f"{CHART_FLOOR_FRACTION:g} * r0 on the kept band"
             ) from exc
         raise
-    except StepUnstable:
+    except StepUnstable as exc:
         if not tolerate_blowup:
             raise
+        rows, (hats, t) = exc.rows, exc.last
         status = "unstable"
 
     return PolarTrajectory(
-        times=np.array(times),
-        hats=snaps,
         rows=rows,
         final=PerturbationState.from_hats(state0.grid, ws.padded(hats), t),
+        hats=snaps,
         status=status,
     )
 
@@ -547,7 +539,7 @@ def decay_experiment(
     cfg = replace(config, hs_exponent=s + 1.0)
     traj = evolve_polar(state0, params, wave, cfg)
     times = traj.times
-    norms = traj.hs_norms()
+    norms = traj.column("Hs_pi")
     norm0 = norms[0]
     alpha_ref = -0.5 * (1.5 + s)
     gap = resolved_spectral_gap(params, wave, grid, config.k_cutoff)
@@ -619,7 +611,7 @@ def instability_experiment(
     k_seed: float,
     amp: float,
     config: SolverConfig,
-    grid: Grid | None = None,
+    grid: Grid,
 ) -> GrowthReport:
     """Seed one Fourier mode along its fastest eigenvector and fit its growth.
 
@@ -632,7 +624,6 @@ def instability_experiment(
     is tolerated; failure to grow on an unstable slice fails the report.
     Raises ValueError if the run's kept band drops the seeded mode.
     """
-    grid = grid or Grid(dim=1, n=256, length=2.0 * np.pi)
     kmin = grid.k_min_positive
     j_seed = int(round(k_seed / kmin))
     if abs(k_seed - j_seed * kmin) > 1e-9 or j_seed <= 0 or j_seed > grid.n // 2:

@@ -30,14 +30,17 @@ SCHEMES = ("exponential-rk2", "imex-bdf2")
 class StepUnstable(RuntimeError):
     """A blow-up, NaN or advective CFL guard tripped during time stepping.
 
-    ``rows`` holds the diagnostics rows :func:`evolve` recorded before the
-    failure.
+    Raised out of :func:`run`, ``rows`` holds the records made before the
+    failure (the diagnostics rows of :func:`evolve` or
+    :func:`cglburgers.perturbation.evolve_polar`) and ``last`` the last
+    completed (u, t) of the stepped state.
     """
 
     def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
-        self.rows: list[dict] = []
+        self.rows: list = []
+        self.last: tuple | None = None
 
 
 @dataclass
@@ -110,7 +113,7 @@ class SolverConfig:
 
 @dataclass
 class TrajectorySummary:
-    """Diagnostics recorded by :func:`evolve`."""
+    """Diagnostics rows recorded by :func:`run`, each with its time "t", and the final state."""
 
     rows: list[dict]
     final: FieldState
@@ -139,18 +142,6 @@ def phi_functions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s1, t1 = s1 + t1, t1 * z / (j + 1)
         s2, t2 = s2 + t2, t2 * z / (j + 2)
     return np.where(small, s1, (e - 1.0) / zs), np.where(small, s2, (e - 1.0 - zs) / zs**2)
-
-
-def linear_propagator(
-    f: SpectralField, mu: float, u_disp: float, dt: float
-) -> SpectralField:
-    """Advance the diffusion equation df/dt = mu*(1+i*u_disp)*Laplacian(f).
-
-    Multiplies each Fourier mode by exp(-mu*(1+i*u_disp)*|k|^2*dt), the exact
-    per-mode solution of the heat semigroup.
-    """
-    factor = np.exp(-mu * (1.0 + 1j * u_disp) * f.grid.k_squared * dt)
-    return SpectralField.from_spectral(f.grid, f.spectral() * factor)
 
 
 def _physical(f) -> np.ndarray:
@@ -392,13 +383,15 @@ def etd2_step(u, t, N, ops: Operators, dt: float):
     return a + _apply(ops.phi2, N(a, t + dt) - N0), N0
 
 
-def integrate(u, t0: float, N, ops: Operators, config: SolverConfig):
-    """Advance du/dt = L*u + N(u, t) from t0 to ``config.t_end``.
+def run(u, t0: float, N, ops: Operators, config: SolverConfig, record):
+    """Advance du/dt = L*u + N(u, t) from t0 to ``config.t_end``; return (records, u, t).
 
-    ETD2, or BDF2 whose first step is ETD2.  Yields (u, t, row_due) after
-    every step; a row is due every ``cadence`` steps and after the last.
-    Raises ValueError before the first step unless t_end - t0 is a whole
-    number of steps (relative tolerance 1e-9).
+    ETD2, or BDF2 whose first step is ETD2.  ``record(u, t)`` is called at
+    t0, every ``cadence`` steps and after the last step, and ``records``
+    lists what it returned.  A StepUnstable leaves with those records in
+    ``exc.rows`` and the last completed (u, t) in ``exc.last``.  Raises
+    ValueError before the first step unless t_end - t0 is a whole number
+    of steps (relative tolerance 1e-9).
     """
     dt = config.dt
     span = (config.t_end - t0) / dt
@@ -409,19 +402,26 @@ def integrate(u, t0: float, N, ops: Operators, config: SolverConfig):
         )
     bdf2 = config.scheme == "imex-bdf2"
     history = None
-    for i in range(n_steps):
-        t = t0 + i * dt
-        if history is None:
-            new, N0 = etd2_step(u, t, N, ops, dt)
-        else:
-            u_prev, N_prev = history
-            N0 = N(u, t)
-            new = _apply(ops.bdf2, 4.0 * u - u_prev + 2.0 * dt * (2.0 * N0 - N_prev))
-        if bdf2:
-            history = u, N0
-        del N0  # held into the next step, it would cost a state's memory
-        u = new
-        yield u, t0 + (i + 1) * dt, (i + 1) % config.cadence == 0 or i == n_steps - 1
+    t = t0
+    records = [record(u, t)]
+    try:
+        for i in range(n_steps):
+            if history is None:
+                new, N0 = etd2_step(u, t, N, ops, dt)
+            else:
+                u_prev, N_prev = history
+                N0 = N(u, t)
+                new = _apply(ops.bdf2, 4.0 * u - u_prev + 2.0 * dt * (2.0 * N0 - N_prev))
+            if bdf2:
+                history = u, N0
+            del N0  # held into the next step, it would cost a state's memory
+            u, t = new, t0 + (i + 1) * dt
+            if (i + 1) % config.cadence == 0 or i == n_steps - 1:
+                records.append(record(u, t))
+    except StepUnstable as exc:
+        exc.rows, exc.last = records, (u, t)
+        raise
+    return records, u, t
 
 
 def _field_system(grid: Grid, params: SystemParams, forcing, config: SolverConfig):
@@ -517,18 +517,10 @@ def evolve(
     config = config or SolverConfig()
     grid = state0.grid
     ops, N = _field_system(grid, params, forcing, config)
-    u, t = _stack(state0), state0.t
+    u = _stack(state0)
     _check_initial_cfl(state0, config)
 
     weight = (1.0 + grid.k_squared) ** config.hs_exponent
     row = lambda u, t: _diagnostics_row(_unstack(grid, u, t), weight, config.besov_p)
-
-    rows = [row(u, t)]
-    try:
-        for u, t, row_due in integrate(u, t, N, ops, config):
-            if row_due:
-                rows.append(row(u, t))
-    except StepUnstable as exc:
-        exc.rows = rows
-        raise
+    rows, u, t = run(u, state0.t, N, ops, config, row)
     return TrajectorySummary(rows=rows, final=_unstack(grid, u, t))

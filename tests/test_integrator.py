@@ -10,7 +10,7 @@ from cglburgers.solver import (
     block_operators,
     diagonal_operators,
     etd2_step,
-    integrate,
+    run,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -36,10 +36,7 @@ def test_block_path_on_diagonal_blocks_matches_diagonal_path(seed, dt, scheme):
     config = SolverConfig(dt=dt, t_end=4 * dt, scheme=scheme)
 
     def final(ops):
-        u = u0
-        for u, _, _ in integrate(u0, 0.0, _saturating, ops, config):
-            pass
-        return u
+        return run(u0, 0.0, _saturating, ops, config, lambda u, t: None)[1]
 
     diagonal = final(diagonal_operators(L, dt))
     block = final(block_operators(_diagonal_blocks(L), dt))

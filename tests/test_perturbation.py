@@ -387,7 +387,7 @@ def test_linear_rates_match_eigenvalues_diagonal_slice(grid):
         k = j * kmin
         expected = {0: -(k**2) - 2.0, 1: -(k**2), 2: -0.7 * k**2}
         for comp, rate in expected.items():
-            amps = traj.component_mode_amplitudes(j, comp)
+            amps = np.abs(np.array(traj.hats)[:, j, comp])
             fit = np.polyfit(times, np.log(amps), 1)[0]
             assert fit == pytest.approx(rate, rel=1e-3)
 
@@ -611,6 +611,30 @@ def test_polar_nan_raises_step_unstable(grid, scheme, field):
         evolve_polar(state, params, unit_wave(), config)
     traj = evolve_polar(state, params, unit_wave(), config, tolerate_blowup=True)
     assert traj.status == "unstable"
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_polar_step_unstable_keeps_the_recorded_rows(grid, scheme):
+    # An m < 0 band grows until the blow-up guard trips in the step from
+    # t = 0.74; the error used to reach the caller with no rows, though 8
+    # were recorded.
+    hats = np.zeros((grid.n // 2 + 1, 3), dtype=complex)
+    hats[2] = 1e-3
+    state = PerturbationState.from_hats(grid, hats)
+    params = SystemParams.constants(m=-1.0)
+    wave = PlaneWave(1.0, 0.0)
+    config = SolverConfig(
+        dt=1e-2, t_end=20.0, cadence=10, blowup_threshold=0.1, k_cutoff=4.0, scheme=scheme
+    )
+    with pytest.raises(StepUnstable) as excinfo:
+        evolve_polar(state, params, wave, config)
+    traj = evolve_polar(state, params, wave, config, tolerate_blowup=True)
+    assert traj.status == "unstable"
+    assert len(traj.rows) == len(traj.hats) == 8
+    assert excinfo.value.rows == traj.rows
+    assert excinfo.value.last[1] == traj.final.t == pytest.approx(0.74)
+    # ETD2 trips in its second stage, at t + dt; BDF2 at the step's start.
+    assert excinfo.value.t == pytest.approx(0.75 if scheme == "exponential-rk2" else 0.74)
 
 
 def test_evolve_polar_ends_at_t_end_or_refuses_to_start(grid):
