@@ -1,7 +1,9 @@
 """The artifacts, stderr and exit code of every ``cglb`` command, to the byte.
 
 The digest table ``golden_digests.json`` is written by
-``tools/golden_digests.py``; this test reruns the seed-0 entries.
+``tools/golden_digests.py``; this test reruns the seed-0 entries.  The
+digests hold for the build the table records (numpy and scipy versions, their
+BLAS, numpy's CPU features); on any other the test fails naming what differs.
 """
 
 import importlib.util
@@ -42,4 +44,6 @@ def test_a_table_from_another_build_is_refused_by_name():
     message = golden.version_mismatch({"versions": dict(here, numpy="1.0.0")})
     assert f"numpy 1.0.0 in the table, {here['numpy']} here" in message
     assert "scipy" not in message
+    message = golden.version_mismatch({"versions": dict(here, **{"CPU features": "X86_V2"})})
+    assert f"CPU features X86_V2 in the table, {here['CPU features']} here" in message
     assert golden.version_mismatch({"versions": here}) is None

@@ -3,8 +3,12 @@
 Each command runs in its own process, from the ``src`` tree beside this
 script, on its sample config in ``configs/``.  For every (command, seed) the
 table records the digest of each artifact, the digest of stderr and the exit
-code.  The digests hold for one numpy and scipy build, so the table records
-both versions; a table from another build is refused, not compared.
+code.  The digests hold for one numpy and scipy build on one kind of CPU:
+numpy picks its exp/sin kernels by the CPU features it finds, and
+``eig``/``eigvals``/``expm`` round as their BLAS does.  So the table records
+the numpy and scipy versions, the BLAS each links and the CPU features numpy
+dispatches to; a table from another build or CPU is refused by name, not
+compared.
 
     python tools/golden_digests.py      # rewrite the table, seeds 0-2
 
@@ -14,7 +18,6 @@ change that alters an artifact on purpose commits the new table with it.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -39,10 +42,22 @@ RUNS = {
 
 
 def versions() -> dict:
+    """The build the digests hold for: versions, BLAS and numpy's CPU features."""
     import numpy
     import scipy
 
-    return {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    def blas(lib) -> str:
+        info = lib.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{info['name']} {info['version']}"
+
+    simd = numpy.show_config(mode="dicts")["SIMD Extensions"]
+    return {
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "numpy BLAS": blas(numpy),
+        "scipy BLAS": blas(scipy),
+        "CPU features": " ".join(simd["found"]),
+    }
 
 
 def _sha256(data: bytes) -> str:
@@ -51,9 +66,10 @@ def _sha256(data: bytes) -> str:
 
 def run_digests(command: str, seed: int) -> dict:
     """Exit code and digests of stderr and of every artifact of one run."""
-    # Environment overrides (CGLB_<SECTION>__<KEY>) would change the config.
-    env = {k: v for k, v in os.environ.items() if not k.startswith("CGLB_")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    # Environment overrides (CGLB_<SECTION>__<KEY>) would change the config,
+    # and PYTHON* variables (PYTHONWARNINGS, PYTHONHASHSEED, ...) the output.
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("CGLB_", "PYTHON"))}
+    env["PYTHONPATH"] = str(ROOT / "src")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         proc = subprocess.run(
@@ -72,8 +88,8 @@ def key(command: str, seed: int) -> str:
     return f"{command} --config configs/{RUNS[command]} --seed {seed}"
 
 
-def build_table(seeds) -> dict:
-    runs = {key(c, s): run_digests(c, s) for s in seeds for c in RUNS}
+def build_table() -> dict:
+    runs = {key(c, s): run_digests(c, s) for s in SEEDS for c in RUNS}
     return {"versions": versions(), "runs": runs}
 
 
@@ -98,11 +114,8 @@ def version_mismatch(table: dict) -> str | None:
     )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS))
-    args = parser.parse_args(argv)
-    TABLE.write_text(json.dumps(build_table(args.seeds), indent=2, sort_keys=True) + "\n")
+def main() -> int:
+    TABLE.write_text(json.dumps(build_table(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
