@@ -554,7 +554,7 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](cfg, out, args.seed)
     except (ValueError, ArithmeticError) as exc:
         return _fail_json(str(exc), 1)
-    except (solver.StepUnstable, perturbation.ChartBreakdown) as exc:
+    except solver.GuardTripped as exc:
         return _fail_json(f"{type(exc).__name__} at t = {exc.t:.6g}: {exc}", 1)
 
 

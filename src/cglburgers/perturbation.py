@@ -28,6 +28,7 @@ import numpy as np
 from . import dispersion
 from .model import PlaneWave, SystemParams
 from .solver import (
+    GuardTripped,
     Operators,
     SolverConfig,
     StepUnstable,
@@ -45,12 +46,8 @@ GROWTH_RATE_TOLERANCE = 0.05  # passing relative error of the fitted growth rate
 GROWTH_FIT_CEILING = 1e-4  # growth fits stay below max(this, 4 * initial amplitude)
 
 
-class ChartBreakdown(RuntimeError):
+class ChartBreakdown(GuardTripped):
     """The polar amplitude r0 + rho reached zero during evolution."""
-
-    def __init__(self, message: str, t: float):
-        super().__init__(message)
-        self.t = t
 
 
 class AmplitudeVanishes(ValueError):
@@ -341,7 +338,6 @@ def evolve_polar(
     final state span all n//2 + 1 rfft modes, zero beyond the kept band.
     """
     ws = _PolarWorkspace(state0.grid, params, wave, config)
-    ops = ws.operators()
     snaps = []
 
     def record(hats, t):
@@ -351,7 +347,8 @@ def evolve_polar(
 
     status = "completed"
     try:
-        rows, hats, t = run(state0.hats()[: ws.nk], state0.t, ws.rhs_hats, ops, config, record)
+        hats = state0.hats()[: ws.nk]
+        rows, hats, t = run(hats, state0.t, ws.rhs_hats, ws.operators(), config, record)
     except ChartBreakdown as exc:
         # Only the first evaluation, on the projected initial data, runs at
         # t0; its chart guard refuses the data before any step is taken.

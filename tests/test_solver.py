@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -585,3 +586,40 @@ def test_drift_stays_real_under_2d_evolve_on_every_grid(n, seed, scheme):
     final = evolve(state, params, config=config).final
     for w in final.omega:
         assert w.is_real_valued(tol=1e-13)
+
+
+def test_bdf2_run_frees_its_start_up_operators(monkeypatch):
+    # Only the ETD2 start-up step reads E, phi1 and phi2; a BDF2 run that
+    # kept them held three state-sized arrays to its end.
+    grid = Grid(dim=2, n=16, length=2.0 * np.pi)
+    params = SystemParams.constants(u=0.3, v=0.2, m=1.0, kappa=0.5, s1=0.1)
+    rng = np.random.default_rng(0)
+    state = FieldState(
+        P=band_limited_noise(grid, rng, max_index=3, amplitude=1e-3),
+        omega=tuple(
+            band_limited_noise(grid, rng, max_index=3, amplitude=1e-3, real=True)
+            for _ in range(grid.dim)
+        ),
+    )
+    config = SolverConfig(dt=1e-3, t_end=4e-3, cadence=2, scheme="imex-bdf2")
+    field_system = solver._field_system
+    refs, alive = [], []
+
+    def spied(*args):
+        ops, N = field_system(*args)
+        refs.extend(weakref.ref(op) for op in (ops.E, ops.phi1, ops.phi2))
+
+        def counted(u, t):
+            alive.append(sum(r() is not None for r in refs))
+            return N(u, t)
+
+        return ops, counted
+
+    monkeypatch.setattr(solver, "_field_system", spied)
+    summary = evolve(state, params, config=config)
+    monkeypatch.undo()
+    # Two evaluations in the ETD2 start-up step, then one per BDF2 step.
+    assert alive == [3, 3, 0, 0, 0]
+    want = evolve(state, params, config=config)
+    assert summary.rows == want.rows
+    assert np.array_equal(_spectra(summary.final), _spectra(want.final))
