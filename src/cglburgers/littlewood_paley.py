@@ -24,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import Sequence
+
 import numpy as np
 
 from .solver import FieldState, Forcing, diagonal_operators, etd2_step
@@ -191,7 +193,9 @@ def _block_lp_norms(
         mag = np.abs(blocks)
         del blocks
         return qs, np.sqrt(np.sum(np.square(mag, out=mag), axis=axes))
-    mag = np.abs(ifft_axes(grid, blocks))
+    blocks = ifft_axes(grid, blocks)  # rebound, so that the product is freed
+    mag = np.abs(blocks)
+    del blocks
     if np.isinf(idx.p):
         return qs, np.max(mag, axis=axes)
     means = np.mean(mag**idx.p, axis=axes)
@@ -200,16 +204,30 @@ def _block_lp_norms(
     return qs, np.array(roots).reshape(means.shape)
 
 
-def _ell_r(values: np.ndarray, r: float) -> float:
+def _ell_r(values: np.ndarray, r: float) -> np.ndarray:
+    """ell^r norms over the last axis of ``values``, shaped ``values.shape[:-1]``."""
     if np.isinf(r):
-        return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(values**r) ** (1.0 / r))
+        return np.max(values, axis=-1)
+    sums = np.sum(values**r, axis=-1)
+    # The root per scalar: numpy's vectorized power can differ in the last bit.
+    return np.array([s ** (1.0 / r) for s in sums.flat]).reshape(sums.shape)
 
 
-def besov_norm(f: SpectralField, idx: BesovIndex) -> float:
-    """Discrete Besov norm: ell^r over scales of 2**(q*s) * ||Delta_q f||_p."""
-    qs, norms = _block_lp_norms(f.grid, f.spectral(), idx)
-    return _ell_r(2.0 ** (qs * idx.s) * norms, idx.r)
+def besov_norm(f: SpectralField | Sequence[SpectralField], idx: BesovIndex):
+    """Discrete Besov norm: ell^r over scales of 2**(q*s) * ||Delta_q f||_p.
+
+    ``f`` is one field, or a sequence of fields on one grid; a sequence gets
+    a list with one norm per field, each bitwise the norm of that field
+    alone, from one stacked multiplier product and one inverse transform.
+    """
+    fields = [f] if isinstance(f, SpectralField) else f
+    if len(fields) == 1:
+        spectra = fields[0].spectral()[None]  # a view: np.stack would copy it
+    else:
+        spectra = np.stack([g.spectral() for g in fields])
+    qs, norms = _block_lp_norms(fields[0].grid, spectra, idx)
+    norms = _ell_r(2.0 ** (qs * idx.s) * norms, idx.r)
+    return float(norms[0]) if isinstance(f, SpectralField) else norms.tolist()
 
 
 def bony_split(u: SpectralField, v: SpectralField):
@@ -404,7 +422,7 @@ def space_time_besov_norm(
     qs, per_block = _block_lp_norms(grid, spectra, idx)  # (times, blocks)
     # One time norm per block: a vectorized trapezoid or power moves the last bits.
     time_norms = np.array([_time_norm(series, times, rho) for series in per_block.T])
-    return _ell_r(2.0 ** (qs * sigma) * time_norms, r)
+    return float(_ell_r(2.0 ** (qs * sigma) * time_norms, r))
 
 
 @dataclass
@@ -466,15 +484,18 @@ def check_smoothing_estimate(
     )
 
 
-def smallness_monitor(state: FieldState, p: float) -> float:
+def smallness_monitor(state: FieldState | Sequence[FieldState], p: float):
     """Critical-space smoothness monitor of (P, Omega).
 
     Sum of the homogeneous Besov norms with regularity N/p - 1 and
-    summation exponent 1 over the amplitude and drift components.
+    summation exponent 1 over the amplitude and drift components.  A
+    sequence of states on one grid gets a list with one value per state,
+    each bitwise the value of that state alone, from one :func:`besov_norm`
+    call per component over all of them.
     """
-    n_dim = state.grid.dim
-    idx = BesovIndex(s=n_dim / p - 1.0, p=p, r=1.0, homogeneous=True)
-    total = besov_norm(state.P, idx)
-    for w in state.omega:
-        total += besov_norm(w, idx)
-    return float(total)
+    states = [state] if isinstance(state, FieldState) else state
+    idx = BesovIndex(s=states[0].grid.dim / p - 1.0, p=p, r=1.0, homogeneous=True)
+    total = np.array(besov_norm([s.P for s in states], idx))
+    for a in range(states[0].grid.dim):
+        total += besov_norm([s.omega[a] for s in states], idx)
+    return float(total[0]) if isinstance(state, FieldState) else total.tolist()

@@ -402,12 +402,25 @@ def remainder(
     chart, StepUnstable where it holds a NaN or exceeds the default blow-up
     threshold, and ValueError unless xi = 1.
     """
-    ws = _PolarWorkspace(state.grid, params, wave, SolverConfig())
-    hats = state.hats()[: ws.nk]
+    return _remainder_on(state.grid, params, wave)(state)
+
+
+def _remainder_on(grid: Grid, params: SystemParams, wave: PlaneWave):
+    """:func:`remainder` as a function of states on ``grid``.
+
+    The polar workspace and the closed-form pencil are built once, here, and
+    serve every call.
+    """
+    ws = _PolarWorkspace(grid, params, wave, SolverConfig())
     closed = dispersion.build_matrices(params, wave, "kappa_gradient")
-    linear = np.einsum("mij,mj->mi", dispersion.pencil(closed, ws.k[:, None, None]), hats)
-    psi = ws.tendency_hats(hats, state.t) - linear
-    return RemainderBundle(*irfft_axes(state.grid, ws.padded(psi).T))
+    pencil = dispersion.pencil(closed, ws.k[:, None, None])
+
+    def psi_of(state: PerturbationState) -> RemainderBundle:
+        hats = state.hats()[: ws.nk]
+        psi = ws.tendency_hats(hats, state.t) - np.einsum("mij,mj->mi", pencil, hats)
+        return RemainderBundle(*irfft_axes(grid, ws.padded(psi).T))
+
+    return psi_of
 
 
 @dataclass
@@ -455,12 +468,13 @@ def quadratic_order_check(
         phi=pi_dir.phi / scale,
         h=pi_dir.h / scale,
     )
+    psi_of = _remainder_on(base.grid, params, wave)
     norms = []
     for e in eps:
         state = PerturbationState(
             grid=base.grid, rho=e * base.rho, phi=e * base.phi, h=e * base.h
         )
-        norms.append(remainder(state, params, wave).joint_l2())
+        norms.append(psi_of(state).joint_l2())
     norms = np.array(norms)
     quad = norms / eps**2
     lin = norms / eps

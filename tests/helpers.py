@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from cglburgers.littlewood_paley import smallness_monitor
 from cglburgers.model import PlaneWave, SystemParams
 
 
@@ -94,3 +95,22 @@ def burgers_single_hump(x, t, m, a=0.5, k1=1.0):
     """
     decay = a * np.exp(-m * k1**2 * t)
     return 2.0 * m * k1 * decay * np.sin(k1 * x) / (1.0 + decay * np.cos(k1 * x))
+
+
+def diagnostics_row(state, weight, besov_p):
+    """One diagnostics row of ``evolve``, computed from one state alone.
+
+    ``weight`` holds the H^s weights (1 + |k|^2)^s.  ``evolve`` computes its
+    rows a batch of states at a time; this is the per-state reference.
+    """
+    Ph, Ohs = state.P.spectral(), [w.spectral() for w in state.omega]
+    l2o = float(np.sqrt(sum(np.sum(np.abs(oh) ** 2) for oh in Ohs)))
+    hso = float(np.sqrt(sum(np.sum(weight * np.abs(oh) ** 2) for oh in Ohs)))
+    return {
+        "t": state.t,
+        "L2_P": float(np.sqrt(np.sum(np.abs(Ph) ** 2))),
+        "L2_Omega": l2o,
+        "Hs_P": float(np.sqrt(np.sum(weight * np.abs(Ph) ** 2))),
+        "Hs_Omega": hso,
+        "besov_proxy": smallness_monitor(state, besov_p),
+    }

@@ -183,6 +183,31 @@ def test_smallness_monitor_matches_per_block_reference(dim, seed, amplitude, p):
 
 @pytest.mark.parametrize("dim", [1, 2])
 @settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 5),
+    p=st.sampled_from(EXPONENTS),
+    homogeneous=st.booleans(),
+)
+def test_sequence_forms_match_the_single_calls_bitwise(dim, seed, count, p, homogeneous):
+    # One value per item, each the single call's to the last bit, also at
+    # p = 2 and for a sequence of one.
+    grid = GRIDS[dim]
+    rng = np.random.default_rng(seed)
+    amplitudes = 10.0 ** rng.uniform(-6, 3, size=count)
+    fields = [_field(grid, seed + i, a, real=bool(i % 2)) for i, a in enumerate(amplitudes)]
+    for r in (1.0, 2.0, np.inf):
+        idx = BesovIndex(s=dim / p - 1.0, p=p, r=r, homogeneous=homogeneous)
+        assert besov_norm(fields, idx) == [besov_norm(f, idx) for f in fields]
+    states = [
+        FieldState(P=f, omega=tuple(_field(grid, seed + i + a, 1.0, real=True) for a in range(dim)))
+        for i, f in enumerate(fields)
+    ]
+    assert smallness_monitor(states, p) == [smallness_monitor(s, p) for s in states]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(1e-6, 1e3))
 def test_bony_split_matches_per_block_reference_bitwise(dim, seed, amplitude):
     grid = GRIDS[dim]

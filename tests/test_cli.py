@@ -113,6 +113,25 @@ def test_simulate_refuses_a_cutoff_that_is_not_positive(tmp_path, capsys):
     assert not (out / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("besov_p", ["0", "0.5", "-1", "nan"])
+def test_simulate_refuses_a_besov_exponent_below_one(tmp_path, capsys, besov_p):
+    # besov_p = 0 used to stop at the first diagnostics row with "float
+    # division by zero", and 0.5, -1 and nan with an error naming no setting.
+    path = write(
+        tmp_path,
+        "besov.ini",
+        f"[grid]\nn = 32\n\n[solver]\ndt = 0.01\nt_end = 0.05\nbesov_p = {besov_p}\n",
+    )
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", path, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": f"besov_p must lie in [1, inf], not {float(besov_p)!r}", "exit_code": 1
+    }
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_simulate_refuses_a_wave_in_two_dimensions(tmp_path, capsys):
     # Such a run used to evolve zeros and exit 0.
     path = write(

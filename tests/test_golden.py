@@ -1,9 +1,10 @@
 """The artifacts, stderr and exit code of every ``cglb`` command, to the byte.
 
 The digest table ``golden_digests.json`` is written by
-``tools/golden_digests.py``; this test reruns the seed-0 entries.  The
-digests hold for the build the table records (numpy and scipy versions, their
-BLAS, numpy's CPU features); on any other the test fails naming what differs.
+``tools/golden_digests.py``; this test reruns the seed-0 entries and the
+runs that fail on purpose.  The digests hold for the build the table records
+(numpy and scipy versions, their BLAS, numpy's CPU features); on any other
+the test fails naming what differs.
 """
 
 import importlib.util
@@ -33,10 +34,20 @@ def test_seed_zero_matches_the_golden_digests(table, command):
     assert golden.run_digests(command, 0) == table["runs"][golden.key(command, 0)]
 
 
+@pytest.mark.parametrize("name", sorted(golden.FAILING))
+def test_the_failing_runs_match_the_golden_digests(table, name):
+    assert golden.failing_digests(name) == table["runs"][name]
+
+
 def test_the_table_covers_every_command_and_seed(table):
     expected = {golden.key(c, s) for c in golden.RUNS for s in golden.SEEDS}
-    assert set(table["runs"]) == expected
+    assert set(table["runs"]) == expected | set(golden.FAILING)
     assert set(golden.RUNS) == set(COMMANDS)
+    # The failing runs fail: exit 1, no artifact, an error on stderr.
+    for name in golden.FAILING:
+        assert table["runs"][name]["exit_code"] == 1
+        assert table["runs"][name]["artifacts"] == {}
+        assert table["runs"][name]["stderr"] != golden._sha256(b"")
 
 
 def test_a_table_from_another_build_is_refused_by_name():

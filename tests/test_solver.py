@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cglburgers import solver
 from cglburgers.model import SystemParams
@@ -17,10 +17,10 @@ from cglburgers.solver import (
     rhs_nonlinear,
     step,
 )
-from cglburgers.littlewood_paley import heat_solution_series
+from cglburgers.littlewood_paley import heat_solution_series, partition_for
 from cglburgers.spectral import Grid, SpectralField, band_limited_noise
 
-from helpers import burgers_single_hump
+from helpers import burgers_single_hump, diagnostics_row
 
 
 @pytest.fixture
@@ -404,6 +404,19 @@ def test_solver_config_refuses_a_cutoff_that_is_not_positive(k_cutoff):
         SolverConfig(dt=1e-3, k_cutoff=k_cutoff)
 
 
+@pytest.mark.parametrize("besov_p", [0.0, 0.5, -1.0, float("nan"), float("-inf")])
+def test_solver_config_refuses_a_besov_exponent_below_one(besov_p):
+    # evolve used to take the exponent and fail at its first diagnostics
+    # row: ZeroDivisionError for 0, an error naming no setting otherwise.
+    with pytest.raises(ValueError, match=r"besov_p must lie in \[1, inf\]"):
+        SolverConfig(dt=1e-3, besov_p=besov_p)
+
+
+@pytest.mark.parametrize("besov_p", [1.0, 3.0, float("inf")])
+def test_solver_config_takes_a_besov_exponent_from_one_to_inf(besov_p):
+    assert SolverConfig(dt=1e-3, besov_p=besov_p).besov_p == besov_p
+
+
 def test_blowup_keeps_the_rows_recorded_before_it(grid):
     params = SystemParams.constants(m=-1.0, xi=1.0)
     rng = np.random.default_rng(6)
@@ -480,7 +493,7 @@ def _projected_evolve(state0, params, config):
 
     def row(u, t):
         state = solver._unstack(grid, u, t)
-        return solver._diagnostics_row(state, weight, config.besov_p)
+        return diagnostics_row(state, weight, config.besov_p)
 
     u, t = solver._stack(state0), state0.t
     rows = [row(u, t)]
@@ -492,6 +505,97 @@ def _projected_evolve(state0, params, config):
 
 def _spectra(state):
     return np.stack([state.P.spectral(), *(w.spectral() for w in state.omega)])
+
+
+def _per_state_evolve(state0, params, config, forcing):
+    """Rows and final state of :func:`evolve`, every row computed from its state alone.
+
+    A StepUnstable comes back in place of the final state.
+    """
+    grid = state0.grid
+    ops, N = solver._field_system(grid, params, forcing, config)
+    weight = (1.0 + grid.k_squared) ** config.hs_exponent
+    row = lambda u, t: diagnostics_row(solver._unstack(grid, u, t), weight, config.besov_p)
+    try:
+        rows, u, t = solver.run(solver._stack(state0), state0.t, N, ops, config, row)
+    except StepUnstable as exc:
+        return exc.rows, exc
+    return rows, solver._unstack(grid, u, t)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(SCHEMES),
+    besov_p=st.sampled_from([1.0, 2.0, 3.0, np.inf]),
+    batch=st.integers(1, 5),
+    steps=st.integers(1, 24),
+    cadence=st.integers(1, 3),
+    nan_at=st.one_of(st.none(), st.integers(0, 24)),
+)
+# Seven rows in batches of three: the last batch holds one.
+@example(seed=0, scheme="exponential-rk2", besov_p=3.0, batch=3, steps=6, cadence=1, nan_at=None)
+# A NaN source from t = 4 dt on: the fifth step makes the state NaN and the
+# sixth trips the guard, with rows 0-5 recorded and rows 4 and 5 in an
+# unfinished batch.
+@example(seed=1, scheme="imex-bdf2", besov_p=1.0, batch=4, steps=12, cadence=1, nan_at=4)
+def test_batched_rows_match_the_per_state_rows(
+    dim, n, seed, scheme, besov_p, batch, steps, cadence, nan_at
+):
+    grid = Grid(dim=dim, n=n, length=5.0)
+    params = SystemParams.constants(u=0.3, v=-0.7, xi=1.2, m=0.8, kappa=0.6, s1=0.4, s2=-0.9)
+    rng = np.random.default_rng(seed)
+    state = FieldState(
+        P=band_limited_noise(grid, rng, max_index=n // 4, amplitude=0.05),
+        omega=tuple(
+            band_limited_noise(grid, rng, max_index=n // 4, amplitude=0.05, real=True)
+            for _ in range(dim)
+        ),
+    )
+    dt = 1e-3
+    config = SolverConfig(
+        dt=dt, t_end=steps * dt, scheme=scheme, cadence=cadence, besov_p=besov_p
+    )
+    # A source that turns NaN from step nan_at on trips the blow-up guard
+    # one evaluation later, wherever that falls in a batch.
+    nan_from = None if nan_at is None else (nan_at - 0.5) * dt
+    source = lambda t: np.full(grid.shape, np.nan if nan_from is not None and t > nan_from else 0.0)
+    forcing = Forcing(f1=source)
+    blocks = len(partition_for(grid).homogeneous_blocks[0])
+    want_rows, want = _per_state_evolve(state, params, config, forcing)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "ROW_BATCH_BYTES", batch * blocks * grid.size * 16)
+        assert solver._DiagnosticsRows(grid, config).size == batch
+        # assert_equal: exact, with a NaN equal to a NaN in the same place.
+        if isinstance(want, StepUnstable):
+            with pytest.raises(StepUnstable) as excinfo:
+                evolve(state, params, forcing=forcing, config=config)
+            assert str(excinfo.value) == str(want) and excinfo.value.t == want.t
+            np.testing.assert_equal(excinfo.value.rows, want_rows)
+        else:
+            summary = evolve(state, params, forcing=forcing, config=config)
+            np.testing.assert_equal(summary.rows, want_rows)
+            np.testing.assert_equal(_spectra(summary.final), _spectra(want))
+            assert summary.final.t == want.t
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])
+def test_evolve_reaches_the_benchmark_entry_points(monkeypatch, dim, n):
+    # The benchmark's coverage check wraps these two functions by name and
+    # refuses a field workload that never calls them.
+    from cglburgers import littlewood_paley
+
+    calls = {"smallness_monitor": 0, "besov_norm": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(littlewood_paley, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(littlewood_paley, name, counted)
+    grid = Grid(dim=dim, n=n)
+    evolve(FieldState.zeros(grid), SystemParams.constants(), config=SolverConfig(t_end=4e-3))
+    assert calls["smallness_monitor"] >= 1 and calls["besov_norm"] >= 1
 
 
 @pytest.mark.parametrize("dim, n", [(1, 64), (2, 32)])

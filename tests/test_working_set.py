@@ -16,7 +16,7 @@ import pytest
 from cglburgers import solver
 from cglburgers.littlewood_paley import DyadicPartition, chi_profile, phi_profile
 from cglburgers.model import SystemParams
-from cglburgers.solver import FieldState, Forcing
+from cglburgers.solver import SCHEMES, FieldState, Forcing, SolverConfig
 from cglburgers.spectral import Grid, band_limited_noise
 
 MiB = 2.0**20
@@ -27,6 +27,11 @@ FIELD_GRID = Grid(dim=2, n=128)
 # right-hand side that starts with P and grad P read 8.25 and 3.90 MiB.
 PARTITION_PEAK_MIB = 3.0
 RHS_PEAK_MIB = 3.0
+# A 1D n = 256 trajectory with a row every 2 steps, as the field-1d
+# benchmark runs it: 0.23-0.24 MiB with one row at a time, 0.49-0.50 MiB in
+# batches of 3 (ROW_BATCH_BYTES = 128 KiB); batches of 7 and 14 read 0.78
+# and 1.43 MiB.
+TRAJECTORY_1D_PEAK_MIB = 1.0
 
 
 def _traced_peak(fn):
@@ -91,3 +96,19 @@ def test_nonlinear_hats_peak_above_live_is_bounded():
     got, peak = _traced_peak(lambda: solver._nonlinear_hats(grid, consts, u, 0.0, forcing))
     assert np.array_equal(got[0], want[0])
     assert peak <= RHS_PEAK_MIB
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batched_rows_keep_a_1d_trajectory_under_one_mib(scheme):
+    grid = Grid(dim=1, n=256)
+    params = SystemParams.constants(u=0.3, v=0.2, xi=0.0, m=1.0, kappa=0.5, s1=0.1)
+    rng = np.random.default_rng(0)
+    state = FieldState(
+        P=band_limited_noise(grid, rng, max_index=8, amplitude=2e-3),
+        omega=(band_limited_noise(grid, rng, max_index=8, amplitude=2e-3, real=True),),
+    )
+    config = SolverConfig(dt=5e-3, t_end=2.0, cadence=2, besov_p=1.0, scheme=scheme)
+    want = solver.evolve(state, params, config=config)  # builds the cached layout and partition
+    got, peak = _traced_peak(lambda: solver.evolve(state, params, config=config))
+    assert got.rows == want.rows
+    assert peak <= TRAJECTORY_1D_PEAK_MIB

@@ -3,7 +3,9 @@
 Each command runs in its own process, from the ``src`` tree beside this
 script, on its sample config in ``configs/``.  For every (command, seed) the
 table records the digest of each artifact, the digest of stderr and the exit
-code.  The digests hold for one numpy and scipy build on one kind of CPU:
+code.  ``FAILING`` adds runs on edited sample configs that are refused on
+purpose, so that an error path (exit code and JSON error line) is pinned
+too.  The digests hold for one numpy and scipy build on one kind of CPU:
 numpy picks its exp/sin kernels by the CPU features it finds, and
 ``eig``/``eigvals``/``expm`` round as their BLAS does.  So the table records
 the numpy and scipy versions, the BLAS each links and the CPU features numpy
@@ -21,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -38,6 +41,14 @@ RUNS = {
     "instability": "instability_negative_m.ini",
     "besov-check": "besov_suite.ini",
     "quadratic-check": "decay_reference.ini",
+}
+# Runs that fail on purpose, to pin an error path: table key -> (command,
+# sample config, the "key = value" line that replaces the config's line for
+# that key).  Each is refused before it computes anything, so seed 0 alone.
+FAILING = {
+    "simulate --config configs/smallness_run.ini with besov_p = 0 --seed 0": (
+        "simulate", "smallness_run.ini", "besov_p = 0",
+    ),
 }
 
 
@@ -64,18 +75,34 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_digests(command: str, seed: int) -> dict:
-    """Exit code and digests of stderr and of every artifact of one run."""
+def _edited_config(config: str, line: str) -> str:
+    """The text of a sample config with the line of ``line``'s key replaced by ``line``."""
+    text = (ROOT / "configs" / config).read_text()
+    name = line.split("=")[0].strip()
+    text, count = re.subn(rf"(?m)^{re.escape(name)}\s*=.*$", line, text)
+    if count != 1:
+        raise ValueError(f"{config} has {count} lines for {name!r}, not one")
+    return text
+
+
+def run_digests(command: str, seed: int, config_text: str | None = None) -> dict:
+    """Exit code and digests of stderr and of every artifact of one run.
+
+    The run reads the command's sample config, or ``config_text`` if given.
+    """
     # Environment overrides (CGLB_<SECTION>__<KEY>) would change the config,
     # and PYTHON* variables (PYTHONWARNINGS, PYTHONHASHSEED, ...) the output.
     env = {k: v for k, v in os.environ.items() if not k.startswith(("CGLB_", "PYTHON"))}
     env["PYTHONPATH"] = str(ROOT / "src")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
+        config = ROOT / "configs" / RUNS[command]
+        if config_text is not None:
+            config = Path(tmp) / "config.ini"
+            config.write_text(config_text)
         proc = subprocess.run(
             [sys.executable, "-m", "cglburgers.cli", command,
-             "--config", str(ROOT / "configs" / RUNS[command]),
-             "--out", str(out), "--seed", str(seed)],
+             "--config", str(config), "--out", str(out), "--seed", str(seed)],
             cwd=tmp, env=env, capture_output=True, check=False,
         )
         artifacts = {
@@ -88,8 +115,15 @@ def key(command: str, seed: int) -> str:
     return f"{command} --config configs/{RUNS[command]} --seed {seed}"
 
 
+def failing_digests(name: str) -> dict:
+    """:func:`run_digests` of the run that ``FAILING[name]`` describes."""
+    command, config, line = FAILING[name]
+    return run_digests(command, 0, _edited_config(config, line))
+
+
 def build_table() -> dict:
     runs = {key(c, s): run_digests(c, s) for s in SEEDS for c in RUNS}
+    runs.update({name: failing_digests(name) for name in FAILING})
     return {"versions": versions(), "runs": runs}
 
 
