@@ -8,7 +8,7 @@ from .model import (
     eval_coeff,
     solve_plane_wave,
 )
-from .spectral import Grid, SpectralField, dealias, derivative, lp_norm, sobolev_norm
+from .spectral import Grid, SpectralField, lp_norm
 from .solver import (
     FieldState,
     Forcing,
@@ -42,7 +42,6 @@ from .dispersion import (
     stability_conditions,
 )
 from .perturbation import (
-    AmplitudeVanishes,
     ChartBreakdown,
     PerturbationState,
     RemainderBundle,
@@ -50,7 +49,6 @@ from .perturbation import (
     decay_experiment,
     evolve_polar,
     instability_experiment,
-    polar_decompose,
     quadratic_order_check,
     remainder,
 )

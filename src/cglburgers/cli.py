@@ -1,10 +1,10 @@
 """Command-line driver: config parsing, experiments, deterministic artifacts.
 
 Configuration is a flat INI file (sections of key=value pairs); unknown
-sections or keys are rejected.  Every value can be overridden through
-environment variables named ``CGLB_<SECTION>__<KEY>``.  All CSV and JSON
-artifacts are byte-stable for a fixed (config, seed) pair: floats are
-written with 17 significant digits and JSON keys are sorted.
+sections or keys are rejected, and the file is the whole configuration.
+All CSV and JSON artifacts are byte-stable for a fixed (config, seed)
+pair: floats are written with 17 significant digits and JSON keys are
+sorted.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import argparse
 import configparser
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,8 +27,6 @@ from .model import (
     solve_plane_wave,
 )
 from .spectral import Grid, band_limited_noise
-
-ENV_PREFIX = "CGLB_"
 
 _TWO_PI = 2.0 * np.pi
 
@@ -132,8 +129,8 @@ def _convert(tag: str, raw: str):
     raise ConfigError(f"unknown schema tag {tag}")
 
 
-def load_config(path: str | None, environ: dict | None = None) -> dict:
-    """Parse and validate a config file plus environment overrides."""
+def load_config(path: str | None) -> dict:
+    """Parse and validate a config file; ``None`` gives the defaults."""
     cfg = {sec: {k: default for k, (_, default) in keys.items()} for sec, keys in SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser()
@@ -148,18 +145,6 @@ def load_config(path: str | None, environ: dict | None = None) -> dict:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 tag = SCHEMA[section][key][0]
                 cfg[section][key] = _convert(tag, raw)
-    environ = os.environ if environ is None else environ
-    for name, raw in sorted(environ.items()):
-        if not name.startswith(ENV_PREFIX):
-            continue
-        body = name[len(ENV_PREFIX):]
-        if "__" not in body:
-            raise ConfigError(f"malformed override {name}; use {ENV_PREFIX}SECTION__KEY")
-        section, key = body.split("__", 1)
-        section, key = section.lower(), key.lower()
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ConfigError(f"override {name} does not match any config key")
-        cfg[section][key] = _convert(SCHEMA[section][key][0], raw)
     return cfg
 
 
@@ -436,6 +421,11 @@ def cmd_instability(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
     b = cfg["besov"]
+    # Without a case or a scale the check would pass having checked nothing.
+    if b["cases"] < 1:
+        raise ValueError(f"cases must be at least 1, not {b['cases']}")
+    if not b["q_list"]:
+        raise ValueError("q_list must hold at least one scale")
     grid = Grid(dim=1, n=b["n"], length=_TWO_PI)
     rng = np.random.default_rng(seed)
     part = lp.partition_for(grid)
@@ -464,7 +454,7 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
         idx = lp.BesovIndex(s=0.0, p=2.0, r=1.0, rho=1.0, homogeneous=True)
         rep = lp.check_smoothing_estimate(f0, None, b["mu"], b["u_disp"], idx, rho1=1.0)
         ratios.append(rep.ratio)
-    max_ratio = max(ratios) if ratios else 0.0
+    max_ratio = max(ratios)
 
     passed = (
         dev_nh <= 1e-12
@@ -497,6 +487,8 @@ def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
     wave = wave_from_config(cfg, params)
     grid = grid_from_config(cfg)
     exp = cfg["experiment"]
+    if exp["directions"] < 1:
+        raise ValueError(f"directions must be at least 1, not {exp['directions']}")
     rng = np.random.default_rng(seed)
     n = grid.n
     reports = []

@@ -130,12 +130,6 @@ class DyadicPartition:
         """Block indices q >= 0; q = -1 is the low-pass block."""
         return range(0, self.q_max + 1)
 
-    def low_pass(self, q: int) -> np.ndarray:
-        """Multiplier of S_q = sum_{p <= q-1} Delta_p (nonhomogeneous)."""
-        if q < 0:
-            return np.zeros(self.grid.shape)
-        return chi_profile(self.grid.k_magnitude / 2.0**q)
-
     def partition_deviation(self) -> tuple[float, float]:
         """Max pointwise deviation from 1 of both partitions of unity."""
         total_nh = self.nonhomogeneous_blocks[1].sum(axis=0)

@@ -50,10 +50,6 @@ class ChartBreakdown(GuardTripped):
     """The polar amplitude r0 + rho reached zero during evolution."""
 
 
-class AmplitudeVanishes(ValueError):
-    """|P| is not bounded away from zero; the polar chart does not apply."""
-
-
 def _require_1d(grid: Grid) -> None:
     if grid.dim != 1:
         raise ValueError("polar perturbations are one-dimensional")
@@ -136,29 +132,6 @@ def compose_polar(
         SpectralField.from_physical(grid, P),
         SpectralField.from_physical(grid, omega),
     )
-
-
-def polar_decompose(P: SpectralField, wave: PlaneWave):
-    """Split a complex field into (rho, phi) relative to the carrier wave.
-
-    The phase is unwrapped along x and the gauge is fixed by shifting the
-    mean of phi into [-pi, pi).  Requires min|P| > 0.1*r0.
-    """
-    grid = P.grid
-    if grid.dim != 1:
-        raise ValueError("polar decomposition is one-dimensional")
-    values = P.physical()
-    amplitude = np.abs(values)
-    if float(np.min(amplitude)) <= 0.1 * wave.r0:
-        raise AmplitudeVanishes(
-            "min |P| <= 0.1*r0; the polar chart has broken down"
-        )
-    rho = amplitude - wave.r0
-    x = grid.axis_coordinates()
-    theta = np.unwrap(np.angle(values))
-    phi = theta - wave.theta0 * x
-    phi = phi - 2.0 * np.pi * np.floor((np.mean(phi) + np.pi) / (2.0 * np.pi))
-    return rho, phi
 
 
 def true_linearization(
@@ -458,6 +431,8 @@ def quadratic_order_check(
     leakage.
     """
     eps = np.asarray(list(eps_list), dtype=float)
+    if eps.size < 2:  # one scale has spread 0 and would always pass
+        raise ValueError(f"eps_list must hold at least two scales, not {eps.size}")
     scale = pi_dir.joint_l2()
     if scale == 0.0:
         zeros = np.zeros_like(eps)
@@ -554,18 +529,6 @@ def decay_experiment(
     norm0 = norms[0]
     alpha_ref = -0.5 * (1.5 + s)
     gap = resolved_spectral_gap(params, wave, grid, config.k_cutoff)
-    if norm0 == 0.0:
-        return DecayReport(
-            sigma_fit=0.0,
-            spectral_gap=gap,
-            rel_err=np.inf,
-            alpha_fit=0.0,
-            alpha_reference=alpha_ref,
-            passed=False,
-            degenerate=True,
-            times=times,
-            norms=norms,
-        )
     lo, hi = DECAY_FIT_WINDOW
     mask = (norms >= lo * norm0) & (norms <= hi * norm0) & (norms > 0)
     degenerate = int(np.sum(mask)) < 3

@@ -111,6 +111,11 @@ class SolverConfig:
     besov_p: float = 2.0
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "hs_exponent"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
+        if np.isnan(self.blowup_threshold):  # inf switches the blow-up guard off
+            raise ValueError("blowup_threshold must be a number, not nan")
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.scheme not in SCHEMES:

@@ -1,4 +1,4 @@
-"""Periodic grids, Fourier transforms, spectral differentiation and norms.
+"""Periodic grids, Fourier transforms, fields and L^p norms.
 
 Conventions used throughout the package:
 
@@ -44,8 +44,8 @@ class Grid:
             raise ValueError("grid dimension must be 1 or 2")
         if self.n < 8 or not _is_power_of_two(self.n):
             raise ValueError("grid resolution must be a power of two >= 8")
-        if self.length <= 0:
-            raise ValueError("domain period must be positive")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"grid length must be positive and finite, not {self.length!r}")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -194,35 +194,14 @@ class SpectralField:
             return self.data
         return ifft_axes(self.grid, self.data)
 
-    def as_spectral(self) -> "SpectralField":
-        return SpectralField.from_spectral(self.grid, self.spectral())
-
     def as_physical(self) -> "SpectralField":
         return SpectralField.from_physical(self.grid, self.physical())
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(grid=self.grid, data=self.data.copy(), space=self.space)
 
     def is_real_valued(self, tol: float = 1e-10) -> bool:
         """True when the physical field is real (conjugate-symmetric spectrum)."""
         phys = self.physical()
         scale = max(float(np.max(np.abs(phys))), 1e-300)
         return float(np.max(np.abs(phys.imag))) <= tol * scale
-
-
-def derivative(f: SpectralField, axis: int = 0, order: int = 1) -> SpectralField:
-    """Spectral derivative: multiply coefficients by (i*k_axis)**order."""
-    if not 0 <= axis < f.grid.dim:
-        raise ValueError(f"axis {axis} out of range for dim {f.grid.dim}")
-    k = f.grid.wavenumbers()[axis]
-    fhat = f.spectral() * (1j * k) ** order
-    return SpectralField.from_spectral(f.grid, fhat)
-
-
-def dealias(f: SpectralField) -> SpectralField:
-    """Zero all modes above 2/3 of the Nyquist wavenumber, per axis."""
-    fhat = f.spectral() * f.grid.dealias_mask()
-    return SpectralField.from_spectral(f.grid, fhat)
 
 
 def lp_norm(f: SpectralField, p: float = 2.0) -> float:
@@ -233,15 +212,6 @@ def lp_norm(f: SpectralField, p: float = 2.0) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     return float(np.mean(mag**p) ** (1.0 / p))
-
-
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """H^s norm: sqrt(sum_k (1+|k|^2)^s |fhat(k)|^2)."""
-    if s < 0:
-        raise ValueError("Sobolev exponent s must be nonnegative")
-    fhat = f.spectral()
-    weight = (1.0 + f.grid.k_squared) ** s
-    return float(np.sqrt(np.sum(weight * np.abs(fhat) ** 2)))
 
 
 def band_limited_noise(

@@ -114,3 +114,31 @@ def diagnostics_row(state, weight, besov_p):
         "Hs_Omega": hso,
         "besov_proxy": smallness_monitor(state, besov_p),
     }
+
+
+class AmplitudeVanishes(ValueError):
+    """|P| is not bounded away from zero; the polar chart does not apply."""
+
+
+def polar_decompose(P, wave: PlaneWave):
+    """Split a 1D complex field into (rho, phi) relative to the carrier wave.
+
+    The reference that maps a full-field P back to the polar chart.  The
+    phase is unwrapped along x and the gauge is fixed by shifting the mean
+    of phi into [-pi, pi).  Requires min|P| > 0.1*r0.
+    """
+    grid = P.grid
+    if grid.dim != 1:
+        raise ValueError("polar decomposition is one-dimensional")
+    values = P.physical()
+    amplitude = np.abs(values)
+    if float(np.min(amplitude)) <= 0.1 * wave.r0:
+        raise AmplitudeVanishes(
+            "min |P| <= 0.1*r0; the polar chart has broken down"
+        )
+    rho = amplitude - wave.r0
+    x = grid.axis_coordinates()
+    theta = np.unwrap(np.angle(values))
+    phi = theta - wave.theta0 * x
+    phi = phi - 2.0 * np.pi * np.floor((np.mean(phi) + np.pi) / (2.0 * np.pi))
+    return rho, phi

@@ -1,0 +1,71 @@
+"""Every function, method and class of the package has a caller in it, or a reason.
+
+The test collects what ``src/cglburgers`` defines (not ``__init__.py``, not
+dunders) and the names its code uses: the NAME tokens of every module but
+``__init__.py``, so a comment or a docstring that mentions a name does not
+count as a caller, and neither does a re-export.  A definition whose name
+occurs nowhere else is reached only from outside the package.  Such a name
+must be on ``ALLOWED`` with the check that needs it; anything else that
+only its own tests call is deleted, or its reference moves to
+``tests/helpers.py``.
+"""
+
+import ast
+import io
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cglburgers"
+
+ALLOWED = {
+    "lp_norm": "criterion 8 sums the L^2 norms of the dyadic blocks against lp_norm(f)",
+    "dyadic_block": "criterion 8 takes the homogeneous blocks one by one",
+    "homogeneous_range": "criterion 8 ranges over the homogeneous blocks",
+    "nonhomogeneous_range": "the per-block references of tests/test_besov_blocks.py",
+    "stability_conditions": "criterion 4 checks the conditions against the closed-form real parts",
+    "closed_form_real_parts": "criterion 4 compares them with the stability conditions",
+    "compare_closed_form": "criterion 3 compares the closed forms with the eigenvalue oracle",
+    "closed_form_lambda_coupled": "tests/test_dispersion.py checks the coupled closed form "
+    "against the eigenvalue oracle",
+    "rhs_nonlinear": "the RHS seam: tests/test_rhs.py and tests/test_solver.py compare it "
+    "with independent right-hand sides",
+    "step": "the one-step seam: tests/test_solver.py compares it with evolve",
+    "remainder": "the remainder seam: tests/test_polar_rhs.py and tests/test_perturbation.py "
+    "compare it with the reference remainders",
+    "constants": "bench/workloads.py and the tests build constant-coefficient parameters with it",
+    "coordinates": "tests/test_manufactured.py evaluates the exact solutions on the grid",
+    "is_real_valued": "tests/test_spectral.py and tests/test_solver.py check that fields are real",
+    "drift_residual": "tests/test_model.py checks the drift compatibility of plane waves",
+}
+
+
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _definitions() -> Counter:
+    defined = Counter()
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined[node.name] += 1
+    return defined
+
+
+def _name_tokens() -> Counter:
+    used = Counter()
+    for path in _modules():
+        tokens = tokenize.generate_tokens(io.StringIO(path.read_text()).readline)
+        used.update(tok.string for tok in tokens if tok.type == tokenize.NAME)
+    return used
+
+
+def test_every_name_without_a_caller_in_the_package_is_argued_for():
+    defined, used = _definitions(), _name_tokens()
+    uncalled = {name for name, count in defined.items() if used[name] <= count}
+    unargued = sorted(uncalled - ALLOWED.keys())
+    assert not unargued, f"no caller in src/ and not on ALLOWED: {unargued}"
+    called = sorted(ALLOWED.keys() - uncalled)
+    assert not called, f"on ALLOWED but called in src/: {called}"

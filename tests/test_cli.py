@@ -15,7 +15,7 @@ def write(tmp_path, name, text):
 
 
 def test_load_config_defaults():
-    cfg = load_config(None, environ={})
+    cfg = load_config(None)
     assert cfg["model"]["m"] == 1.0
     assert cfg["grid"]["n"] == 256
     assert cfg["solver"]["scheme"] == "exponential-rk2"
@@ -24,25 +24,13 @@ def test_load_config_defaults():
 def test_load_config_rejects_unknown_key(tmp_path):
     path = write(tmp_path, "bad.ini", "[model]\nbogus = 1\n")
     with pytest.raises(ConfigError):
-        load_config(path, environ={})
+        load_config(path)
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
     path = write(tmp_path, "bad.ini", "[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
-        load_config(path, environ={})
-
-
-def test_env_override(tmp_path):
-    path = write(tmp_path, "ok.ini", "[model]\nm = 2.0\n")
-    cfg = load_config(path, environ={"CGLB_MODEL__M": "-1.5", "CGLB_GRID__N": "64"})
-    assert cfg["model"]["m"] == -1.5
-    assert cfg["grid"]["n"] == 64
-
-
-def test_env_override_rejects_unknown():
-    with pytest.raises(ConfigError):
-        load_config(None, environ={"CGLB_MODEL__NOPE": "1"})
+        load_config(path)
 
 
 def test_missing_config_file_exit_code(tmp_path):
@@ -129,6 +117,41 @@ def test_simulate_refuses_a_besov_exponent_below_one(tmp_path, capsys, besov_p):
     assert error == {
         "error": f"besov_p must lie in [1, inf], not {float(besov_p)!r}", "exit_code": 1
     }
+    assert not (out / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("solver", "dt", "nan", "dt"),
+        ("solver", "dt", "inf", "dt"),
+        ("solver", "t_end", "inf", "t_end"),
+        ("solver", "t_end", "nan", "t_end"),
+        ("solver", "hs_exponent", "nan", "hs_exponent"),
+        ("solver", "hs_exponent", "inf", "hs_exponent"),
+        ("solver", "blowup", "nan", "blowup"),
+        ("grid", "length", "nan", "length"),
+        ("grid", "length", "inf", "length"),
+    ],
+)
+def test_simulate_refuses_a_non_finite_setting(tmp_path, capsys, section, key, value, named):
+    # hs_exponent = nan used to exit 0 with NaN H^s columns, blowup = nan
+    # with "unstable@0" on zero data; the others exited 1 with an error that
+    # named no setting ("cannot convert float NaN to integer", "math domain
+    # error").
+    sections = {"grid": {"n": "32"}, "solver": {"dt": "0.01", "t_end": "0.05"}}
+    sections[section][key] = value
+    text = "".join(
+        f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for sec, keys in sections.items()
+    )
+    path = write(tmp_path, "sim.ini", text)
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", path, "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == 1
+    assert named in error["error"]
     assert not (out / "diagnostics.csv").exists()
 
 
@@ -289,6 +312,45 @@ def test_quadratic_check_refuses_scales_that_leave_the_polar_chart(tmp_path, cap
     assert error["exit_code"] == 1
     assert error["error"].startswith("ChartBreakdown at t = 0: ")
     assert not (out / "quadratic.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("directions = 0\n", "directions"),
+        ("directions = -2\n", "directions"),
+        ("eps_list = 0.1\n", "eps_list"),
+        ("eps_list =\n", "eps_list"),
+    ],
+    ids=["no-direction", "negative-directions", "one-eps", "no-eps"],
+)
+def test_quadratic_check_refuses_a_check_of_nothing(tmp_path, capsys, extra, named):
+    # directions = 0 used to write "directions": [] and one eps a spread of
+    # 0, and both passed with exit 0.
+    path = write(tmp_path, "quad.ini", QUAD_UNIT_INI + "\n[experiment]\n" + extra)
+    out = tmp_path / "out"
+    assert main(["quadratic-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == 1
+    assert named in error["error"]
+    assert not (out / "quadratic.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [("cases = 0\n", "cases"), ("cases = -1\n", "cases"), ("cases = 5\nq_list =\n", "q_list")],
+    ids=["no-case", "negative-cases", "no-scale"],
+)
+def test_besov_check_refuses_a_check_of_nothing(tmp_path, capsys, extra, named):
+    # cases = 0 used to check no smoothing ratio and an empty q_list no
+    # semigroup decay, and both passed with exit 0.
+    path = write(tmp_path, "besov.ini", "[besov]\nn = 64\n" + extra)
+    out = tmp_path / "out"
+    assert main(["besov-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == 1
+    assert named in error["error"]
+    assert not (out / "besov_report.json").exists()
 
 
 def test_besov_check_runs(tmp_path):

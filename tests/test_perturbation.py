@@ -4,20 +4,20 @@ import pytest
 from cglburgers import dispersion, perturbation
 from cglburgers.model import PlaneWave, SystemParams
 from cglburgers.perturbation import (
-    AmplitudeVanishes,
     ChartBreakdown,
     PerturbationState,
     compose_polar,
     decay_experiment,
     evolve_polar,
     instability_experiment,
-    polar_decompose,
     quadratic_order_check,
     remainder,
     true_linearization,
 )
 from cglburgers.solver import SCHEMES, FieldState, SolverConfig, StepUnstable, evolve
 from cglburgers.spectral import Grid, SpectralField
+
+from helpers import AmplitudeVanishes, polar_decompose
 
 
 @pytest.fixture
@@ -514,6 +514,18 @@ def test_decay_experiment_zero_data_degenerate(grid):
     )
     assert report.degenerate
     assert not report.passed
+    # Zero data leave the fit window empty: nothing is fitted and nothing passes.
+    assert report.to_json_dict() == {
+        "fit_type": "exponential",
+        "rate": 0.0,
+        "reference_rate": perturbation.resolved_spectral_gap(params, unit_wave(), grid),
+        "rel_err": np.inf,
+        "alpha_fit": 0.0,
+        "alpha_reference": -0.5 * (1.5 + 1.0),
+        "pass": False,
+        "degenerate": True,
+    }
+    assert np.all(report.norms == 0.0)
 
 
 def test_instability_negative_diffusivity():

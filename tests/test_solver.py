@@ -417,6 +417,33 @@ def test_solver_config_takes_a_besov_exponent_from_one_to_inf(besov_p):
     assert SolverConfig(dt=1e-3, besov_p=besov_p).besov_p == besov_p
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda v: SolverConfig(dt=v), "dt"),
+        (lambda v: SolverConfig(t_end=v), "t_end"),
+        (lambda v: SolverConfig(hs_exponent=v), "hs_exponent"),
+        (lambda v: Grid(length=v), "length"),
+    ],
+    ids=["dt", "t_end", "hs_exponent", "length"],
+)
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+def test_non_finite_settings_are_refused_by_name(make, named, value):
+    # These used to be taken, and a run then wrote NaN columns, or stopped
+    # with "cannot convert float NaN to integer" or "math domain error".
+    with pytest.raises(ValueError, match=named):
+        make(value)
+
+
+def test_blowup_threshold_may_be_infinite_but_not_nan():
+    assert SolverConfig(blowup_threshold=INF).blowup_threshold == INF
+    with pytest.raises(ValueError, match="blowup_threshold"):
+        SolverConfig(blowup_threshold=NAN)
+
+
 def test_blowup_keeps_the_rows_recorded_before_it(grid):
     params = SystemParams.constants(m=-1.0, xi=1.0)
     rng = np.random.default_rng(6)

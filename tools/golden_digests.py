@@ -90,9 +90,8 @@ def run_digests(command: str, seed: int, config_text: str | None = None) -> dict
 
     The run reads the command's sample config, or ``config_text`` if given.
     """
-    # Environment overrides (CGLB_<SECTION>__<KEY>) would change the config,
-    # and PYTHON* variables (PYTHONWARNINGS, PYTHONHASHSEED, ...) the output.
-    env = {k: v for k, v in os.environ.items() if not k.startswith(("CGLB_", "PYTHON"))}
+    # PYTHON* variables (PYTHONWARNINGS, PYTHONHASHSEED, ...) would change the output.
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env["PYTHONPATH"] = str(ROOT / "src")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
