@@ -364,6 +364,26 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
+def _seeded_state(
+    grid: Grid, k_cutoff: float | None, modes: int, amp: float, rng
+) -> perturbation.PerturbationState:
+    """The state with random complex normal coefficients times ``amp`` on modes 1..``modes``.
+
+    Raises ValueError if ``modes`` exceeds the largest mode index of the
+    kept band of ``grid`` and ``k_cutoff``.
+    """
+    _, keep = perturbation._kept_band(grid, k_cutoff)
+    top = int(np.count_nonzero(keep)) - 1
+    if modes > top:
+        raise ValueError(
+            f"init_modes = {modes} exceeds the largest kept mode index {top} "
+            "of this grid and k_cutoff"
+        )
+    hats = np.zeros((grid.n // 2 + 1, 3), dtype=complex)
+    hats[1 : modes + 1] = amp * (rng.normal(size=(modes, 3)) + 1j * rng.normal(size=(modes, 3)))
+    return perturbation.PerturbationState.from_hats(grid, hats)
+
+
 def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
@@ -371,20 +391,7 @@ def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
     sconf = solver_config_from_config(cfg)
     exp = cfg["experiment"]
     rng = np.random.default_rng(seed)
-    n = grid.n
-    modes = exp["init_modes"]
-    _, keep = perturbation._kept_band(grid, sconf.k_cutoff)
-    top = int(np.count_nonzero(keep)) - 1
-    if modes > top:
-        raise ValueError(
-            f"init_modes = {modes} exceeds the largest kept mode index {top} "
-            "of this grid and k_cutoff"
-        )
-    hats = np.zeros((n // 2 + 1, 3), dtype=complex)
-    hats[1 : modes + 1] = exp["amp"] * (
-        rng.normal(size=(modes, 3)) + 1j * rng.normal(size=(modes, 3))
-    )
-    pi0 = perturbation.PerturbationState.from_hats(grid, hats)
+    pi0 = _seeded_state(grid, sconf.k_cutoff, exp["init_modes"], exp["amp"], rng)
     report = perturbation.decay_experiment(params, wave, pi0, exp["s"], sconf)
     payload = {"slice": _slice_summary(cfg, wave)}
     payload.update(report.to_json_dict())
@@ -426,6 +433,9 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
         raise ValueError(f"cases must be at least 1, not {b['cases']}")
     if not b["q_list"]:
         raise ValueError("q_list must hold at least one scale")
+    # mu < 0 is a backward heat equation, and the fitted constants divide by mu.
+    if not 0.0 < b["mu"] < np.inf:
+        raise ValueError(f"mu must be positive and finite, not {b['mu']!r}")
     grid = Grid(dim=1, n=b["n"], length=_TWO_PI)
     rng = np.random.default_rng(seed)
     part = lp.partition_for(grid)
@@ -490,13 +500,11 @@ def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
     if exp["directions"] < 1:
         raise ValueError(f"directions must be at least 1, not {exp['directions']}")
     rng = np.random.default_rng(seed)
-    n = grid.n
     reports = []
     all_pass = True
     for _ in range(exp["directions"]):
-        hats = np.zeros((n // 2 + 1, 3), dtype=complex)
-        hats[1:5] = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        pi_dir = perturbation.PerturbationState.from_hats(grid, hats)
+        # The remainder is taken on the 2/3-rule band, whatever k_cutoff says.
+        pi_dir = _seeded_state(grid, None, exp["init_modes"], 1.0, rng)
         rep = perturbation.quadratic_order_check(pi_dir, params, wave, exp["eps_list"])
         reports.append(rep.to_json_dict())
         all_pass = all_pass and rep.passed

@@ -179,7 +179,8 @@ class _PolarWorkspace:
     The integrator's state holds only the ``nk`` kept modes, shaped (nk, 3):
     the transforms zero-pad it to the grid's n//2 + 1 rfft modes and drop
     the rest again, so the dropped modes cost no operator block and no
-    product.
+    product.  The workspace owns the zero-padded buffer that the inverse
+    transform reads, and so serves one evaluation at a time.
     """
 
     def __init__(self, grid: Grid, params: SystemParams, wave: PlaneWave, config: SolverConfig):
@@ -194,6 +195,9 @@ class _PolarWorkspace:
         self.k = k_full[: self.nk]
         # [1, ik, (ik)**2], shaped (order, 1, mode) to broadcast over field rows.
         self.ik_powers = (1j * self.k) ** np.arange(3)[:, None, None]
+        # ik_powers times the kept modes, zero beyond them: the input of the
+        # inverse transform, written in place by every evaluation.
+        self._derivative_hats = np.zeros((3, 3, grid.n // 2 + 1), dtype=complex)
         mats = true_linearization(params, wave)
         self.M = dispersion.pencil(mats, self.k[:, None, None])
         # (c0, c1) of u, v, s1, s2 and kappa, each shaped (5, 1) against r.
@@ -241,36 +245,66 @@ class _PolarWorkspace:
         ChartBreakdown where min(r0 + rho) is at or below the chart floor and
         StepUnstable where a field exceeds the blow-up threshold or is NaN.
         """
-        fields = irfft_axes(self.grid, self.ik_powers * hats.T)
-        (rho, phi, h), (rho_x, phi_x, h_x), (rho_xx, phi_xx, h_xx) = fields
+        spec = self._derivative_hats
+        np.multiply(self.ik_powers, hats.T, out=spec[:, :, : self.nk])
+        fields = irfft_axes(self.grid, spec)
+        # Rows by index: unpacking iterates the stack, which costs more per call.
+        rho, rho_x, rho_xx = fields[0, 0], fields[1, 0], fields[2, 0]
+        phi_x, phi_xx = fields[1, 1], fields[2, 1]
+        h, h_x, h_xx = fields[0, 2], fields[1, 2], fields[2, 2]
         r = self.wave.r0 + rho
         if float(r.min()) <= CHART_FLOOR_FRACTION * self.wave.r0:
             raise ChartBreakdown("polar amplitude r0 + rho reached zero", t)
         amax = float(np.abs(fields[0]).max())
         check_magnitude(amax, self.config.blowup_threshold, t, "perturbation")
         tx = self.wave.theta0 + phi_x
-        u_r, v_r, s1_r, s2_r, kap_r = self.coeffs[0] + self.coeffs[1] * r
+        coef = self.coeffs[0] + self.coeffs[1] * r
+        u_r, v_r, s1_r, s2_r, kap_r = coef[0], coef[1], coef[2], coef[3], coef[4]
         wh = self.wave.w0 + h
         rx_tx = 2.0 * rho_x * tx
         tx2 = tx**2
         r2 = r**2
 
+        # The three tendencies, written in place term by term, left to right:
+        #   rho_xx - wh*rho_x - u_r*(rx_tx + r*phi_xx) + r*(1 - r2 - tx2 - s1_r*h_x)
+        #   (rx_tx + u_r*rho_xx)/r - wh*tx - u_r*tx2 + phi_xx - v_r*r2 - s2_r*h_x
+        #   m*h_xx - wh*h_x - 2*kap_r*r*rho_x
         tend = np.empty((3, self.grid.n))
-        tend[0] = (
-            rho_xx
-            - wh * rho_x
-            - u_r * (rx_tx + r * phi_xx)
-            + r * (1.0 - r2 - tx2 - s1_r * h_x)
-        )
-        tend[1] = (
-            (rx_tx + u_r * rho_xx) / r
-            - wh * tx
-            - u_r * tx2
-            + phi_xx
-            - v_r * r2
-            - s2_r * h_x
-        )
-        tend[2] = self.params.m * h_xx - wh * h_x - 2.0 * kap_r * r * rho_x
+        t0, t1, t2 = tend[0], tend[1], tend[2]
+        a, b = np.empty(self.grid.n), np.empty(self.grid.n)
+        np.multiply(wh, rho_x, out=t0)
+        np.subtract(rho_xx, t0, out=t0)
+        np.multiply(r, phi_xx, out=a)
+        np.add(rx_tx, a, out=a)
+        np.multiply(u_r, a, out=a)
+        np.subtract(t0, a, out=t0)
+        np.subtract(1.0, r2, out=a)
+        np.subtract(a, tx2, out=a)
+        np.multiply(s1_r, h_x, out=b)
+        np.subtract(a, b, out=a)
+        np.multiply(r, a, out=a)
+        np.add(t0, a, out=t0)
+
+        np.multiply(u_r, rho_xx, out=t1)
+        np.add(rx_tx, t1, out=t1)
+        np.divide(t1, r, out=t1)
+        np.multiply(wh, tx, out=a)
+        np.subtract(t1, a, out=t1)
+        np.multiply(u_r, tx2, out=a)
+        np.subtract(t1, a, out=t1)
+        np.add(t1, phi_xx, out=t1)
+        np.multiply(v_r, r2, out=a)
+        np.subtract(t1, a, out=t1)
+        np.multiply(s2_r, h_x, out=a)
+        np.subtract(t1, a, out=t1)
+
+        np.multiply(self.params.m, h_xx, out=t2)
+        np.multiply(wh, h_x, out=a)
+        np.subtract(t2, a, out=t2)
+        np.multiply(2.0, kap_r, out=a)
+        np.multiply(a, r, out=a)
+        np.multiply(a, rho_x, out=a)
+        np.subtract(t2, a, out=t2)
 
         return rfft_axes(self.grid, tend)[:, : self.nk].T
 
@@ -428,15 +462,15 @@ def quadratic_order_check(
     where the remainder has vanishing derivative at zero the quadratic
     ratios are bounded and flat (spread below the tolerance); elsewhere the
     linear ratios stay bounded away from zero, revealing first-order
-    leakage.
+    leakage.  Raises ValueError for a zero direction or fewer than two
+    scales.
     """
     eps = np.asarray(list(eps_list), dtype=float)
     if eps.size < 2:  # one scale has spread 0 and would always pass
         raise ValueError(f"eps_list must hold at least two scales, not {eps.size}")
     scale = pi_dir.joint_l2()
-    if scale == 0.0:
-        zeros = np.zeros_like(eps)
-        return QuadraticOrderReport(eps, zeros, zeros, 0.0, True)
+    if scale == 0.0:  # it would pass with spread 0, the remainder never evaluated
+        raise ValueError("the direction must not be zero")
     base = PerturbationState(
         grid=pi_dir.grid,
         rho=pi_dir.rho / scale,

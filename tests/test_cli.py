@@ -353,6 +353,19 @@ def test_besov_check_refuses_a_check_of_nothing(tmp_path, capsys, extra, named):
     assert not (out / "besov_report.json").exists()
 
 
+@pytest.mark.parametrize("mu", ["-1", "0", "nan", "inf"])
+def test_besov_check_refuses_a_viscosity_that_is_not_positive(tmp_path, capsys, mu):
+    # mu = -1 (a backward heat equation) used to pass with exit 0, and mu = 0
+    # to exit 2 after dividing by zero in the fitted constant.
+    path = write(tmp_path, "besov.ini", f"[besov]\nn = 64\ncases = 5\nmu = {mu}\n")
+    out = tmp_path / "out"
+    assert main(["besov-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == 1
+    assert "mu" in error["error"]
+    assert not (out / "besov_report.json").exists()
+
+
 def test_besov_check_runs(tmp_path):
     path = write(tmp_path, "besov.ini", "[besov]\nn = 64\ncases = 5\n")
     out = tmp_path / "out"
@@ -501,3 +514,34 @@ def test_decay_fit_refuses_init_modes_outside_the_kept_band(tmp_path, capsys):
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "init_modes = 8" in error["error"] and "index 5 " in error["error"]
     assert not (out / "decay.json").exists()
+
+
+def test_quadratic_check_seeds_init_modes(tmp_path):
+    # quadratic-check used to seed modes 1..4 whatever init_modes said.
+    reports = {}
+    for modes in (2, 4):
+        path = write(
+            tmp_path, f"quad_{modes}.ini", QUAD_UNIT_INI + f"\n[experiment]\ninit_modes = {modes}\n"
+        )
+        out = tmp_path / f"out_{modes}"
+        assert main(["quadratic-check", "--config", path, "--out", str(out)]) == 0
+        reports[modes] = (out / "quadratic.json").read_bytes()
+    default = tmp_path / "out_default"
+    assert main(["quadratic-check", "--config", write(tmp_path, "q.ini", QUAD_UNIT_INI),
+                 "--out", str(default)]) == 0
+    assert reports[4] == (default / "quadratic.json").read_bytes()
+    assert reports[2] != reports[4]
+
+
+def test_quadratic_check_refuses_init_modes_outside_the_kept_band(tmp_path, capsys):
+    # n = 16 keeps |j| <= 5.
+    path = write(
+        tmp_path,
+        "quad.ini",
+        "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 16\n\n[experiment]\ninit_modes = 8\n",
+    )
+    out = tmp_path / "out"
+    assert main(["quadratic-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "init_modes = 8" in error["error"] and "index 5 " in error["error"]
+    assert not (out / "quadratic.json").exists()

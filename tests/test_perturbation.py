@@ -314,11 +314,11 @@ def quadratic_slice_params():
 
 
 def test_quadratic_check_zero_direction(grid):
-    report = quadratic_order_check(
-        PerturbationState.zeros(grid), quadratic_slice_params(), unit_wave(), [0.1, 0.01]
-    )
-    assert report.passed
-    assert np.all(report.quadratic_ratios == 0.0)
+    # A zero direction used to pass with spread 0, the remainder never evaluated.
+    with pytest.raises(ValueError, match="direction"):
+        quadratic_order_check(
+            PerturbationState.zeros(grid), quadratic_slice_params(), unit_wave(), [0.1, 0.01]
+        )
 
 
 def test_quadratic_check_flat_ratios(grid):

@@ -173,6 +173,22 @@ def test_polar_rhs_guards_match_reference(bad, error):
             rhs(hats[: ws.nk], 0.5)
 
 
+@pytest.mark.parametrize("n, k_cutoff", [(128, None), (256, 4.0)])
+def test_one_workspace_serves_evaluations_in_a_row(n, k_cutoff):
+    # The workspace keeps its transform buffer from call to call: no call
+    # may see what the one before it left there.
+    ws = _workspace(n, k_cutoff)
+    first, second = (_state(ws.grid, seed, 1e-2).hats()[: ws.nk] for seed in (3, 4))
+    for kept in (first, second, first):
+        want = reference_tendency_hats(ws, kept, 0.25)
+        assert np.array_equal(ws.tendency_hats(kept, 0.25), want)
+    bad = _state(ws.grid, 5, 1e-2)
+    bad.phi[7] = np.nan
+    with pytest.raises(StepUnstable):
+        ws.tendency_hats(bad.hats()[: ws.nk], 0.5)
+    assert np.array_equal(ws.tendency_hats(second, 0.25), reference_tendency_hats(ws, second, 0.25))
+
+
 @pytest.mark.parametrize("scheme", ["exponential-rk2", "imex-bdf2"])
 def test_evolve_polar_matches_reference_bitwise(monkeypatch, scheme):
     grid = Grid(dim=1, n=128, length=LENGTH)

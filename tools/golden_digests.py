@@ -49,6 +49,9 @@ FAILING = {
     "simulate --config configs/smallness_run.ini with besov_p = 0 --seed 0": (
         "simulate", "smallness_run.ini", "besov_p = 0",
     ),
+    "besov-check --config configs/besov_suite.ini with mu = -1 --seed 0": (
+        "besov-check", "besov_suite.ini", "mu = -1",
+    ),
 }
 
 
