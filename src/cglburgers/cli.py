@@ -14,6 +14,7 @@ import configparser
 import itertools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -328,8 +329,13 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
         "band_lo",
         "band_hi",
     ]
-    rows = []
-    for job in jobs:
+    rows = [None] * len(jobs)
+    # w0 enters the pencil only as -i*k*w0*I, so one eigen-solve of the
+    # drift-free (w0 = 0) pencil serves every w0 of a class.  The jobs are
+    # visited class by class, so one class's eigenvalues are live at a time.
+    solved_key = solved = None
+    for i in sorted(range(len(jobs)), key=lambda i: [v for k, v in jobs[i].items() if k != "w0"]):
+        job = jobs[i]
         base = [job[k] for k in header[:7]]
         model = dict(cfg["model"])
         model.update({k: v for k, v in job.items() if k != "w0"})
@@ -342,13 +348,17 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
                 else result
             )
         except (NoRealSolution, ValueError):
-            rows.append(base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"])
+            rows[i] = base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"]
             continue
         mats = dispersion.build_matrices(params, wave, d["coupling"])
-        lams = dispersion.spectrum_table(mats, ks)
+        drift_free = dispersion.build_matrices(params, replace(wave, w0=0.0), d["coupling"])
+        key = b"".join(x.tobytes() for x in (drift_free.A, drift_free.B, drift_free.C))
+        if key != solved_key:
+            solved_key, solved = key, dispersion.solved_eigvals(drift_free, ks)
+        lams = dispersion.spectrum_table(mats, ks, solved, wave.w0)
         verdict = dispersion.classify_spectrum(ks, lams)
         c = verdict.parabola_constant
-        rows.append(
+        rows[i] = (
             base
             + [
                 wave.r0,
@@ -369,9 +379,11 @@ def _seeded_state(
 ) -> perturbation.PerturbationState:
     """The state with random complex normal coefficients times ``amp`` on modes 1..``modes``.
 
-    Raises ValueError if ``modes`` exceeds the largest mode index of the
-    kept band of ``grid`` and ``k_cutoff``.
+    Raises ValueError if ``modes`` is below 1 or exceeds the largest mode
+    index of the kept band of ``grid`` and ``k_cutoff``.
     """
+    if modes < 1:
+        raise ValueError(f"init_modes = {modes} seeds no mode; it must be at least 1")
     _, keep = perturbation._kept_band(grid, k_cutoff)
     top = int(np.count_nonzero(keep)) - 1
     if modes > top:

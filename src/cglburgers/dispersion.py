@@ -146,7 +146,26 @@ def _char_residuals(Ms: np.ndarray, lams: np.ndarray) -> np.ndarray:
     return np.abs(p) / functools.reduce(np.maximum, terms)
 
 
-def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
+def _solved_rows(ks) -> tuple[np.ndarray, int]:
+    """``ks`` as floats and the number of leading rows that are conjugates, not solved."""
+    ks = np.asarray(ks, dtype=float)
+    if ks.size == 0:
+        raise EmptySampleSet("empty wavenumber grid: no spectrum to solve")
+    return ks, ks.size // 2 if np.array_equal(ks, -ks[::-1]) else 0
+
+
+def solved_eigvals(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
+    """Unsorted eigenvalues of M(k) on the rows of ``ks`` that :func:`spectrum_table` solves."""
+    ks, n_neg = _solved_rows(ks)
+    return np.linalg.eigvals(pencil(mats, ks[n_neg:, None, None]))
+
+
+def spectrum_table(
+    mats: LinearizationMatrices,
+    ks: np.ndarray,
+    drift_free: np.ndarray | None = None,
+    w0: float = 0.0,
+) -> np.ndarray:
     """Sorted eigenvalue triples of M(k) = -k^2*A + i*k*B + C for every k in ``ks``.
 
     A, B and C are real, so M(-k) = conj M(k).  On a mirror grid
@@ -154,13 +173,19 @@ def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
     against the characteristic polynomial of its own M(k) to 1e-9; row n-1-i
     holds the exact conjugates of row i, whose residuals are the same numbers.
     On any other grid every row is solved and checked.
+
+    The drift w0 enters M(k) only as -i*k*w0*I.  Given ``drift_free``, the
+    :func:`solved_eigvals` of the same matrices with w0 = 0, the table takes
+    those eigenvalues shifted by -i*k*w0 (real parts bit for bit) instead of
+    solving, and checks them against ``mats`` all the same.
     """
-    ks = np.asarray(ks, dtype=float)
-    if ks.size == 0:
-        raise EmptySampleSet("empty wavenumber grid: no spectrum to solve")
-    n_neg = ks.size // 2 if np.array_equal(ks, -ks[::-1]) else 0
+    ks, n_neg = _solved_rows(ks)
     Ms = pencil(mats, ks[n_neg:, None, None])
-    raw = np.linalg.eigvals(Ms)
+    if drift_free is None:
+        raw = np.linalg.eigvals(Ms)
+    else:
+        raw = drift_free.copy()
+        raw.imag -= ks[n_neg:, None] * w0
     key = _order_key(raw)
     lams = _order_by(raw, key, raw.imag)
     worst = float(np.max(_char_residuals(Ms, lams)))

@@ -1,7 +1,9 @@
+import itertools
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -230,6 +232,47 @@ def test_stability_scan_thread_independence(tmp_path):
         assert code == 0
         outs.append((out / "atlas.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+DRIFT_SCAN_INI = """
+[dispersion]
+k_extent = 8.0
+samples = 65
+coupling = kappa_gradient
+
+[scan]
+m = 0.5, 1.0
+w0 = 0.0, 0.5, 1.0
+u0 = -0.5, 0.5
+v0 = 0.5
+kappa0 = 0.0, 0.5
+"""
+
+
+def test_stability_scan_solves_once_per_drift_free_class(tmp_path, monkeypatch):
+    # 24 jobs in 8 classes of three w0 values.  u0 = 0.5 shares the sign of
+    # v0, so half the classes have no wave; the other four have distinct
+    # pencils and take one eigen-solve each, not one per job.
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(Ms):
+        calls.append(len(Ms))
+        return eigvals(Ms)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    out = tmp_path / "out"
+    assert main(["stability-scan", "--config", write(tmp_path, "scan.ini", DRIFT_SCAN_INI),
+                 "--out", str(out)]) == 0
+    lines = (out / "atlas.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [line.split(",") for line in lines[2:]]
+    with_wave = [row for row in rows if row[header.index("verdict")] != "no_wave"]
+    assert len(rows) == 24 and len(with_wave) == 12
+    assert calls == [33] * 4
+    # The rows stay in the product order of the scan axes, w0 second.
+    axes = [(0.5, 1.0), (0.0, 0.5, 1.0), (-0.5, 0.5), (0.5,), (0.0, 0.5), (0.0,), (0.0,)]
+    assert [tuple(float(x) for x in row[:7]) for row in rows] == list(itertools.product(*axes))
 
 
 RERUN_CONFIGS = {
@@ -545,3 +588,21 @@ def test_quadratic_check_refuses_init_modes_outside_the_kept_band(tmp_path, caps
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "init_modes = 8" in error["error"] and "index 5 " in error["error"]
     assert not (out / "quadratic.json").exists()
+
+
+@pytest.mark.parametrize("modes", [0, -1])
+@pytest.mark.parametrize("command", ["decay-fit", "quadratic-check"])
+def test_polar_commands_refuse_init_modes_below_one(tmp_path, capsys, command, modes):
+    # decay-fit with 0 used to write a degenerate report and exit 2; -1 used
+    # to fail with numpy's "negative dimensions are not allowed", naming no key.
+    path = write(
+        tmp_path,
+        "polar.ini",
+        "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 16\n\n"
+        f"[solver]\ndt = 0.002\nt_end = 0.1\ncadence = 25\n\n[experiment]\ninit_modes = {modes}\n",
+    )
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert f"init_modes = {modes}" in error["error"]
+    assert not any(out.iterdir())

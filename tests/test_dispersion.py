@@ -3,7 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cglburgers import dispersion
 from cglburgers.dispersion import (
@@ -21,7 +21,13 @@ from cglburgers.dispersion import (
     spectrum_table,
     stability_conditions,
 )
-from cglburgers.model import PlaneWave, SystemParams
+from cglburgers.model import (
+    NoRealSolution,
+    PlaneWave,
+    PlaneWaveFamily,
+    SystemParams,
+    solve_plane_wave,
+)
 
 from helpers import coupled_case_printed, random_constrained_pair, sort_triple
 
@@ -632,3 +638,92 @@ def test_sort_lambdas_with_forced_ties_is_bitwise_the_reference():
     )
     for table in (lams, lams.conj()):
         _assert_same_bits(dispersion._sort_lambdas(table), _reference_sort_lambdas(table))
+
+
+_scan_values = st.floats(-2.0, 2.0)
+
+
+def _scan_slice(m, u0, v0, kappa, s1, s2, w0):
+    """The parameters and wave of one stability-scan job, or None without a wave."""
+    params = SystemParams.constants(u=u0, v=v0, m=m, kappa=kappa, s1=s1, s2=s2)
+    try:
+        result = solve_plane_wave(params, w0=w0)
+    except (NoRealSolution, ValueError):  # as stability-scan: a "no_wave" row
+        return None
+    wave = result.representative() if isinstance(result, PlaneWaveFamily) else result
+    return params, wave
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=_scan_values, u0=_scan_values, v0=_scan_values, kappa=_scan_values,
+    s1=_scan_values, s2=_scan_values, w0=_scan_values, coupling=st.sampled_from(COUPLING_MODES),
+)
+def test_the_drift_enters_the_pencil_as_a_shift_of_the_diagonal(
+    m, u0, v0, kappa, s1, s2, w0, coupling
+):
+    # stability-scan shares one eigen-solve among the w0 of a class on this.
+    drifting = _scan_slice(m, u0, v0, kappa, s1, s2, w0)
+    still = _scan_slice(m, u0, v0, kappa, s1, s2, 0.0)
+    assume(drifting is not None)
+    (params, wave), (_, wave0) = drifting, still
+    assert (wave.r0, wave.theta0, wave.w0) == (wave0.r0, wave0.theta0, w0)
+    mats, mats0 = build_matrices(params, wave, coupling), build_matrices(params, wave0, coupling)
+    _assert_same_bits(mats.A, mats0.A)
+    _assert_same_bits(mats.C, mats0.C)
+    want = mats0.B.copy()
+    want[np.diag_indices(3)] -= w0
+    # Equal as numbers; where w0 + 2*theta0*u0 is zero the signs of the zeros differ.
+    assert np.array_equal(mats.B, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=_scan_values, u0=_scan_values, v0=_scan_values, kappa=_scan_values,
+    s1=_scan_values, s2=_scan_values, w0=_scan_values, coupling=st.sampled_from(COUPLING_MODES),
+    k_extent=st.floats(0.5, 16.0),
+    samples=st.integers(2, 513),
+    layout=st.sampled_from(["mirror", "mirror-without-zero", "positive", "asymmetric", "single"]),
+)
+def test_a_shared_drift_free_solve_gives_the_table_of_each_drift(
+    m, u0, v0, kappa, s1, s2, w0, coupling, k_extent, samples, layout
+):
+    job = _scan_slice(m, u0, v0, kappa, s1, s2, w0)
+    assume(job is not None)
+    params, wave = job
+    mats = build_matrices(params, wave, coupling)
+    ks = _grid(layout, k_extent, samples)
+    drift_free = dispersion.solved_eigvals(
+        build_matrices(params, dataclasses.replace(wave, w0=0.0), coupling), ks
+    )
+    try:
+        direct = spectrum_table(mats, ks)
+    except ArithmeticError:  # a near-defective pencil that no route verifies
+        assume(False)
+    shared = spectrum_table(mats, ks, drift_free, w0)
+    scale = np.maximum(np.max(np.abs(direct), axis=-1), 1.0)
+    # Two roots a gap apart move by up to scale/gap times a perturbation, so
+    # near-double roots agree more loosely (u0 = 1e-10 splits one by 2e-5,
+    # and the two routes differ by 8e-12 there).
+    gap = np.min(np.abs(direct[:, [0, 0, 1]] - direct[:, [1, 2, 2]]), axis=-1)
+    with np.errstate(divide="ignore"):
+        tol = 1e-12 * scale * np.maximum(1.0, scale / gap)
+    # Round-off can tie-break two equal real parts the other way round.
+    assert np.all(_multiset_gap(shared, direct) <= tol)
+    if w0 == 0.0 and not np.signbit(w0):  # the w0 = 0 job is the drift-free pencil itself
+        _assert_same_bits(shared, direct)
+    if 0.0 in ks and np.array_equal(ks, -ks[::-1]):
+        assert classify_spectrum(ks, shared).kind == classify_spectrum(ks, direct).kind
+
+
+def test_a_wrong_shift_fails_the_residual_check():
+    params = SystemParams.constants(u=-0.5, v=0.5, m=0.5, kappa=0.5, s1=0.3)
+    wave = solve_plane_wave(params, w0=1.0)
+    ks = default_k_grid(8.0, 65)
+    drift_free = dispersion.solved_eigvals(
+        build_matrices(params, dataclasses.replace(wave, w0=0.0), "kappa_gradient"), ks
+    )
+    mats = build_matrices(params, wave, "kappa_gradient")
+    assert spectrum_table(mats, ks, drift_free, 1.0).shape == (len(ks), 3)
+    with pytest.raises(ArithmeticError, match="eigenvalue residual"):
+        spectrum_table(mats, ks, drift_free, -1.0)

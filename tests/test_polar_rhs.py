@@ -290,3 +290,32 @@ def test_kept_band_is_a_prefix_and_snapshots_stay_in_it(n, length, k_cutoff, see
     for snap in traj.hats:
         assert snap.shape == (n // 2 + 1, 3)
         assert not np.any(snap[nk:])
+
+
+def test_the_linear_part_is_the_derivative_of_the_tendency():
+    # The integrator subtracts M u in rhs_hats and adds it back exactly, so a
+    # wrong M changes only the stiffness, and no trajectory shows it.  The
+    # derivative check does: |(T(eps d) - T(0))/eps - M d| / |M d| is first
+    # order in eps.  With the sign of the 2*theta0/r0 entry of
+    # true_linearization flipped it stays at about 1.  The slice has
+    # theta0 != 0 and c0 != 0, where the exact and closed-form pencils differ.
+    grid = Grid(dim=1, n=64, length=LENGTH)
+    theta0 = grid.k_min_positive
+    r0 = float(np.sqrt(1.0 - theta0**2))
+    params = SystemParams.constants(
+        u=0.6, v=-0.6 * theta0**2 / r0**2, m=1.2, kappa=0.5, s1=0.3, s2=0.2
+    )
+    ws = perturbation._PolarWorkspace(grid, params, PlaneWave(r0=r0, theta0=theta0), SolverConfig(dt=1e-3))
+    rng = np.random.default_rng(0)
+    d = rng.standard_normal((ws.nk, 3)) + 1j * rng.standard_normal((ws.nk, 3))
+    d[0] = d[0].real  # the k = 0 mode of a real field
+    t0 = ws.tendency_hats(np.zeros_like(d), 0.0)
+    assert not np.any(t0)  # the wave is an equilibrium
+    md = np.einsum("mij,mj->mi", ws.M, d)
+    errors = [
+        np.linalg.norm((ws.tendency_hats(eps * d, 0.0) - t0) / eps - md) / np.linalg.norm(md)
+        for eps in (1e-3, 1e-4, 1e-5, 1e-6)
+    ]
+    assert errors[-1] < 1e-4, errors
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 7.0 < coarse / fine < 13.0, errors
