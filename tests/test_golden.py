@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cglburgers.cli import COMMANDS
+from cglburgers.cli import COMMANDS, SCHEMA
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "tools" / "golden_digests.py"
 _spec = importlib.util.spec_from_file_location("golden_digests", _SCRIPT)
@@ -36,13 +36,26 @@ def test_seed_zero_matches_the_golden_digests(table, command):
 
 @pytest.mark.parametrize("name", sorted(golden.FAILING))
 def test_the_failing_runs_match_the_golden_digests(table, name):
-    assert golden.failing_digests(name) == table["runs"][name]
+    assert golden.edited_digests(name) == table["runs"][name]
+
+
+@pytest.mark.parametrize("name", sorted(golden.EDITED))
+def test_the_edited_runs_match_the_golden_digests(table, name):
+    assert golden.edited_digests(name) == table["runs"][name]
 
 
 def test_the_table_covers_every_command_and_seed(table):
     expected = {golden.key(c, s) for c in golden.RUNS for s in golden.SEEDS}
-    assert set(table["runs"]) == expected | set(golden.FAILING)
+    assert set(table["runs"]) == expected | set(golden.EDITED) | set(golden.FAILING)
     assert set(golden.RUNS) == set(COMMANDS)
+    # An edit names a config key: a misspelt one would fail for that reason alone.
+    for _, _, edits in (*golden.EDITED.values(), *golden.FAILING.values()):
+        for section, values in edits.items():
+            assert set(values) <= set(SCHEMA[section])
+    # The edited runs succeed and write their artifacts.
+    for name in golden.EDITED:
+        assert table["runs"][name]["exit_code"] == 0
+        assert table["runs"][name]["artifacts"]
     # The failing runs fail: exit 1, no artifact, an error on stderr.
     for name in golden.FAILING:
         assert table["runs"][name]["exit_code"] == 1

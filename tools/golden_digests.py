@@ -3,9 +3,10 @@
 Each command runs in its own process, from the ``src`` tree beside this
 script, on its sample config in ``configs/``.  For every (command, seed) the
 table records the digest of each artifact, the digest of stderr and the exit
-code.  ``FAILING`` adds runs on edited sample configs that are refused on
-purpose, so that an error path (exit code and JSON error line) is pinned
-too.  The digests hold for one numpy and scipy build on one kind of CPU:
+code.  Two more sets run on edited sample configs, seed 0 alone: ``EDITED``
+runs succeed, and pin what the sample configs never reach; ``FAILING`` runs
+are refused on purpose, so that an error path (exit code and JSON error
+line) is pinned too.  The digests hold for one numpy and scipy build on one kind of CPU:
 numpy picks its exp/sin kernels by the CPU features it finds, and
 ``eig``/``eigvals``/``expm`` round as their BLAS does.  So the table records
 the numpy and scipy versions, the BLAS each links and the CPU features numpy
@@ -20,10 +21,11 @@ change that alters an artifact on purpose commits the new table with it.
 
 from __future__ import annotations
 
+import configparser
 import hashlib
+import io
 import json
 import os
-import re
 import subprocess
 import sys
 import tempfile
@@ -42,15 +44,32 @@ RUNS = {
     "besov-check": "besov_suite.ini",
     "quadratic-check": "decay_reference.ini",
 }
-# Runs that fail on purpose, to pin an error path: table key -> (command,
-# sample config, the "key = value" line that replaces the config's line for
-# that key).  Each is refused before it computes anything, so seed 0 alone.
+# Runs on edited sample configs: table key -> (command, sample config,
+# {section: {key: value}} set over the config's own values).
+EDITED = {
+    # The m = 0.5 slice of the 360-job atlas in bench/workloads.py: real
+    # waves, no-wave classes and a wave family.  The sample atlas has
+    # u = v = 0, so each of its classes is a family.
+    "stability-scan --config configs/stability_atlas.ini as the m = 0.5 atlas slice --seed 0": (
+        "stability-scan", "stability_atlas.ini", {
+            "dispersion": {"samples": "2048", "coupling": "kappa_gradient"},
+            "scan": {
+                "m": "0.5",
+                "w0": "0.0, 0.5, 1.0",
+                "u0": "-0.5, 0.0, 0.5, 1.0",
+                "v0": "-0.5, 0.0, 0.5",
+                "kappa0": "0.0, 0.5",
+            },
+        },
+    ),
+}
+# The same, for runs refused before they compute anything.
 FAILING = {
     "simulate --config configs/smallness_run.ini with besov_p = 0 --seed 0": (
-        "simulate", "smallness_run.ini", "besov_p = 0",
+        "simulate", "smallness_run.ini", {"solver": {"besov_p": "0"}},
     ),
     "besov-check --config configs/besov_suite.ini with mu = -1 --seed 0": (
-        "besov-check", "besov_suite.ini", "mu = -1",
+        "besov-check", "besov_suite.ini", {"besov": {"mu": "-1"}},
     ),
 }
 
@@ -78,14 +97,17 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _edited_config(config: str, line: str) -> str:
-    """The text of a sample config with the line of ``line``'s key replaced by ``line``."""
-    text = (ROOT / "configs" / config).read_text()
-    name = line.split("=")[0].strip()
-    text, count = re.subn(rf"(?m)^{re.escape(name)}\s*=.*$", line, text)
-    if count != 1:
-        raise ValueError(f"{config} has {count} lines for {name!r}, not one")
-    return text
+def _edited_config(config: str, edits: dict) -> str:
+    """The text of a sample config with the values of ``edits`` set over its own."""
+    parser = configparser.ConfigParser()
+    parser.read(ROOT / "configs" / config)
+    for section, values in edits.items():
+        if not parser.has_section(section):
+            parser.add_section(section)
+        parser[section].update(values)
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
 
 
 def run_digests(command: str, seed: int, config_text: str | None = None) -> dict:
@@ -117,15 +139,15 @@ def key(command: str, seed: int) -> str:
     return f"{command} --config configs/{RUNS[command]} --seed {seed}"
 
 
-def failing_digests(name: str) -> dict:
-    """:func:`run_digests` of the run that ``FAILING[name]`` describes."""
-    command, config, line = FAILING[name]
-    return run_digests(command, 0, _edited_config(config, line))
+def edited_digests(name: str) -> dict:
+    """:func:`run_digests` of the run that ``EDITED[name]`` or ``FAILING[name]`` describes."""
+    command, config, edits = {**EDITED, **FAILING}[name]
+    return run_digests(command, 0, _edited_config(config, edits))
 
 
 def build_table() -> dict:
     runs = {key(c, s): run_digests(c, s) for s in SEEDS for c in RUNS}
-    runs.update({name: failing_digests(name) for name in FAILING})
+    runs.update({name: edited_digests(name) for name in (*EDITED, *FAILING)})
     return {"versions": versions(), "runs": runs}
 
 
