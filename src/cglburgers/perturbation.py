@@ -338,8 +338,9 @@ def evolve_polar(
     The per-mode linearization advances exactly through matrix exponentials;
     the strictly nonlinear remainder is integrated with the two-stage
     exponential scheme (or extrapolated semi-implicit BDF2).  Raises
-    ChartBreakdown or StepUnstable unless ``tolerate_blowup`` converts the
-    latter into an early, partially recorded trajectory, and ValueError if
+    ChartBreakdown or StepUnstable unless ``tolerate_blowup`` ends the run
+    there, keeping what was recorded before it, with status
+    ``"chart_breakdown"`` or ``"unstable"``; and ValueError if
     t_end is not a whole number of steps away or if the initial data,
     projected onto the kept band, leaves the polar chart.  Snapshots and the
     final state span all n//2 + 1 rfft modes, zero beyond the kept band.
@@ -356,20 +357,18 @@ def evolve_polar(
     try:
         hats = state0.hats()[: ws.nk]
         rows, hats, t = run(hats, state0.t, ws.rhs_hats, ws.operators(), config, record)
-    except ChartBreakdown as exc:
+    except (ChartBreakdown, StepUnstable) as exc:
         # Only the first evaluation, on the projected initial data, runs at
         # t0; its chart guard refuses the data before any step is taken.
-        if exc.t == state0.t:
+        if isinstance(exc, ChartBreakdown) and exc.t == state0.t:
             raise ValueError(
                 "the initial data leaves the polar chart: min(r0 + rho) is at or below "
                 f"{CHART_FLOOR_FRACTION:g} * r0 on the kept band"
             ) from exc
-        raise
-    except StepUnstable as exc:
         if not tolerate_blowup:
             raise
         rows, (hats, t) = exc.rows, exc.last
-        status = "unstable"
+        status = "chart_breakdown" if isinstance(exc, ChartBreakdown) else "unstable"
 
     return PolarTrajectory(
         rows=rows,

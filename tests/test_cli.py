@@ -482,6 +482,27 @@ def test_unstable_polar_run_exits_with_json_error(tmp_path, capsys, amp, extra, 
     assert float(error["error"].split()[4].rstrip(":")) > 0.0
 
 
+CHART_INSTABILITY_INI = (
+    "[model]\nm = -1.0\ns1_0 = 1.0\n\n[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 128\n\n"
+    "[solver]\ndt = 1e-3\nt_end = 8.0\n\n[experiment]\nk_seed = 2.0\namp = 1e-3\n"
+)
+
+
+def test_instability_keeps_the_growth_series_when_the_run_leaves_the_chart(tmp_path):
+    # This slice leaves the polar chart at t = 1.042; the command used to
+    # exit 1 with a ChartBreakdown error and write no growth series.
+    out = tmp_path / "out"
+    code = main(["instability", "--config", write(tmp_path, "inst.ini", CHART_INSTABILITY_INI),
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "growth.json").read_text())
+    assert report["status"] == "chart_breakdown"
+    assert report["pass"] is True
+    lines = (out / "growth_series.csv").read_text().splitlines()
+    times = [float(line.split(",")[0]) for line in lines[2:]]
+    assert times == pytest.approx(np.arange(105) / 100)
+
+
 def test_decay_fit_refuses_data_outside_the_polar_chart(tmp_path, capsys):
     # amp = 0.5 starts with r0 + rho below the chart floor: this used to be
     # reported as "ChartBreakdown at t = 0" by the first right-hand side.

@@ -653,22 +653,26 @@ def test_polar_step_unstable_keeps_the_recorded_rows(grid, scheme):
 def test_polar_chart_breakdown_keeps_the_recorded_rows(grid, scheme):
     # The same m < 0 band with the default blow-up threshold leaves the
     # chart in the step from t = 1.25; the error used to reach the caller
-    # with no rows, though 13 were recorded.  tolerate_blowup covers
-    # StepUnstable only, so ChartBreakdown is raised either way.
+    # with no rows, though 13 were recorded.  Under tolerate_blowup the run
+    # ends early with those rows, as after a StepUnstable.
     hats = np.zeros((grid.n // 2 + 1, 3), dtype=complex)
     hats[2] = 1e-3
     state = PerturbationState.from_hats(grid, hats)
     params = SystemParams.constants(m=-1.0)
     config = SolverConfig(dt=1e-2, t_end=20.0, cadence=10, k_cutoff=4.0, scheme=scheme)
-    for tolerate in (False, True):
-        with pytest.raises(ChartBreakdown) as excinfo:
-            evolve_polar(state, params, unit_wave(), config, tolerate_blowup=tolerate)
-        exc = excinfo.value
-        assert exc.t == pytest.approx(1.26)
-        assert [row["t"] for row in exc.rows] == pytest.approx(np.arange(13) / 10)
-        # ETD2 trips in its second stage, at t + dt; BDF2 at the step's start.
-        assert exc.last[1] == pytest.approx(1.25 if scheme == "exponential-rk2" else 1.26)
-        assert exc.last[0].shape == (5, 3)
+    with pytest.raises(ChartBreakdown) as excinfo:
+        evolve_polar(state, params, unit_wave(), config)
+    exc = excinfo.value
+    assert exc.t == pytest.approx(1.26)
+    assert [row["t"] for row in exc.rows] == pytest.approx(np.arange(13) / 10)
+    # ETD2 trips in its second stage, at t + dt; BDF2 at the step's start.
+    assert exc.last[1] == pytest.approx(1.25 if scheme == "exponential-rk2" else 1.26)
+    assert exc.last[0].shape == (5, 3)
+    traj = evolve_polar(state, params, unit_wave(), config, tolerate_blowup=True)
+    assert traj.status == "chart_breakdown"
+    assert traj.rows == exc.rows
+    assert len(traj.hats) == 13
+    assert traj.final.t == exc.last[1]
 
 
 def test_evolve_polar_ends_at_t_end_or_refuses_to_start(grid):
@@ -743,10 +747,11 @@ def test_evolve_polar_refuses_data_outside_the_chart(grid, monkeypatch):
             state = PerturbationState(
                 grid=grid, rho=-depth * np.cos(x), phi=np.zeros(grid.n), h=np.zeros(grid.n)
             )
-            calls.clear()
-            with pytest.raises(ValueError, match="polar chart"):
-                evolve_polar(state, params, unit_wave(), config)
-            assert calls == [0.0]
+            for tolerate in (False, True):
+                calls.clear()
+                with pytest.raises(ValueError, match="polar chart"):
+                    evolve_polar(state, params, unit_wave(), config, tolerate_blowup=tolerate)
+                assert calls == [0.0]
     state = PerturbationState(
         grid=grid, rho=-0.98 * np.cos(x), phi=np.zeros(grid.n), h=np.zeros(grid.n)
     )
