@@ -399,8 +399,9 @@ def block_operators(M: np.ndarray, dt: float) -> Operators:
     [exp(M*dt), phi1(M*dt), phi2(M*dt)] (Hochbruck & Ostermann 2010).
     """
     # Imported here, not with the module: expm is the only use of
-    # scipy.linalg, and loading it costs every ``import cglburgers`` about
-    # 250 ms and 26 MiB, also in runs that never build a block operator.
+    # scipy.linalg, and loading it cost 187-208 ms and 22 MiB of peak RSS
+    # on a 2-core x86 host, which ``import cglburgers`` would pay also in
+    # runs that never build a block operator.
     import scipy.linalg
 
     nm, b, _ = M.shape

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cglburgers import cli, dispersion
 from cglburgers.cli import ConfigError, load_config, main
 
 
@@ -273,6 +274,79 @@ def test_stability_scan_solves_once_per_drift_free_class(tmp_path, monkeypatch):
     # The rows stay in the product order of the scan axes, w0 second.
     axes = [(0.5, 1.0), (0.0, 0.5, 1.0), (-0.5, 0.5), (0.5,), (0.0, 0.5), (0.0,), (0.0,)]
     assert [tuple(float(x) for x in row[:7]) for row in rows] == list(itertools.product(*axes))
+
+
+# The m = 0.5 slice of the benchmark's 360-job atlas: 24 classes of three
+# w0 values, with real waves, no-wave classes and a wave family.
+ATLAS_SLICE_INI = """
+[dispersion]
+k_extent = 16.0
+samples = 2048
+coupling = kappa_gradient
+
+[scan]
+m = 0.5
+w0 = 0.0, 0.5, 1.0
+u0 = -0.5, 0.0, 0.5, 1.0
+v0 = -0.5, 0.0, 0.5
+kappa0 = 0.0, 0.5
+"""
+
+
+def _per_job_atlas(path, out):
+    """The atlas of ``path`` with each job's plane wave solved on its own, at its w0."""
+    cfg = load_config(path)
+    d = cfg["dispersion"]
+    ks = dispersion.default_k_grid(d["k_extent"], d["samples"])
+    header = ["m", "w0", "u0", "v0", "kappa0", "s1_0", "s2_0", "r0", "theta0",
+              "verdict", "C", "omega_plus", "band_lo", "band_hi"]
+    rows = []
+    for job in cli._scan_jobs(cfg):
+        base = [job[k] for k in header[:7]]
+        model = dict(cfg["model"], **{k: v for k, v in job.items() if k != "w0"})
+        params = cli.params_from_config({"model": model})
+        try:
+            result = cli.solve_plane_wave(params, branch=None, w0=job["w0"])
+        except ValueError:  # NoRealSolution included
+            rows.append(base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"])
+            continue
+        wave = result if isinstance(result, cli.PlaneWave) else result.representative()
+        mats = dispersion.build_matrices(params, wave, d["coupling"])
+        drift_free = dispersion.build_matrices(params, cli.replace(wave, w0=0.0), d["coupling"])
+        solved = dispersion.solved_eigvals(drift_free, ks)
+        verdict = dispersion.classify_spectrum(ks, dispersion.spectrum_table(mats, ks, solved, wave.w0))
+        c, band = verdict.parabola_constant, verdict.unstable_band
+        rows.append(base + [
+            wave.r0,
+            wave.theta0,
+            verdict.kind,
+            "inf" if c is not None and np.isinf(c) else ("nan" if c is None else c),
+            "nan" if verdict.omega_plus is None else verdict.omega_plus,
+            "nan" if band is None else band[0],
+            "nan" if band is None else band[1],
+        ])
+    cli.write_csv(out, "cglb.atlas.v1", header, rows)
+    return out.read_bytes()
+
+
+def test_stability_scan_solves_the_plane_wave_once_per_class(tmp_path, monkeypatch):
+    path = write(tmp_path, "slice.ini", ATLAS_SLICE_INI)
+    want = _per_job_atlas(path, tmp_path / "reference.csv")
+    calls = []
+    solve = cli.solve_plane_wave
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_plane_wave", counting)
+    out = tmp_path / "out"
+    assert main(["stability-scan", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == 4 * 3 * 2
+    got = (out / "atlas.csv").read_bytes()
+    assert got == want
+    verdicts = {line.split(",")[9] for line in got.decode().splitlines()[2:]}
+    assert {"stable", "unstable", "no_wave"} <= verdicts
 
 
 RERUN_CONFIGS = {

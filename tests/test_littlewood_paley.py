@@ -1,5 +1,8 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cglburgers.littlewood_paley import (
     BesovIndex,
@@ -307,6 +310,37 @@ def test_smoothing_mu_rescaling(grid):
         for mu in (1.0, 2.0)
     ]
     assert reps[1].ratio == pytest.approx(reps[0].ratio, rel=1e-3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cases=st.integers(1, 5),
+    forced=st.booleans(),
+    p=st.sampled_from((1.0, 2.0, 3.0, np.inf)),
+    r=st.sampled_from((1.0, 2.0, np.inf)),
+    rho=st.sampled_from((1.0, 2.0)),
+    rho1=st.sampled_from((1.0, 2.0, np.inf)),
+)
+def test_smoothing_estimate_sequence_matches_the_single_calls_bitwise(
+    seed, cases, forced, p, r, rho, rho1
+):
+    grid = Grid(dim=1, n=64, length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    fields = [
+        band_limited_noise(grid, rng, max_index=grid.n // 4, zero_mean=True) for _ in range(cases)
+    ]
+    g = None
+    if forced:
+        src = band_limited_noise(grid, rng, max_index=grid.n // 4, zero_mean=True)
+        g = Forcing(f1=lambda t: src.physical() * (1.0 + t))
+    idx = BesovIndex(s=1.0 / p - 1.0, p=p, r=r, rho=rho)
+    args = (g, 1.3, 0.4, idx, rho1)
+    reports = check_smoothing_estimate(fields, *args, t_end=2.0, n_steps=16)
+    assert isinstance(reports, list) and len(reports) == cases
+    for f, rep in zip(fields, reports):
+        single = check_smoothing_estimate(f, *args, t_end=2.0, n_steps=16)
+        assert [float(v).hex() for v in astuple(rep)] == [float(v).hex() for v in astuple(single)]
 
 
 def test_smallness_monitor_zero_and_homogeneity(grid):
