@@ -13,7 +13,6 @@ import argparse
 import configparser
 import itertools
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -336,9 +335,8 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     # -i*k*w0*I, so a class takes one plane-wave solve and one eigen-solve
     # of its drift-free (w0 = 0) pencil, shared with the next class when
     # their pencils are equal.  One class's eigenvalues are live at a time.
-    # The sign bit keeps a class of 0.0 apart from one of -0.0.
     def drift_free_class(i):
-        return [(v, math.copysign(1.0, v)) for k, v in jobs[i].items() if k != "w0"]
+        return [v for k, v in jobs[i].items() if k != "w0"]
 
     solved_key = solved = None
     order = sorted(range(len(jobs)), key=drift_free_class)
@@ -355,31 +353,29 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
                 else result
             )
         except (NoRealSolution, ValueError):
-            wave = None
-        if wave is not None:
-            drift_free = dispersion.build_matrices(params, wave, d["coupling"])
-            key = b"".join(x.tobytes() for x in (drift_free.A, drift_free.B, drift_free.C))
-            if key != solved_key:
-                solved_key, solved = key, dispersion.solved_eigvals(drift_free, ks)
+            for i in members:
+                base = [jobs[i][k] for k in header[:7]]
+                rows[i] = base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"]
+            continue
+        drift_free = dispersion.build_matrices(params, wave, d["coupling"])
+        key = b"".join(x.tobytes() for x in (drift_free.A, drift_free.B, drift_free.C))
+        if key != solved_key:
+            solved_key, solved = key, dispersion.solved_eigvals(drift_free, ks)
         for i in members:
             base = [jobs[i][k] for k in header[:7]]
-            if wave is None:
-                rows[i] = base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"]
-                continue
             job_wave = replace(wave, w0=jobs[i]["w0"])
             mats = dispersion.build_matrices(params, job_wave, d["coupling"])
             lams = dispersion.spectrum_table(mats, ks, solved, job_wave.w0)
             verdict = dispersion.classify_spectrum(ks, lams)
             c = verdict.parabola_constant
-            band = verdict.unstable_band
             rows[i] = base + [
                 job_wave.r0,
                 job_wave.theta0,
                 verdict.kind,
                 "inf" if c is not None and np.isinf(c) else ("nan" if c is None else c),
                 "nan" if verdict.omega_plus is None else verdict.omega_plus,
-                "nan" if band is None else band[0],
-                "nan" if band is None else band[1],
+                "nan" if verdict.unstable_band is None else verdict.unstable_band[0],
+                "nan" if verdict.unstable_band is None else verdict.unstable_band[1],
             ]
     write_csv(out / "atlas.csv", "cglb.atlas.v1", header, rows)
     return 0
