@@ -1,6 +1,7 @@
 import itertools
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cglburgers import cli, dispersion
 from cglburgers.cli import ConfigError, load_config, main
+from cglburgers.model import PlaneWave, solve_plane_wave
 
 
 def write(tmp_path, name, text):
@@ -306,13 +308,13 @@ def _per_job_atlas(path, out):
         model = dict(cfg["model"], **{k: v for k, v in job.items() if k != "w0"})
         params = cli.params_from_config({"model": model})
         try:
-            result = cli.solve_plane_wave(params, branch=None, w0=job["w0"])
+            result = solve_plane_wave(params, branch=None, w0=job["w0"])
         except ValueError:  # NoRealSolution included
             rows.append(base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"])
             continue
-        wave = result if isinstance(result, cli.PlaneWave) else result.representative()
+        wave = result if isinstance(result, PlaneWave) else result.representative()
         mats = dispersion.build_matrices(params, wave, d["coupling"])
-        drift_free = dispersion.build_matrices(params, cli.replace(wave, w0=0.0), d["coupling"])
+        drift_free = dispersion.build_matrices(params, replace(wave, w0=0.0), d["coupling"])
         solved = dispersion.solved_eigvals(drift_free, ks)
         verdict = dispersion.classify_spectrum(ks, dispersion.spectrum_table(mats, ks, solved, wave.w0))
         c, band = verdict.parabola_constant, verdict.unstable_band
@@ -333,11 +335,10 @@ def test_stability_scan_solves_the_plane_wave_once_per_class(tmp_path, monkeypat
     path = write(tmp_path, "slice.ini", ATLAS_SLICE_INI)
     want = _per_job_atlas(path, tmp_path / "reference.csv")
     calls = []
-    solve = cli.solve_plane_wave
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return solve(*args, **kwargs)
+        return solve_plane_wave(*args, **kwargs)
 
     monkeypatch.setattr(cli, "solve_plane_wave", counting)
     out = tmp_path / "out"

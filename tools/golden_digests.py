@@ -6,8 +6,8 @@ table records the digest of each artifact, the digest of stderr and the exit
 code.  Two more sets run on edited sample configs, seed 0 alone: ``EDITED``
 runs succeed, and pin what the sample configs never reach; ``FAILING`` runs
 are refused on purpose, so that an error path (exit code and JSON error
-line) is pinned too.  The digests hold for one numpy and scipy build on one kind of CPU:
-numpy picks its exp/sin kernels by the CPU features it finds, and
+line) is pinned too.  The digests hold for one numpy and scipy build on one
+kind of CPU: numpy picks its exp/sin kernels by the CPU features it finds, and
 ``eig``/``eigvals``/``expm`` round as their BLAS does.  So the table records
 the numpy and scipy versions, the BLAS each links and the CPU features numpy
 dispatches to; a table from another build or CPU is refused by name, not
@@ -101,10 +101,7 @@ def _edited_config(config: str, edits: dict) -> str:
     """The text of a sample config with the values of ``edits`` set over its own."""
     parser = configparser.ConfigParser()
     parser.read(ROOT / "configs" / config)
-    for section, values in edits.items():
-        if not parser.has_section(section):
-            parser.add_section(section)
-        parser[section].update(values)
+    parser.read_dict(edits)
     text = io.StringIO()
     parser.write(text)
     return text.getvalue()
