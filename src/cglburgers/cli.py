@@ -311,7 +311,7 @@ def _scan_jobs(cfg: dict):
 def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     d = cfg["dispersion"]
     jobs = _scan_jobs(cfg)
-    ks = dispersion.default_k_grid(d["k_extent"], d["samples"])
+    ks = dispersion.check_grid(dispersion.default_k_grid(d["k_extent"], d["samples"]))
 
     header = [
         "m",
@@ -334,7 +334,9 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     # theta0) does not depend on w0, and w0 enters the pencil only as
     # -i*k*w0*I, so a class takes one plane-wave solve and one eigen-solve
     # of its drift-free (w0 = 0) pencil, shared with the next class when
-    # their pencils are equal.  One class's eigenvalues are live at a time.
+    # their pencils are equal.  Each job classifies those eigenvalues shifted
+    # by its own w0, checked against its own pencil, on the grid checked
+    # once above (shifted_verdict).  One class's eigenvalues are live at a time.
     def drift_free_class(i):
         return [v for k, v in jobs[i].items() if k != "w0"]
 
@@ -365,8 +367,7 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
             base = [jobs[i][k] for k in header[:7]]
             job_wave = replace(wave, w0=jobs[i]["w0"])
             mats = dispersion.build_matrices(params, job_wave, d["coupling"])
-            lams = dispersion.spectrum_table(mats, ks, solved, job_wave.w0)
-            verdict = dispersion.classify_spectrum(ks, lams)
+            verdict = dispersion.shifted_verdict(mats, ks, solved, job_wave.w0)
             c = verdict.parabola_constant
             rows[i] = base + [
                 job_wave.r0,

@@ -154,18 +154,22 @@ def _solved_rows(ks) -> tuple[np.ndarray, int]:
     return ks, ks.size // 2 if np.array_equal(ks, -ks[::-1]) else 0
 
 
+def _check_residuals(Ms: np.ndarray, lams: np.ndarray) -> None:
+    """Refuse ``lams`` unless every eigenvalue solves the characteristic polynomial of its M(k) to 1e-9."""
+    worst = float(np.max(_char_residuals(Ms, lams)))
+    if not worst <= RESIDUAL_TOL:
+        raise ArithmeticError(
+            f"eigenvalue residual {worst:.2e} could not be verified to {RESIDUAL_TOL:g}"
+        )
+
+
 def solved_eigvals(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
     """Unsorted eigenvalues of M(k) on the rows of ``ks`` that :func:`spectrum_table` solves."""
     ks, n_neg = _solved_rows(ks)
     return np.linalg.eigvals(pencil(mats, ks[n_neg:, None, None]))
 
 
-def spectrum_table(
-    mats: LinearizationMatrices,
-    ks: np.ndarray,
-    drift_free: np.ndarray | None = None,
-    w0: float = 0.0,
-) -> np.ndarray:
+def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
     """Sorted eigenvalue triples of M(k) = -k^2*A + i*k*B + C for every k in ``ks``.
 
     A, B and C are real, so M(-k) = conj M(k).  On a mirror grid
@@ -173,26 +177,13 @@ def spectrum_table(
     against the characteristic polynomial of its own M(k) to 1e-9; row n-1-i
     holds the exact conjugates of row i, whose residuals are the same numbers.
     On any other grid every row is solved and checked.
-
-    The drift w0 enters M(k) only as -i*k*w0*I.  Given ``drift_free``, the
-    :func:`solved_eigvals` of the same matrices with w0 = 0, the table takes
-    those eigenvalues shifted by -i*k*w0 (real parts bit for bit) instead of
-    solving, and checks them against ``mats`` all the same.
     """
     ks, n_neg = _solved_rows(ks)
     Ms = pencil(mats, ks[n_neg:, None, None])
-    if drift_free is None:
-        raw = np.linalg.eigvals(Ms)
-    else:
-        raw = drift_free.copy()
-        raw.imag -= ks[n_neg:, None] * w0
+    raw = np.linalg.eigvals(Ms)
     key = _order_key(raw)
     lams = _order_by(raw, key, raw.imag)
-    worst = float(np.max(_char_residuals(Ms, lams)))
-    if not worst <= RESIDUAL_TOL:
-        raise ArithmeticError(
-            f"eigenvalue residual {worst:.2e} could not be verified to {RESIDUAL_TOL:g}"
-        )
+    _check_residuals(Ms, lams)
     if n_neg:
         # Conjugation keeps the key and flips the imaginary tie-break.
         mirrored = slice(raw.shape[0] - n_neg, None)
@@ -404,29 +395,23 @@ class SpectralVerdict:
 
 
 def default_k_grid(k_extent: float = 16.0, samples: int = 1024) -> np.ndarray:
-    """Grid including k = 0, mirror-symmetric bit for bit: ks[i] == -ks[-1-i]."""
+    """Grid including k = 0, mirror-symmetric bit for bit: ks[i] == -ks[-1-i].
+
+    Raises ValueError unless ``k_extent`` is positive and finite and
+    ``samples`` is at least 2: anything less samples k = 0 alone.
+    """
+    if not (np.isfinite(k_extent) and k_extent > 0.0):
+        raise ValueError(f"k_extent must be positive and finite, got {k_extent!r}")
+    if samples < 2:
+        raise ValueError(f"samples must be at least 2, got {samples!r}")
     ks = np.linspace(-k_extent, k_extent, samples)
     ks = 0.5 * (ks - ks[::-1])
     return np.unique(np.concatenate([ks, [0.0]]))
 
 
-def classify_spectrum(ks: np.ndarray, lams: np.ndarray) -> SpectralVerdict:
-    """Classify spectral stability from a sampled spectrum.
-
-    ``ks`` holds the ``(n,)`` sampled wavenumbers and ``lams`` the ``(n, 3)``
-    eigenvalue triples at them, as returned by :func:`spectrum_table`.  The
-    grid must be finite, include k = 0 and be symmetric about it, and every
-    eigenvalue must be finite.
-
-    Stable verdicts report the largest admissible C > 0 with
-    Re(lambda) <= -C * Im(lambda)^2 at every sample (infinity when no sample
-    constrains it); purely real eigenvalues only need Re(lambda) <= 0, with
-    the neutral k = 0 eigenvalues meeting the bound with equality.  Unstable
-    verdicts report the sampled band of growing wavenumbers and the infimum
-    of the positive real parts.
-    """
+def check_grid(ks) -> np.ndarray:
+    """``ks`` as floats; refused unless finite, including k = 0 and symmetric about it."""
     ks = np.asarray(ks, dtype=float)
-    lams = np.asarray(lams)
     if ks.size == 0:
         raise EmptySampleSet("no spectrum samples supplied")
     if not np.isfinite(ks).all():
@@ -437,21 +422,48 @@ def classify_spectrum(ks: np.ndarray, lams: np.ndarray) -> SpectralVerdict:
         ordered = np.sort(ks)
         if np.max(np.abs(ordered + ordered[::-1])) > 1e-9:
             raise ValueError("sample grid must be symmetric about k = 0")
+    return ks
+
+
+def _refuse_non_finite(lams: np.ndarray) -> None:
     if not np.isfinite(lams).all():
         raise ValueError("spectrum table holds non-finite eigenvalues")
 
+
+def _greatest(x: np.ndarray) -> float:
+    """The largest entry of ``x``, with +0.0 above -0.0.
+
+    ``np.max`` returns whichever zero it meets last; this does not depend on
+    the order of ``x``, and ``-_greatest(-x)`` is the least entry likewise.
+    """
+    top = float(np.max(x))
+    if top == 0.0:
+        return -0.0 if np.signbit(x[x == 0.0]).all() else 0.0
+    return top
+
+
+def _classify(ks: np.ndarray, lams: np.ndarray, mirrors: np.ndarray | None = None) -> SpectralVerdict:
+    """The verdict of the finite eigenvalue rows ``lams`` at the wavenumbers ``ks``.
+
+    ``mirrors`` holds, row for row, the k of a row of the grid that is left
+    out because it holds the exact conjugates of that row: same real parts,
+    and Im(lambda)^2 bit for bit.  Every reduction is a least or greatest
+    value, ties of zeros included resolved by sign, so the verdict depends
+    neither on the order of the eigenvalues in a row nor on the rows left out.
+    """
     re = lams.real
     nonzero_k = np.abs(ks) > CLASSIFY_TOL
-    sup_real = float(np.max(re[nonzero_k])) if nonzero_k.any() else 0.0
+    sup_real = _greatest(re[nonzero_k]) if nonzero_k.any() else 0.0
 
     growing = re > CLASSIFY_TOL
     if growing.any():
         # Genuine growth anywhere (including k = 0) beats the neutral modes.
-        grow = ks[np.any(growing, axis=1)]
+        rows = np.any(growing, axis=1)
+        grow = ks[rows] if mirrors is None else np.concatenate([ks[rows], mirrors[rows]])
         return SpectralVerdict(
             kind="unstable",
             omega_plus=float(np.min(re[growing])),
-            unstable_band=(float(np.min(grow)), float(np.max(grow))),
+            unstable_band=(-_greatest(-grow), _greatest(grow)),
             sup_real=float(np.max(re)),
         )
     if sup_real > -CLASSIFY_TOL:
@@ -460,10 +472,53 @@ def classify_spectrum(ks: np.ndarray, lams: np.ndarray) -> SpectralVerdict:
     im = lams.imag
     oscillatory = np.abs(im) > 1e-12
     if oscillatory.any():
-        constant = float(np.min(-re[oscillatory] / im[oscillatory] ** 2))
+        constant = -_greatest(re[oscillatory] / im[oscillatory] ** 2)
     else:
         constant = float("inf")
     return SpectralVerdict(kind="stable", parabola_constant=constant, sup_real=sup_real)
+
+
+def classify_spectrum(ks: np.ndarray, lams: np.ndarray) -> SpectralVerdict:
+    """Classify spectral stability from a sampled spectrum.
+
+    ``ks`` holds the ``(n,)`` sampled wavenumbers and ``lams`` the ``(n, 3)``
+    eigenvalue triples at them, as returned by :func:`spectrum_table`.  The
+    grid must pass :func:`check_grid`, and every eigenvalue must be finite.
+
+    Stable verdicts report the largest admissible C > 0 with
+    Re(lambda) <= -C * Im(lambda)^2 at every sample (infinity when no sample
+    constrains it); purely real eigenvalues only need Re(lambda) <= 0, with
+    the neutral k = 0 eigenvalues meeting the bound with equality.  Unstable
+    verdicts report the sampled band of growing wavenumbers and the infimum
+    of the positive real parts.
+    """
+    ks = check_grid(ks)
+    lams = np.asarray(lams)
+    _refuse_non_finite(lams)
+    return _classify(ks, lams)
+
+
+def shifted_verdict(
+    mats: LinearizationMatrices, ks: np.ndarray, drift_free: np.ndarray, w0: float
+) -> SpectralVerdict:
+    """The :func:`classify_spectrum` verdict of ``mats`` from a drift-free solve.
+
+    The drift w0 enters M(k) only as -i*k*w0*I.  ``drift_free`` is the
+    :func:`solved_eigvals` of ``mats`` with w0 = 0 on a grid ``ks`` that
+    :func:`check_grid` accepts.  Its eigenvalues shifted by -i*k*w0 (real
+    parts bit for bit) are refused if not finite, and each is checked
+    unsorted against the characteristic polynomial of its own M(k) to 1e-9,
+    so a wrong shift raises ArithmeticError.  On a mirror grid only the
+    solved rows are classified: the k < 0 rows are their exact conjugates,
+    and the band's ends are grid values, a growing k or its mirror.
+    """
+    ks, n_neg = _solved_rows(ks)
+    lams = drift_free.copy()
+    lams.imag -= ks[n_neg:, None] * w0
+    _refuse_non_finite(lams)
+    _check_residuals(pencil(mats, ks[n_neg:, None, None]), lams)
+    mirrors = ks[ks.size - n_neg - 1 :: -1] if n_neg else None
+    return _classify(ks[n_neg:], lams, mirrors)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
+import configparser
 import itertools
 import json
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -316,7 +318,7 @@ def _per_job_atlas(path, out):
         mats = dispersion.build_matrices(params, wave, d["coupling"])
         drift_free = dispersion.build_matrices(params, replace(wave, w0=0.0), d["coupling"])
         solved = dispersion.solved_eigvals(drift_free, ks)
-        verdict = dispersion.classify_spectrum(ks, dispersion.spectrum_table(mats, ks, solved, wave.w0))
+        verdict = dispersion.shifted_verdict(mats, ks, solved, wave.w0)
         c, band = verdict.parabola_constant, verdict.unstable_band
         rows.append(base + [
             wave.r0,
@@ -348,6 +350,83 @@ def test_stability_scan_solves_the_plane_wave_once_per_class(tmp_path, monkeypat
     assert got == want
     verdicts = {line.split(",")[9] for line in got.decode().splitlines()[2:]}
     assert {"stable", "unstable", "no_wave"} <= verdicts
+
+
+def test_stability_scan_sorts_no_eigenvalues(tmp_path, monkeypatch):
+    # The scan classifies each job's unsorted eigenvalues; dispersion still
+    # writes sorted tables.
+    calls = []
+    lexsort = np.lexsort
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return lexsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", counting)
+    assert main(["stability-scan", "--config", write(tmp_path, "scan.ini", DRIFT_SCAN_INI),
+                 "--out", str(tmp_path / "scan")]) == 0
+    assert calls == []
+    assert main(["dispersion", "--config", write(tmp_path, "disp.ini", DISPERSION_INI),
+                 "--out", str(tmp_path / "disp")]) == 0
+    assert len(calls) == 2  # the solved k >= 0 half and its mirror
+
+
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(-1.0, np.inf)], ids=["nan", "inf"])
+def test_stability_scan_refuses_a_non_finite_eigenvalue(tmp_path, monkeypatch, capsys, value):
+    solved_eigvals = dispersion.solved_eigvals
+
+    def poisoned(mats, ks):
+        lams = solved_eigvals(mats, ks)
+        lams[3, 1] = value
+        return lams
+
+    monkeypatch.setattr(dispersion, "solved_eigvals", poisoned)
+    out = tmp_path / "out"
+    assert main(["stability-scan", "--config", write(tmp_path, "scan.ini", DRIFT_SCAN_INI),
+                 "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": "spectrum table holds non-finite eigenvalues", "exit_code": 1}
+    assert not (out / "atlas.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("samples", "0", "samples must be at least 2, got 0"),
+        ("samples", "1", "samples must be at least 2, got 1"),
+        ("samples", "-5", "samples must be at least 2, got -5"),
+        ("k_extent", "0", "k_extent must be positive and finite, got 0.0"),
+        ("k_extent", "-1", "k_extent must be positive and finite, got -1.0"),
+        ("k_extent", "nan", "k_extent must be positive and finite, got nan"),
+        ("k_extent", "inf", "k_extent must be positive and finite, got inf"),
+        ("k_extent", "-inf", "k_extent must be positive and finite, got -inf"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command, text, artifact",
+    [("dispersion", DISPERSION_INI, "spectrum.csv"), ("stability-scan", SCAN_INI, "atlas.csv")],
+    ids=["dispersion", "stability-scan"],
+)
+def test_a_degenerate_wavenumber_grid_is_refused_by_its_key(
+    tmp_path, capsys, command, text, artifact, key, value, message
+):
+    # These used to run: samples = 0 or 1 and k_extent = 0 classified k = 0
+    # alone as "marginal", k_extent = -1 ran as +1, and nan, inf and
+    # samples = -5 failed in numpy with messages that named no key.
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    parser["dispersion"][key] = value
+    path = tmp_path / "grid.ini"
+    with path.open("w") as f:
+        parser.write(f)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([command, "--config", str(path), "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": message, "exit_code": 1}
+    assert not (out / artifact).exists()
 
 
 RERUN_CONFIGS = {

@@ -677,6 +677,35 @@ def test_the_drift_enters_the_pencil_as_a_shift_of_the_diagonal(
     assert np.array_equal(mats.B, want)
 
 
+def _shifted_table(ks, drift_free, w0):
+    """The drift-free eigenvalues shifted by -i*k*w0, conjugate-filled and sorted.
+
+    Bit for bit the table that spectrum_table built from a drift-free solve
+    before the scan classified the shifted eigenvalues directly.
+    """
+    ks = np.asarray(ks, dtype=float)
+    n_neg = ks.size // 2 if np.array_equal(ks, -ks[::-1]) else 0
+    half = drift_free.copy()
+    half.imag -= ks[n_neg:, None] * w0
+    return _reference_sort_lambdas(np.concatenate([half[::-1][:n_neg].conj(), half]))
+
+
+def _verdict_bits(verdict):
+    """Every field of a verdict, each float as its bytes: -0.0 is not 0.0."""
+
+    def bits(x):
+        return None if x is None else np.float64(x).tobytes()
+
+    band = verdict.unstable_band
+    return (
+        verdict.kind,
+        bits(verdict.parabola_constant),
+        bits(verdict.omega_plus),
+        None if band is None else (bits(band[0]), bits(band[1])),
+        bits(verdict.sup_real),
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     m=_scan_values, u0=_scan_values, v0=_scan_values, kappa=_scan_values,
@@ -700,7 +729,9 @@ def test_a_shared_drift_free_solve_gives_the_table_of_each_drift(
         direct = spectrum_table(mats, ks)
     except ArithmeticError:  # a near-defective pencil that no route verifies
         assume(False)
-    shared = spectrum_table(mats, ks, drift_free, w0)
+    # Every shifted eigenvalue passes the residual check against this job's pencil.
+    verdict = dispersion.shifted_verdict(mats, ks, drift_free, w0)
+    shared = _shifted_table(ks, drift_free, w0)
     scale = np.maximum(np.max(np.abs(direct), axis=-1), 1.0)
     # Two roots a gap apart move by up to scale/gap times a perturbation, so
     # near-double roots agree more loosely (u0 = 1e-10 splits one by 2e-5,
@@ -713,7 +744,8 @@ def test_a_shared_drift_free_solve_gives_the_table_of_each_drift(
     if w0 == 0.0 and not np.signbit(w0):  # the w0 = 0 job is the drift-free pencil itself
         _assert_same_bits(shared, direct)
     if 0.0 in ks and np.array_equal(ks, -ks[::-1]):
-        assert classify_spectrum(ks, shared).kind == classify_spectrum(ks, direct).kind
+        assert verdict.kind == classify_spectrum(ks, direct).kind
+        assert _verdict_bits(verdict) == _verdict_bits(classify_spectrum(ks, shared))
 
 
 def test_a_wrong_shift_fails_the_residual_check():
@@ -724,6 +756,81 @@ def test_a_wrong_shift_fails_the_residual_check():
         build_matrices(params, dataclasses.replace(wave, w0=0.0), "kappa_gradient"), ks
     )
     mats = build_matrices(params, wave, "kappa_gradient")
-    assert spectrum_table(mats, ks, drift_free, 1.0).shape == (len(ks), 3)
+    verdict = dispersion.shifted_verdict(mats, ks, drift_free, 1.0)
+    assert verdict.kind == classify_spectrum(ks, spectrum_table(mats, ks)).kind
     with pytest.raises(ArithmeticError, match="eigenvalue residual"):
-        spectrum_table(mats, ks, drift_free, -1.0)
+        dispersion.shifted_verdict(mats, ks, drift_free, -1.0)
+
+
+def _assert_the_shifted_verdict_is_the_table_verdict(mats, ks, drift_free, w0):
+    table = _shifted_table(ks, drift_free, w0)
+    try:
+        got = dispersion.shifted_verdict(mats, ks, drift_free, w0)
+    except ArithmeticError:  # refused only where the table's own check refuses
+        Ms = pencil(mats, np.asarray(ks, dtype=float)[:, None, None])
+        assert not np.max(dispersion._char_residuals(Ms, table)) <= dispersion.RESIDUAL_TOL
+        return None
+    assert _verdict_bits(got) == _verdict_bits(classify_spectrum(ks, table))
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=_scan_values, u0=_scan_values, v0=_scan_values, kappa=_scan_values,
+    s1=_scan_values, s2=_scan_values, w0=_scan_values, coupling=st.sampled_from(COUPLING_MODES),
+    k_extent=st.floats(0.5, 16.0),
+    samples=st.integers(2, 513),
+    layout=st.sampled_from(["mirror", "symmetric-unordered", "single"]),
+    order_seed=st.integers(0, 2**32 - 1),
+)
+def test_the_shifted_verdict_is_the_verdict_of_the_sorted_table(
+    m, u0, v0, kappa, s1, s2, w0, coupling, k_extent, samples, layout, order_seed
+):
+    job = _scan_slice(m, u0, v0, kappa, s1, s2, w0)
+    assume(job is not None)
+    params, wave = job
+    ks = default_k_grid(k_extent, samples)
+    if layout == "symmetric-unordered":
+        ks = np.random.default_rng(order_seed).permutation(ks)
+        assume(not np.array_equal(ks, -ks[::-1]))
+    elif layout == "single":
+        ks = np.array([0.0])
+    drift_free = dispersion.solved_eigvals(
+        build_matrices(params, dataclasses.replace(wave, w0=0.0), coupling), ks
+    )
+    mats = build_matrices(params, wave, coupling)
+    _assert_the_shifted_verdict_is_the_table_verdict(mats, ks, drift_free, w0)
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+@pytest.mark.parametrize("w0", [0.0, 0.7])
+def test_growth_at_k_zero_alone_keeps_the_sign_of_the_grid_zero(zero, w0):
+    # Only k = 0 grows: 0.5 - 50*k^2 < 0 from the first nonzero k on.
+    ks = default_k_grid(4.0, 33)
+    ks[ks.size // 2] = zero  # still a mirror grid: -0.0 == 0.0
+    assert np.array_equal(ks, -ks[::-1])
+    C = np.diag([0.5, -1.0, -2.0])
+    drift_free = dispersion.solved_eigvals(_diagonal_mats([50.0] * 3, [0.0] * 3, C), ks)
+    mats = _diagonal_mats([50.0] * 3, [-w0] * 3, C)
+    verdict = _assert_the_shifted_verdict_is_the_table_verdict(mats, ks, drift_free, w0)
+    assert verdict.kind == "unstable" and verdict.omega_plus == 0.5
+    assert _verdict_bits(verdict)[3] == (np.float64(zero).tobytes(),) * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zeros=st.integers(0, 6))
+def test_the_verdict_does_not_depend_on_the_order_within_a_triple(seed, zeros):
+    # Zeros of both signs tie in np.max and np.min, which keep the one they
+    # meet last; the verdict takes +0.0 as the greater whatever the order.
+    # Neutral oscillatory modes at k = 0 give C = 0.0 and -0.0 ...
+    rng = np.random.default_rng(seed)
+    ks = default_k_grid(4.0, 9)
+    lams = _stable_table(ks)
+    lams[ks == 0.0] = [complex(0.0, 1.0), complex(-0.0, -1.0), -1.0]
+    # ... and zero real parts at k != 0 a marginal sup_real of both signs.
+    rows = rng.choice(np.flatnonzero(ks != 0.0), zeros)
+    lams.real[rows, rng.integers(0, 3, zeros)] = rng.choice([0.0, -0.0], zeros)
+    want = _verdict_bits(classify_spectrum(ks, lams))
+    for _ in range(4):
+        shuffled = np.take_along_axis(lams, rng.permuted(np.tile([0, 1, 2], (ks.size, 1)), axis=1), axis=1)
+        assert _verdict_bits(classify_spectrum(ks, shuffled)) == want

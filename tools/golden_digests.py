@@ -71,6 +71,9 @@ FAILING = {
     "besov-check --config configs/besov_suite.ini with mu = -1 --seed 0": (
         "besov-check", "besov_suite.ini", {"besov": {"mu": "-1"}},
     ),
+    "stability-scan --config configs/stability_atlas.ini with samples = 1 --seed 0": (
+        "stability-scan", "stability_atlas.ini", {"dispersion": {"samples": "1"}},
+    ),
 }
 
 
