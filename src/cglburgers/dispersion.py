@@ -155,7 +155,7 @@ def _solved_rows(ks) -> tuple[np.ndarray, int]:
 
 
 def _check_residuals(Ms: np.ndarray, lams: np.ndarray) -> None:
-    """Refuse ``lams`` unless every eigenvalue solves the characteristic polynomial of its M(k) to 1e-9."""
+    """Refuse ``lams`` unless each solves the characteristic polynomial of its M(k) to 1e-9."""
     worst = float(np.max(_char_residuals(Ms, lams)))
     if not worst <= RESIDUAL_TOL:
         raise ArithmeticError(
@@ -442,14 +442,17 @@ def _greatest(x: np.ndarray) -> float:
     return top
 
 
-def _classify(ks: np.ndarray, lams: np.ndarray, mirrors: np.ndarray | None = None) -> SpectralVerdict:
+def _classify(
+    ks: np.ndarray, lams: np.ndarray, mirrors: np.ndarray | None = None
+) -> SpectralVerdict:
     """The verdict of the finite eigenvalue rows ``lams`` at the wavenumbers ``ks``.
 
-    ``mirrors`` holds, row for row, the k of a row of the grid that is left
-    out because it holds the exact conjugates of that row: same real parts,
-    and Im(lambda)^2 bit for bit.  Every reduction is a least or greatest
-    value, ties of zeros included resolved by sign, so the verdict depends
-    neither on the order of the eigenvalues in a row nor on the rows left out.
+    ``mirrors`` holds, row for row, the k at the mirror index of a grid
+    whose rows there, left out, are the exact conjugates of ``lams``: the
+    same real parts and Im(lambda)^2 bit for bit.  Every reduction is a
+    least or greatest value, with ties of zeros settled by sign, so the
+    verdict depends neither on the order of the eigenvalues in a row nor on
+    the rows left out.
     """
     re = lams.real
     nonzero_k = np.abs(ks) > CLASSIFY_TOL

@@ -680,8 +680,8 @@ def test_the_drift_enters_the_pencil_as_a_shift_of_the_diagonal(
 def _shifted_table(ks, drift_free, w0):
     """The drift-free eigenvalues shifted by -i*k*w0, conjugate-filled and sorted.
 
-    Bit for bit the table that spectrum_table built from a drift-free solve
-    before the scan classified the shifted eigenvalues directly.
+    The reference for shifted_verdict: the full table, ordered as
+    spectrum_table orders the eigenvalues it solves.
     """
     ks = np.asarray(ks, dtype=float)
     n_neg = ks.size // 2 if np.array_equal(ks, -ks[::-1]) else 0
@@ -829,8 +829,10 @@ def test_the_verdict_does_not_depend_on_the_order_within_a_triple(seed, zeros):
     lams[ks == 0.0] = [complex(0.0, 1.0), complex(-0.0, -1.0), -1.0]
     # ... and zero real parts at k != 0 a marginal sup_real of both signs.
     rows = rng.choice(np.flatnonzero(ks != 0.0), zeros)
-    lams.real[rows, rng.integers(0, 3, zeros)] = rng.choice([0.0, -0.0], zeros)
+    cols = rng.integers(0, 3, zeros)
+    lams.real[rows, cols] = rng.choice([0.0, -0.0], zeros)
     want = _verdict_bits(classify_spectrum(ks, lams))
     for _ in range(4):
-        shuffled = np.take_along_axis(lams, rng.permuted(np.tile([0, 1, 2], (ks.size, 1)), axis=1), axis=1)
+        order = rng.permuted(np.tile([0, 1, 2], (ks.size, 1)), axis=1)
+        shuffled = np.take_along_axis(lams, order, axis=1)
         assert _verdict_bits(classify_spectrum(ks, shuffled)) == want
