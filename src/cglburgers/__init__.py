@@ -3,7 +3,6 @@
 from .model import (
     NoRealSolution,
     PlaneWave,
-    PlaneWaveFamily,
     SystemParams,
     eval_coeff,
     solve_plane_wave,

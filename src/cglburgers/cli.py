@@ -20,13 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dispersion, littlewood_paley as lp, perturbation, solver
-from .model import (
-    NoRealSolution,
-    PlaneWave,
-    PlaneWaveFamily,
-    SystemParams,
-    solve_plane_wave,
-)
+from .model import NoRealSolution, PlaneWave, SystemParams, solve_plane_wave
 from .spectral import Grid, band_limited_noise
 
 _TWO_PI = 2.0 * np.pi
@@ -51,7 +45,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "r0": ("optfloat", None),
         "theta0": ("optfloat", None),
         "w0": ("float", 0.0),
-        "branch": ("optint", None),
+        "branch": ("int", 0),
         "drift_compatibility": ("bool", False),
     },
     "grid": {
@@ -114,8 +108,6 @@ def _convert(tag: str, raw: str):
         return None if raw.strip() == "" else float(raw)
     if tag == "int":
         return int(raw)
-    if tag == "optint":
-        return None if raw.strip() == "" else int(raw)
     if tag == "bool":
         value = raw.strip().lower()
         if value in ("true", "1", "yes", "on"):
@@ -144,8 +136,10 @@ def load_config(path: str | None) -> dict:
             for key, raw in parser.items(section):
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                tag = SCHEMA[section][key][0]
-                cfg[section][key] = _convert(tag, raw)
+                try:
+                    cfg[section][key] = _convert(SCHEMA[section][key][0], raw)
+                except ValueError as exc:
+                    raise ConfigError(f"bad value for {key!r} in section [{section}]: {exc}")
     return cfg
 
 
@@ -163,21 +157,27 @@ def params_from_config(cfg: dict) -> SystemParams:
 
 
 def wave_from_config(cfg: dict, params: SystemParams) -> PlaneWave:
+    """The ``[wave]`` plane wave: solved from ``params``, or given by r0, theta0 or both.
+
+    A wave given by one of r0 and theta0 takes the other from the unit
+    circle, and must satisfy the constraints of ``params``.
+    """
     w = cfg["wave"]
-    if w["r0"] is not None:
-        theta0 = w["theta0"]
-        if theta0 is None:
-            theta0 = float(np.sqrt(max(1.0 - w["r0"] ** 2, 0.0)))
-        return PlaneWave(r0=w["r0"], theta0=theta0, w0=w["w0"])
-    result = solve_plane_wave(
-        params,
-        branch=w["branch"],
-        w0=w["w0"],
-        drift_compatibility=w["drift_compatibility"],
-    )
-    if isinstance(result, PlaneWaveFamily):
-        return result.representative()
-    return result
+    r0, theta0 = w["r0"], w["theta0"]
+    if r0 is None and theta0 is None:
+        return solve_plane_wave(
+            params,
+            branch=w["branch"],
+            w0=w["w0"],
+            drift_compatibility=w["drift_compatibility"],
+        )
+    if r0 is None:
+        r0 = float(np.sqrt(max(1.0 - theta0**2, 0.0)))
+    if theta0 is None:
+        theta0 = float(np.sqrt(max(1.0 - r0**2, 0.0)))
+    wave = PlaneWave(r0=r0, theta0=theta0, w0=w["w0"])
+    wave.validate(params)
+    return wave
 
 
 def grid_from_config(cfg: dict) -> Grid:
@@ -200,6 +200,8 @@ def solver_config_from_config(cfg: dict) -> solver.SolverConfig:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return "nan"
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -309,7 +311,15 @@ def _scan_jobs(cfg: dict):
 
 
 def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
-    d = cfg["dispersion"]
+    d, w = cfg["dispersion"], cfg["wave"]
+    ignored = [k for k in ("r0", "theta0") if w[k] is not None]
+    if w["drift_compatibility"]:
+        ignored.append("drift_compatibility")
+    if ignored:
+        raise ValueError(
+            "stability-scan solves the plane wave of each job at its own w0; "
+            f"it cannot honour [wave] {', '.join(ignored)}"
+        )
     jobs = _scan_jobs(cfg)
     ks = dispersion.check_grid(dispersion.default_k_grid(d["k_extent"], d["samples"]))
 
@@ -348,16 +358,11 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
         model.update({k: v for k, v in jobs[members[0]].items() if k != "w0"})
         params = params_from_config({"model": model})
         try:
-            result = solve_plane_wave(params, branch=None)
-            wave = (
-                result.representative()
-                if isinstance(result, PlaneWaveFamily)
-                else result
-            )
+            wave = solve_plane_wave(params, branch=w["branch"])
         except (NoRealSolution, ValueError):
             for i in members:
                 base = [jobs[i][k] for k in header[:7]]
-                rows[i] = base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"]
+                rows[i] = base + [None, None, "no_wave", None, None, None, None]
             continue
         drift_free = dispersion.build_matrices(params, wave, d["coupling"])
         key = b"".join(x.tobytes() for x in (drift_free.A, drift_free.B, drift_free.C))
@@ -368,15 +373,13 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
             job_wave = replace(wave, w0=jobs[i]["w0"])
             mats = dispersion.build_matrices(params, job_wave, d["coupling"])
             verdict = dispersion.shifted_verdict(mats, ks, solved, job_wave.w0)
-            c = verdict.parabola_constant
             rows[i] = base + [
                 job_wave.r0,
                 job_wave.theta0,
                 verdict.kind,
-                "inf" if c is not None and np.isinf(c) else ("nan" if c is None else c),
-                "nan" if verdict.omega_plus is None else verdict.omega_plus,
-                "nan" if verdict.unstable_band is None else verdict.unstable_band[0],
-                "nan" if verdict.unstable_band is None else verdict.unstable_band[1],
+                verdict.parabola_constant,
+                verdict.omega_plus,
+                *(verdict.unstable_band or (None, None)),
             ]
     write_csv(out / "atlas.csv", "cglb.atlas.v1", header, rows)
     return 0

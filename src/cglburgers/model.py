@@ -179,25 +179,6 @@ class PlaneWave:
             )
 
 
-@dataclass(frozen=True)
-class PlaneWaveFamily:
-    """One-parameter family of equilibria r0^2 + theta0^2 = 1.
-
-    Returned by :func:`solve_plane_wave` when the amplitude constraint is
-    vacuous (u and v identically zero) and no branch was selected.
-    """
-
-    params: SystemParams
-    w0: float = 0.0
-
-    def representative(self, r0: float = 1.0) -> PlaneWave:
-        """Pick the member with amplitude ``r0`` (default r0=1, theta0=0)."""
-        if not 0.0 <= r0 <= 1.0:
-            raise ValueError("family members require 0 <= r0 <= 1")
-        theta0 = float(np.sqrt(max(1.0 - r0**2, 0.0)))
-        return PlaneWave(r0=float(r0), theta0=theta0, w0=self.w0)
-
-
 def _amplitude_polynomial(params: SystemParams) -> np.ndarray:
     # u(r)*(1 - r^2) + v(r)*r^2 = 0, expanded in descending powers of r.
     c0, c1 = params.u_coeffs
@@ -218,16 +199,16 @@ def _polish_root(poly: np.ndarray, r: float) -> float:
 
 def solve_plane_wave(
     params: SystemParams,
-    branch: int | None = None,
+    branch: int = 0,
     w0: float = 0.0,
     drift_compatibility: bool = False,
-):
+) -> PlaneWave:
     """Solve the plane-wave constraint equations.
 
-    Returns a :class:`PlaneWave`, or a :class:`PlaneWaveFamily` when both
-    u and v vanish identically and no branch is selected (``branch=None``).
     With several real amplitude roots, roots are ordered by descending r0 and
-    ``branch`` selects by index (default: index 0).
+    ``branch`` selects by index.  When u and v both vanish identically every
+    point of the unit circle solves the constraints, and any branch gives the
+    wave r0 = 1, theta0 = 0.
 
     With ``drift_compatibility`` and theta0 != 0 the drift is solved from
     w0*theta0 = -u(r0)*theta0**2; otherwise ``w0`` is a free input (in
@@ -239,11 +220,7 @@ def solve_plane_wave(
     """
     poly = _amplitude_polynomial(params)
     if np.all(poly == 0.0):
-        family = PlaneWaveFamily(params=params, w0=w0)
-        if branch is None:
-            return family
-        # Any integer branch selects the default representative.
-        return family.representative()
+        return PlaneWave(r0=1.0, theta0=0.0, w0=float(w0))
 
     roots = np.roots(poly) if np.any(poly[:-1] != 0.0) else np.array([])
     candidates = []
@@ -264,12 +241,11 @@ def solve_plane_wave(
             "sign conditions exclude an equilibrium"
         )
 
-    index = 0 if branch is None else int(branch)
     try:
-        r0 = candidates[index]
+        r0 = candidates[branch]
     except IndexError:
         raise NoRealSolution(
-            f"branch {index} requested but only {len(candidates)} root(s) exist"
+            f"branch {branch} requested but only {len(candidates)} root(s) exist"
         ) from None
 
     theta0 = float(np.sqrt(max(1.0 - r0**2, 0.0)))

@@ -604,10 +604,6 @@ DETERMINISM_INI = """
 [model]
 m = 1.0
 
-[wave]
-r0 = 1.0
-theta0 = 0.0
-
 [dispersion]
 k_extent = 8.0
 samples = 33
@@ -616,11 +612,19 @@ samples = 33
 m = -1.0, 0.5, 1.0
 w0 = 0.0, 0.3
 """
+# dispersion takes this wave; stability-scan solves each job's own and refuses it.
+DETERMINISM_WAVE = """
+[wave]
+r0 = 1.0
+theta0 = 0.0
+"""
 
 
 def test_criterion_12_determinism(tmp_path):
     cfg_path = tmp_path / "det.ini"
-    cfg_path.write_text(DETERMINISM_INI)
+    cfg_path.write_text(DETERMINISM_INI + DETERMINISM_WAVE)
+    scan_path = tmp_path / "scan.ini"
+    scan_path.write_text(DETERMINISM_INI)
 
     blobs = []
     for tag in ("a", "b"):
@@ -644,7 +648,7 @@ def test_criterion_12_determinism(tmp_path):
                 [
                     "stability-scan",
                     "--config",
-                    str(cfg_path),
+                    str(scan_path),
                     "--out",
                     str(out),
                     "--threads",

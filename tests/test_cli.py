@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cglburgers import cli, dispersion
 from cglburgers.cli import ConfigError, load_config, main
-from cglburgers.model import PlaneWave, solve_plane_wave
+from cglburgers.model import solve_plane_wave
 
 
 def write(tmp_path, name, text):
@@ -38,6 +38,27 @@ def test_load_config_rejects_unknown_section(tmp_path):
     path = write(tmp_path, "bad.ini", "[mystery]\nx = 1\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[wave]\nbranch =\n",
+         "bad value for 'branch' in section [wave]: invalid literal for int() with base 10: ''"),
+        ("[grid]\nn = 3.5\n",
+         "bad value for 'n' in section [grid]: invalid literal for int() with base 10: '3.5'"),
+        ("[wave]\ndrift_compatibility = maybe\n",
+         "bad value for 'drift_compatibility' in section [wave]: not a boolean: 'maybe'"),
+    ],
+    ids=["branch", "n", "drift_compatibility"],
+)
+def test_a_value_that_does_not_parse_is_refused_by_its_key(tmp_path, capsys, text, message):
+    # An int that did not parse used to end the run with a traceback.
+    code = main(["dispersion", "--config", write(tmp_path, "bad.ini", text),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": message, "exit_code": 1}
 
 
 def test_missing_config_file_exit_code(tmp_path):
@@ -175,6 +196,56 @@ def test_simulate_refuses_a_wave_in_two_dimensions(tmp_path, capsys):
     assert "dim = 2" in error["error"]
 
 
+# theta0 = 0.6 is the lowest wavenumber of the grid, so simulate can compose its wave.
+WAVE_RUN_INI = """
+[grid]
+n = 32
+length = 10.471975511965978
+
+[solver]
+dt = 0.01
+t_end = 0.02
+cadence = 1
+
+[dispersion]
+k_extent = 8.0
+samples = 17
+
+[wave]
+"""
+
+
+def _wave_artifacts(out, command, wave):
+    """The artifacts of a run of ``command`` whose ``[wave]`` section reads ``wave``."""
+    out.mkdir()
+    assert main([command, "--config", write(out, "run.ini", WAVE_RUN_INI + wave),
+                 "--out", str(out / "out")]) == 0
+    return {p.name: p.read_bytes() for p in sorted((out / "out").iterdir())}
+
+
+@pytest.mark.parametrize("command", ["dispersion", "simulate"])
+def test_a_wave_given_by_theta0_alone_takes_r0_from_the_unit_circle(tmp_path, command):
+    # theta0 alone used to be dropped: the run solved the wave r0 = 1, theta0 = 0.
+    alone = _wave_artifacts(tmp_path / "alone", command, "theta0 = 0.6\n")
+    both = _wave_artifacts(tmp_path / "both", command, "r0 = 0.8\ntheta0 = 0.6\n")
+    unit = _wave_artifacts(tmp_path / "unit", command, "r0 = 1.0\n")
+    assert alone == both != unit
+
+
+@pytest.mark.parametrize("command", ["dispersion", "simulate"])
+def test_an_explicit_wave_off_the_constraints_of_the_model_is_refused(tmp_path, capsys, command):
+    # At r0 = 1 the second constraint reads v(r0) = 0.3; such a run used to exit 0.
+    text = "[model]\nu0 = 0.5\nv0 = 0.3\n" + WAVE_RUN_INI + "r0 = 1.0\n"
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, "off.ini", text), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": "plane wave violates constraints: residuals (0.000e+00, 3.000e-01)",
+        "exit_code": 1,
+    }
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["decay-fit", "instability", "quadratic-check"])
 def test_polar_commands_refuse_a_two_dimensional_grid(tmp_path, capsys, command):
     # These commands used to build a 1D grid whatever [grid] dim said.
@@ -281,7 +352,7 @@ def test_stability_scan_solves_once_per_drift_free_class(tmp_path, monkeypatch):
 
 
 # The m = 0.5 slice of the benchmark's 360-job atlas: 24 classes of three
-# w0 values, with real waves, no-wave classes and a wave family.
+# w0 values, with real waves, no-wave classes and a u = v = 0 class.
 ATLAS_SLICE_INI = """
 [dispersion]
 k_extent = 16.0
@@ -310,11 +381,10 @@ def _per_job_atlas(path, out):
         model = dict(cfg["model"], **{k: v for k, v in job.items() if k != "w0"})
         params = cli.params_from_config({"model": model})
         try:
-            result = solve_plane_wave(params, branch=None, w0=job["w0"])
+            wave = solve_plane_wave(params, w0=job["w0"])
         except ValueError:  # NoRealSolution included
             rows.append(base + ["nan", "nan", "no_wave", "nan", "nan", "nan", "nan"])
             continue
-        wave = result if isinstance(result, PlaneWave) else result.representative()
         mats = dispersion.build_matrices(params, wave, d["coupling"])
         drift_free = dispersion.build_matrices(params, replace(wave, w0=0.0), d["coupling"])
         solved = dispersion.solved_eigvals(drift_free, ks)
@@ -387,6 +457,69 @@ def test_stability_scan_refuses_a_non_finite_eigenvalue(tmp_path, monkeypatch, c
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error == {"error": "spectrum table holds non-finite eigenvalues", "exit_code": 1}
     assert not (out / "atlas.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "wave, named",
+    [
+        ("r0 = 0.6\n", "r0"),
+        ("theta0 = 0.8\n", "theta0"),
+        ("r0 = 0.6\ntheta0 = 0.8\n", "r0, theta0"),
+        ("drift_compatibility = true\n", "drift_compatibility"),
+    ],
+    ids=["r0", "theta0", "r0-theta0", "drift_compatibility"],
+)
+def test_stability_scan_refuses_the_wave_keys_it_cannot_honour(tmp_path, capsys, wave, named):
+    # The scan solves the wave of each job.  These keys used to be ignored:
+    # the atlas was byte for byte the one without them.
+    out = tmp_path / "out"
+    text = SCAN_INI + "\n[wave]\n" + wave
+    assert main(["stability-scan", "--config", write(tmp_path, "scan.ini", text),
+                 "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": "stability-scan solves the plane wave of each job at its own w0; "
+        f"it cannot honour [wave] {named}",
+        "exit_code": 1,
+    }
+    assert not (out / "atlas.csv").exists()
+
+
+# u changes sign inside [0, 1], so every class has two amplitude roots.
+BRANCH_SCAN_INI = """
+[model]
+u0 = -1.73
+u1 = 6.646
+v0 = 0.452
+v1 = -0.705
+
+[dispersion]
+k_extent = 8.0
+samples = 33
+
+[scan]
+m = 0.5, 1.0
+w0 = 0.0, 0.5
+"""
+
+
+def test_stability_scan_solves_the_wave_of_the_configured_branch(tmp_path):
+    # The scan used to solve branch 0 whatever [wave] branch said.
+    params = cli.params_from_config(load_config(write(tmp_path, "model.ini", BRANCH_SCAN_INI)))
+    atlases = {}
+    for branch in (0, 1, 2):
+        out = tmp_path / f"branch{branch}"
+        text = BRANCH_SCAN_INI + f"\n[wave]\nbranch = {branch}\n"
+        assert main(["stability-scan", "--config", write(tmp_path, f"b{branch}.ini", text),
+                     "--out", str(out)]) == 0
+        lines = (out / "atlas.csv").read_text().splitlines()[2:]
+        atlases[branch] = [line.split(",") for line in lines]
+    for branch in (0, 1):
+        r0 = cli._fmt(solve_plane_wave(params, branch=branch).r0)
+        assert {row[7] for row in atlases[branch]} == {r0}
+        assert {row[9] for row in atlases[branch]} != {"no_wave"}
+    assert atlases[0] != atlases[1]
+    assert {row[9] for row in atlases[2]} == {"no_wave"}
 
 
 @pytest.mark.parametrize(

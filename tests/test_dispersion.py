@@ -24,7 +24,6 @@ from cglburgers.dispersion import (
 from cglburgers.model import (
     NoRealSolution,
     PlaneWave,
-    PlaneWaveFamily,
     SystemParams,
     solve_plane_wave,
 )
@@ -647,11 +646,9 @@ def _scan_slice(m, u0, v0, kappa, s1, s2, w0):
     """The parameters and wave of one stability-scan job, or None without a wave."""
     params = SystemParams.constants(u=u0, v=v0, m=m, kappa=kappa, s1=s1, s2=s2)
     try:
-        result = solve_plane_wave(params, w0=w0)
+        return params, solve_plane_wave(params, w0=w0)
     except (NoRealSolution, ValueError):  # as stability-scan: a "no_wave" row
         return None
-    wave = result.representative() if isinstance(result, PlaneWaveFamily) else result
-    return params, wave
 
 
 @settings(max_examples=80, deadline=None)

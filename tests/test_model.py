@@ -4,7 +4,6 @@ import pytest
 from cglburgers.model import (
     NoRealSolution,
     PlaneWave,
-    PlaneWaveFamily,
     SystemParams,
     eval_coeff,
     solve_plane_wave,
@@ -41,15 +40,11 @@ def test_require_constant_rejects_slopes():
     assert c.r1 == pytest.approx(0.25 - 1.0j)
 
 
-def test_family_when_both_vanish():
+def test_unit_amplitude_wave_when_both_vanish():
     params = SystemParams.constants()
-    family = solve_plane_wave(params)
-    assert isinstance(family, PlaneWaveFamily)
-    rep = family.representative()
-    assert rep.r0 == 1.0 and rep.theta0 == 0.0
-    member = family.representative(r0=0.6)
-    assert member.r0 == pytest.approx(0.6)
-    assert member.r0**2 + member.theta0**2 == pytest.approx(1.0, abs=1e-12)
+    for branch in (0, 3):
+        wave = solve_plane_wave(params, branch=branch, w0=0.5)
+        assert wave == PlaneWave(r0=1.0, theta0=0.0, w0=0.5)
 
 
 def test_pure_dispersion_forces_unit_amplitude():
@@ -84,8 +79,6 @@ def test_constraint_residuals_below_tolerance():
         try:
             wave = solve_plane_wave(params)
         except NoRealSolution:
-            continue
-        if isinstance(wave, PlaneWaveFamily):
             continue
         res1, res2 = wave.residuals(params)
         assert abs(res1) < 1e-12

@@ -48,8 +48,8 @@ RUNS = {
 # {section: {key: value}} set over the config's own values).
 EDITED = {
     # The m = 0.5 slice of the 360-job atlas in bench/workloads.py: real
-    # waves, no-wave classes and a wave family.  The sample atlas has
-    # u = v = 0, so each of its classes is a family.
+    # waves, no-wave classes and a u = v = 0 class.  The sample atlas has
+    # u = v = 0, so each of its classes solves to the wave r0 = 1, theta0 = 0.
     "stability-scan --config configs/stability_atlas.ini as the m = 0.5 atlas slice --seed 0": (
         "stability-scan", "stability_atlas.ini", {
             "dispersion": {"samples": "2048", "coupling": "kappa_gradient"},
@@ -73,6 +73,12 @@ FAILING = {
     ),
     "stability-scan --config configs/stability_atlas.ini with samples = 1 --seed 0": (
         "stability-scan", "stability_atlas.ini", {"dispersion": {"samples": "1"}},
+    ),
+    "dispersion --config configs/dispersion_reference.ini with v0 = 0.3 --seed 0": (
+        "dispersion", "dispersion_reference.ini", {"model": {"v0": "0.3"}},
+    ),
+    "stability-scan --config configs/stability_atlas.ini with r0 = 0.6 --seed 0": (
+        "stability-scan", "stability_atlas.ini", {"wave": {"r0": "0.6"}},
     ),
 }
 
