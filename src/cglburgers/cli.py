@@ -140,6 +140,10 @@ def load_config(path: str | None) -> dict:
                     cfg[section][key] = _convert(SCHEMA[section][key][0], raw)
                 except ValueError as exc:
                     raise ConfigError(f"bad value for {key!r} in section [{section}]: {exc}")
+    if cfg["wave"]["branch"] < 0:
+        raise ConfigError(
+            f"[wave] branch counts the amplitude roots from 0, got {cfg['wave']['branch']}"
+        )
     return cfg
 
 
@@ -160,7 +164,8 @@ def wave_from_config(cfg: dict, params: SystemParams) -> PlaneWave:
     """The ``[wave]`` plane wave: solved from ``params``, or given by r0, theta0 or both.
 
     A wave given by one of r0 and theta0 takes the other from the unit
-    circle, and must satisfy the constraints of ``params``.
+    circle, and must satisfy the constraints of ``params``.  It is not
+    solved, so a nonzero branch or drift_compatibility beside it is refused.
     """
     w = cfg["wave"]
     r0, theta0 = w["r0"], w["theta0"]
@@ -170,6 +175,12 @@ def wave_from_config(cfg: dict, params: SystemParams) -> PlaneWave:
             branch=w["branch"],
             w0=w["w0"],
             drift_compatibility=w["drift_compatibility"],
+        )
+    ignored = ", ".join(k for k in ("branch", "drift_compatibility") if w[k])
+    if ignored:
+        given = ", ".join(k for k in ("r0", "theta0") if w[k] is not None)
+        raise ValueError(
+            f"a [wave] given by {given} is not solved; it cannot honour [wave] {ignored}"
         )
     if r0 is None:
         r0 = float(np.sqrt(max(1.0 - theta0**2, 0.0)))

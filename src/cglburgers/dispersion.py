@@ -46,7 +46,6 @@ class LinearizationMatrices:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    coupling_mode: str = "kappa_zero"
 
 
 def _gamma(params: SystemParams, wave: PlaneWave) -> float:
@@ -85,7 +84,7 @@ def build_matrices(
         C[2, 0] = -2.0 * r0 * params.kappa(r0)
     elif coupling == "kappa_gradient":
         B[2, 0] = -2.0 * r0 * params.kappa(r0)
-    return LinearizationMatrices(A=A, B=B, C=C, coupling_mode=coupling)
+    return LinearizationMatrices(A=A, B=B, C=C)
 
 
 def pencil(mats: LinearizationMatrices, k) -> np.ndarray:

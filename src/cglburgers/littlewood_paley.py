@@ -424,12 +424,6 @@ class SmoothingRatioReport:
     lhs: float
     rhs: float
     ratio: float
-    sigma: float
-    p: float
-    r: float
-    rho: float
-    rho1: float
-    mu: float
 
 
 def check_smoothing_estimate(
@@ -488,19 +482,7 @@ def check_smoothing_estimate(
         if forced:
             rhs = rhs + source_norm
         ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / max(rhs, 1e-300)
-        reports.append(
-            SmoothingRatioReport(
-                lhs=lhs,
-                rhs=rhs,
-                ratio=ratio,
-                sigma=idx.s,
-                p=idx.p,
-                r=idx.r,
-                rho=rho,
-                rho1=rho1,
-                mu=mu,
-            )
-        )
+        reports.append(SmoothingRatioReport(lhs=lhs, rhs=rhs, ratio=ratio))
     return reports[0] if isinstance(f0, SpectralField) else reports
 
 

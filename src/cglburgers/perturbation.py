@@ -6,7 +6,7 @@ pi = (rho, phi, h) on a 1D periodic domain:
 
     rho_t = rho_xx - (w0+h)*rho_x - u(r)*(2*rho_x*(theta0+phi_x) + r*phi_xx)
             + r*(1 - r^2 - (theta0+phi_x)^2 - s1(r)*h_x)
-    phi_t = -(w0+h)*(theta0+phi_x) + (2*rho_x*(theta0+phi_x) + u(r)*rho_xx)/r
+    phi_t = (2*rho_x*(theta0+phi_x) + u(r)*rho_xx)/r - (w0+h)*(theta0+phi_x)
             - u(r)*(theta0+phi_x)^2 + phi_xx - v(r)*r^2 - s2(r)*h_x
     h_t   = m*h_xx - (w0+h)*h_x - 2*kappa(r)*r*rho_x
 
@@ -155,7 +155,7 @@ def true_linearization(
     B[1, 0] += 2.0 * wave.theta0 / wave.r0
     # Exact rho-coefficient without assuming the circle constraint.
     C[0, 0] = (1.0 - wave.r0**2 - wave.theta0**2) - 2.0 * wave.r0**2
-    return dispersion.LinearizationMatrices(A=A, B=B, C=C, coupling_mode="kappa_gradient")
+    return dispersion.LinearizationMatrices(A=A, B=B, C=C)
 
 
 def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -265,46 +265,10 @@ class _PolarWorkspace:
         tx2 = tx**2
         r2 = r**2
 
-        # The three tendencies, written in place term by term, left to right:
-        #   rho_xx - wh*rho_x - u_r*(rx_tx + r*phi_xx) + r*(1 - r2 - tx2 - s1_r*h_x)
-        #   (rx_tx + u_r*rho_xx)/r - wh*tx - u_r*tx2 + phi_xx - v_r*r2 - s2_r*h_x
-        #   m*h_xx - wh*h_x - 2*kap_r*r*rho_x
         tend = np.empty((3, self.grid.n))
-        t0, t1, t2 = tend[0], tend[1], tend[2]
-        a, b = np.empty(self.grid.n), np.empty(self.grid.n)
-        np.multiply(wh, rho_x, out=t0)
-        np.subtract(rho_xx, t0, out=t0)
-        np.multiply(r, phi_xx, out=a)
-        np.add(rx_tx, a, out=a)
-        np.multiply(u_r, a, out=a)
-        np.subtract(t0, a, out=t0)
-        np.subtract(1.0, r2, out=a)
-        np.subtract(a, tx2, out=a)
-        np.multiply(s1_r, h_x, out=b)
-        np.subtract(a, b, out=a)
-        np.multiply(r, a, out=a)
-        np.add(t0, a, out=t0)
-
-        np.multiply(u_r, rho_xx, out=t1)
-        np.add(rx_tx, t1, out=t1)
-        np.divide(t1, r, out=t1)
-        np.multiply(wh, tx, out=a)
-        np.subtract(t1, a, out=t1)
-        np.multiply(u_r, tx2, out=a)
-        np.subtract(t1, a, out=t1)
-        np.add(t1, phi_xx, out=t1)
-        np.multiply(v_r, r2, out=a)
-        np.subtract(t1, a, out=t1)
-        np.multiply(s2_r, h_x, out=a)
-        np.subtract(t1, a, out=t1)
-
-        np.multiply(self.params.m, h_xx, out=t2)
-        np.multiply(wh, h_x, out=a)
-        np.subtract(t2, a, out=t2)
-        np.multiply(2.0, kap_r, out=a)
-        np.multiply(a, r, out=a)
-        np.multiply(a, rho_x, out=a)
-        np.subtract(t2, a, out=t2)
+        tend[0] = rho_xx - wh * rho_x - u_r * (rx_tx + r * phi_xx) + r * (1.0 - r2 - tx2 - s1_r * h_x)
+        tend[1] = (rx_tx + u_r * rho_xx) / r - wh * tx - u_r * tx2 + phi_xx - v_r * r2 - s2_r * h_x
+        tend[2] = self.params.m * h_xx - wh * h_x - 2.0 * kap_r * r * rho_x
 
         return rfft_axes(self.grid, tend)[:, : self.nk].T
 

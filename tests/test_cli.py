@@ -228,8 +228,12 @@ def test_a_wave_given_by_theta0_alone_takes_r0_from_the_unit_circle(tmp_path, co
     # theta0 alone used to be dropped: the run solved the wave r0 = 1, theta0 = 0.
     alone = _wave_artifacts(tmp_path / "alone", command, "theta0 = 0.6\n")
     both = _wave_artifacts(tmp_path / "both", command, "r0 = 0.8\ntheta0 = 0.6\n")
+    # The solve's keys at their defaults, written out, are no request to refuse.
+    spelled = _wave_artifacts(
+        tmp_path / "spelled", command, "theta0 = 0.6\nbranch = 0\ndrift_compatibility = false\n"
+    )
     unit = _wave_artifacts(tmp_path / "unit", command, "r0 = 1.0\n")
-    assert alone == both != unit
+    assert alone == both == spelled != unit
 
 
 @pytest.mark.parametrize("command", ["dispersion", "simulate"])
@@ -520,6 +524,58 @@ def test_stability_scan_solves_the_wave_of_the_configured_branch(tmp_path):
         assert {row[9] for row in atlases[branch]} != {"no_wave"}
     assert atlases[0] != atlases[1]
     assert {row[9] for row in atlases[2]} == {"no_wave"}
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [("dispersion", "spectrum.csv"), ("stability-scan", "atlas.csv")],
+)
+@pytest.mark.parametrize("branch", [-1, -2])
+def test_a_negative_branch_is_refused_by_its_key(tmp_path, capsys, command, artifact, branch):
+    # Python indexing counted a negative branch from the end: on this
+    # two-root model branch = -1 wrote the artifacts of branch = 1 and
+    # exited 0.  The scan would have turned a refusal raised by the solve
+    # into no_wave rows, so the config is refused before any solve.
+    out = tmp_path / "out"
+    text = BRANCH_SCAN_INI + f"\n[wave]\nbranch = {branch}\n"
+    assert main([command, "--config", write(tmp_path, "neg.ini", text), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": f"[wave] branch counts the amplitude roots from 0, got {branch}",
+        "exit_code": 1,
+    }
+    assert not (out / artifact).exists()
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [
+        ("branch = 1\n", "branch"),
+        ("drift_compatibility = true\n", "drift_compatibility"),
+        ("branch = 1\ndrift_compatibility = true\n", "branch, drift_compatibility"),
+    ],
+    ids=["branch", "drift_compatibility", "both"],
+)
+@pytest.mark.parametrize(
+    "given, keys",
+    [("r0 = 0.8\n", "r0"), ("theta0 = 0.6\n", "theta0"), ("r0 = 0.8\ntheta0 = 0.6\n", "r0, theta0")],
+    ids=["r0", "theta0", "r0-theta0"],
+)
+@pytest.mark.parametrize("command", ["dispersion", "simulate"])
+def test_an_explicit_wave_refuses_the_keys_of_a_solved_one(
+    tmp_path, capsys, command, given, keys, extra, named
+):
+    # A wave given by r0 or theta0 is not solved, and these keys used to be
+    # ignored: with drift_compatibility = true, w0 kept its configured value.
+    out = tmp_path / "out"
+    text = WAVE_RUN_INI + given + extra
+    assert main([command, "--config", write(tmp_path, "wave.ini", text), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": f"a [wave] given by {keys} is not solved; it cannot honour [wave] {named}",
+        "exit_code": 1,
+    }
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,7 @@ from cglburgers.model import (
     SystemParams,
     solve_plane_wave,
 )
+from cglburgers.perturbation import true_linearization
 
 from helpers import coupled_case_printed, random_constrained_pair, sort_triple
 
@@ -833,3 +834,22 @@ def test_the_verdict_does_not_depend_on_the_order_within_a_triple(seed, zeros):
         order = rng.permuted(np.tile([0, 1, 2], (ks.size, 1)), axis=1)
         shuffled = np.take_along_axis(lams, order, axis=1)
         assert _verdict_bits(classify_spectrum(ks, shuffled)) == want
+
+
+@pytest.mark.parametrize("theta0", [0.5, 0.55, 0.6, 0.7])
+def test_the_exact_pencil_has_the_eckhaus_growth_rate(theta0):
+    # An oracle from outside the code.  With u = v = 0 and kappa = 0 nothing
+    # drives h, and the (rho, phi) block linearizes A_t = A + A_xx - |A|^2 A
+    # about the plane wave r0*exp(i*theta0*x).  Its leading rate is
+    # Eckhaus's, and the wave is unstable exactly when theta0^2 > 1/3
+    # (Eckhaus 1965; Stuart & DiPrima, Proc. R. Soc. Lond. A 362, 1978).
+    # build_matrices, which lacks the 2*theta0/r0 coupling, calls the waves
+    # theta0 = 0.6 and 0.7 "stable"; that gap of the closed form is not
+    # asserted here.
+    r0 = float(np.sqrt(1.0 - theta0**2))
+    mats = true_linearization(SystemParams(), PlaneWave(r0=r0, theta0=theta0))
+    ks = default_k_grid()
+    lams = spectrum_table(mats, ks)
+    eckhaus = -(r0**2 + ks**2) + np.sqrt(r0**4 + 4.0 * theta0**2 * ks**2)
+    assert np.max(np.abs(lams[:, 0].real - eckhaus)) <= 1e-12
+    assert (classify_spectrum(ks, lams).kind == "unstable") == (theta0**2 > 1.0 / 3.0)

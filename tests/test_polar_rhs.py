@@ -37,10 +37,10 @@ def _wave(grid):
     return PlaneWave(r0=float(np.sqrt(1.0 - theta0**2)), theta0=theta0, w0=0.3)
 
 
-def _workspace(n, k_cutoff=None):
+def _workspace(n, k_cutoff=None, params=PARAMS, wave=None):
     grid = Grid(dim=1, n=n, length=LENGTH)
     config = SolverConfig(dt=1e-3, k_cutoff=k_cutoff)
-    return perturbation._PolarWorkspace(grid, PARAMS, _wave(grid), config)
+    return perturbation._PolarWorkspace(grid, params, wave or _wave(grid), config)
 
 
 def reference_hats(ws, state):
@@ -126,16 +126,37 @@ def _state(grid, seed, amplitude):
     return PerturbationState(grid=grid, rho=rho, phi=phi, h=h, t=0.25)
 
 
-@settings(max_examples=30, deadline=None)
+_COEFF_PAIR = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_PARAMS_PAIRS = (
+    PARAMS.u_coeffs, PARAMS.v_coeffs, PARAMS.kappa_coeffs, PARAMS.s1_coeffs, PARAMS.s2_coeffs
+)
+
+
+@settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     amplitude=st.floats(1e-8, 0.2),
     n=st.sampled_from([128, 256]),
     k_cutoff=st.sampled_from([None, 4.0]),
+    pairs=st.tuples(*[_COEFF_PAIR] * 5),
+    m=st.floats(-1.0, 2.0),
+    theta0=st.floats(-0.95, 0.95),
+    w0=st.floats(-1.0, 1.0),
 )
-@example(seed=139, amplitude=0.1875, n=256, k_cutoff=None)
-def test_polar_rhs_matches_reference_bitwise(seed, amplitude, n, k_cutoff):
-    ws = _workspace(n, k_cutoff)
+# Always run: PARAMS with the wave of _wave, and a wave with theta0 < 0.
+@example(seed=139, amplitude=0.1875, n=256, k_cutoff=None, pairs=_PARAMS_PAIRS, m=0.8,
+         theta0=2.0 * np.pi / LENGTH, w0=0.3)
+@example(seed=5, amplitude=0.05, n=128, k_cutoff=4.0, pairs=_PARAMS_PAIRS, m=0.8,
+         theta0=-0.6, w0=-0.3)
+def test_polar_rhs_matches_reference_bitwise(seed, amplitude, n, k_cutoff, pairs, m, theta0, w0):
+    # The coefficients, m and the wave are drawn too, theta0 of either sign,
+    # so that no coefficient of the tendency can drop out unseen.
+    u, v, kappa, s1, s2 = pairs
+    params = SystemParams(
+        u_coeffs=u, v_coeffs=v, m=m, kappa_coeffs=kappa, s1_coeffs=s1, s2_coeffs=s2
+    )
+    wave = PlaneWave(r0=float(np.sqrt(1.0 - theta0**2)), theta0=theta0, w0=w0)
+    ws = _workspace(n, k_cutoff, params, wave)
     state = _state(ws.grid, seed, amplitude)
     hats = state.hats()
     assert np.array_equal(hats, reference_hats(ws, state))

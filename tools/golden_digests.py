@@ -80,6 +80,12 @@ FAILING = {
     "stability-scan --config configs/stability_atlas.ini with r0 = 0.6 --seed 0": (
         "stability-scan", "stability_atlas.ini", {"wave": {"r0": "0.6"}},
     ),
+    "stability-scan --config configs/stability_atlas.ini with branch = -1 --seed 0": (
+        "stability-scan", "stability_atlas.ini", {"wave": {"branch": "-1"}},
+    ),
+    "dispersion --config configs/dispersion_reference.ini with drift_compatibility = true --seed 0": (
+        "dispersion", "dispersion_reference.ini", {"wave": {"drift_compatibility": "true"}},
+    ),
 }
 
 
