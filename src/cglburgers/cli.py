@@ -160,6 +160,14 @@ def params_from_config(cfg: dict) -> SystemParams:
     )
 
 
+def _refuse_wave_keys(cfg: dict, keys: tuple[str, ...], why: str) -> None:
+    """Refuse, by name, each of ``keys`` whose ``[wave]`` value is not its default."""
+    w = cfg["wave"]
+    named = ", ".join(k for k in keys if w[k] != SCHEMA["wave"][k][1])
+    if named:
+        raise ValueError(f"{why}; it cannot honour [wave] {named}")
+
+
 def wave_from_config(cfg: dict, params: SystemParams) -> PlaneWave:
     """The ``[wave]`` plane wave: solved from ``params``, or given by r0, theta0 or both.
 
@@ -176,12 +184,9 @@ def wave_from_config(cfg: dict, params: SystemParams) -> PlaneWave:
             w0=w["w0"],
             drift_compatibility=w["drift_compatibility"],
         )
-    ignored = ", ".join(k for k in ("branch", "drift_compatibility") if w[k])
-    if ignored:
-        given = ", ".join(k for k in ("r0", "theta0") if w[k] is not None)
-        raise ValueError(
-            f"a [wave] given by {given} is not solved; it cannot honour [wave] {ignored}"
-        )
+    given = ", ".join(k for k in ("r0", "theta0") if w[k] is not None)
+    why = f"a [wave] given by {given} is not solved"
+    _refuse_wave_keys(cfg, ("branch", "drift_compatibility"), why)
     if r0 is None:
         r0 = float(np.sqrt(max(1.0 - theta0**2, 0.0)))
     if theta0 is None:
@@ -259,11 +264,12 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     sconf = solver_config_from_config(cfg)
     state = solver.FieldState.zeros(grid)
     w = cfg["wave"]
-    if w["r0"] is not None or w["theta0"] is not None:
-        if grid.dim != 1:
-            raise ValueError(
-                f"a [wave] initial state needs [grid] dim = 1, not dim = {grid.dim}"
-            )
+    if w["r0"] is None and w["theta0"] is None:
+        why = "simulate starts from P = Omega = 0 unless [wave] gives r0 or theta0"
+        _refuse_wave_keys(cfg, ("w0", "branch", "drift_compatibility"), why)
+    elif grid.dim != 1:
+        raise ValueError(f"a [wave] initial state needs [grid] dim = 1, not dim = {grid.dim}")
+    else:
         wave = wave_from_config(cfg, params)
         pst = perturbation.PerturbationState.zeros(grid)
         P, omega = perturbation.compose_polar(wave, pst)
@@ -323,14 +329,8 @@ def _scan_jobs(cfg: dict):
 
 def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     d, w = cfg["dispersion"], cfg["wave"]
-    ignored = [k for k in ("r0", "theta0") if w[k] is not None]
-    if w["drift_compatibility"]:
-        ignored.append("drift_compatibility")
-    if ignored:
-        raise ValueError(
-            "stability-scan solves the plane wave of each job at its own w0; "
-            f"it cannot honour [wave] {', '.join(ignored)}"
-        )
+    why = "stability-scan solves the plane wave of each job at its own w0"
+    _refuse_wave_keys(cfg, ("r0", "theta0", "drift_compatibility"), why)
     jobs = _scan_jobs(cfg)
     ks = dispersion.check_grid(dispersion.default_k_grid(d["k_extent"], d["samples"]))
 
@@ -350,7 +350,7 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
         "band_lo",
         "band_hi",
     ]
-    rows = [None] * len(jobs)
+    rows = [[job[k] for k in header[:7]] for job in jobs]
     # A class is the jobs that differ only in w0.  The plane wave (r0,
     # theta0) does not depend on w0, and w0 enters the pencil only as
     # -i*k*w0*I, so a class takes one plane-wave solve and one eigen-solve
@@ -372,19 +372,17 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
             wave = solve_plane_wave(params, branch=w["branch"])
         except (NoRealSolution, ValueError):
             for i in members:
-                base = [jobs[i][k] for k in header[:7]]
-                rows[i] = base + [None, None, "no_wave", None, None, None, None]
+                rows[i] += [None, None, "no_wave", None, None, None, None]
             continue
         drift_free = dispersion.build_matrices(params, wave, d["coupling"])
         key = b"".join(x.tobytes() for x in (drift_free.A, drift_free.B, drift_free.C))
         if key != solved_key:
             solved_key, solved = key, dispersion.solved_eigvals(drift_free, ks)
         for i in members:
-            base = [jobs[i][k] for k in header[:7]]
             job_wave = replace(wave, w0=jobs[i]["w0"])
             mats = dispersion.build_matrices(params, job_wave, d["coupling"])
             verdict = dispersion.shifted_verdict(mats, ks, solved, job_wave.w0)
-            rows[i] = base + [
+            rows[i] += [
                 job_wave.r0,
                 job_wave.theta0,
                 verdict.kind,

@@ -87,6 +87,24 @@ def build_matrices(
     return LinearizationMatrices(A=A, B=B, C=C)
 
 
+def true_linearization(params: SystemParams, wave: PlaneWave) -> LinearizationMatrices:
+    """Exact Frechet derivative of the polar dynamics at pi = 0.
+
+    Extends the decoupled matrices by the gradient-placed density coupling
+    and by the two entries that the closed-form analysis keeps inside its
+    remainder: the rho_xx coefficient c0/r0 in the phase equation and the
+    advective phase/amplitude coupling 2*theta0/r0.
+    """
+    if wave.r0 <= 0:
+        raise ValueError("the polar linearization requires r0 > 0")
+    mats = build_matrices(params, wave, "kappa_gradient")
+    mats.A[1, 0] += params.u_coeffs[0] / wave.r0
+    mats.B[1, 0] += 2.0 * wave.theta0 / wave.r0
+    # Exact rho-coefficient without assuming the circle constraint.
+    mats.C[0, 0] = (1.0 - wave.r0**2 - wave.theta0**2) - 2.0 * wave.r0**2
+    return mats
+
+
 def pencil(mats: LinearizationMatrices, k) -> np.ndarray:
     """-k^2*A + i*k*B + C; k shaped (n, 1, 1) gives the (n, 3, 3) stack."""
     # Summed in place; IEEE addition commutes, so the bits are those of
@@ -97,28 +115,20 @@ def pencil(mats: LinearizationMatrices, k) -> np.ndarray:
     return M
 
 
-def _order_key(lams: np.ndarray) -> np.ndarray:
-    """Real parts quantized at 1e-9 of each triple's magnitude (at least 1).
+def _sort_lambdas(lams: np.ndarray) -> np.ndarray:
+    """Each triple by descending real part, ties by ascending imaginary part, then by position.
 
-    Round-off jitter on analytically equal real parts then ties, so the
-    ordering falls through to the imaginary part.  Conjugation leaves the key
-    unchanged.
+    Real parts are quantized at 1e-9 of the triple's magnitude (at least 1),
+    so round-off jitter on analytically equal real parts ties and falls
+    through to the imaginary part.  Conjugating a triple keeps the key and
+    flips the tie-break.
     """
     # Column by column: numpy reduces a length-3 last axis slowly.
     mag = np.abs(lams)
     scale = np.maximum(np.maximum(mag[..., 0], mag[..., 1]), np.maximum(mag[..., 2], 1.0))
-    return np.round(lams.real / (1e-9 * scale[..., None]))
-
-
-def _order_by(lams: np.ndarray, key: np.ndarray, imag: np.ndarray) -> np.ndarray:
-    """Each triple by descending ``key``, ties by ascending ``imag``, then by position."""
-    order = np.lexsort((imag, -key), axis=-1)
+    key = np.round(lams.real / (1e-9 * scale[..., None]))
+    order = np.lexsort((lams.imag, -key), axis=-1)
     return np.take_along_axis(lams, order, axis=-1)
-
-
-def _sort_lambdas(lams: np.ndarray) -> np.ndarray:
-    """Descending real part (quantized by :func:`_order_key`), ties by ascending imaginary part."""
-    return _order_by(lams, _order_key(lams), lams.imag)
 
 
 def _char_coefficients(Ms: np.ndarray):
@@ -174,20 +184,17 @@ def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
     A, B and C are real, so M(-k) = conj M(k).  On a mirror grid
     (ks[i] == -ks[-1-i]) only the k >= 0 half is solved, sorted and checked
     against the characteristic polynomial of its own M(k) to 1e-9; row n-1-i
-    holds the exact conjugates of row i, whose residuals are the same numbers.
+    holds the exact conjugates of row i, sorted by the same rule, whose
+    residuals are the same numbers.
     On any other grid every row is solved and checked.
     """
     ks, n_neg = _solved_rows(ks)
     Ms = pencil(mats, ks[n_neg:, None, None])
     raw = np.linalg.eigvals(Ms)
-    key = _order_key(raw)
-    lams = _order_by(raw, key, raw.imag)
+    lams = _sort_lambdas(raw)
     _check_residuals(Ms, lams)
     if n_neg:
-        # Conjugation keeps the key and flips the imaginary tie-break.
-        mirrored = slice(raw.shape[0] - n_neg, None)
-        neg = _order_by(raw[mirrored], key[mirrored], -raw.imag[mirrored])
-        lams = np.concatenate([neg[::-1].conj(), lams])
+        lams = np.concatenate([_sort_lambdas(raw[::-1][:n_neg].conj()), lams])
     return lams
 
 
@@ -216,12 +223,15 @@ def closed_form_lambda(params: SystemParams, wave: PlaneWave, k):
     eigenvalues of M(k).
     """
     k = np.asarray(k, dtype=float)
-    r0, th0, w0 = wave.r0, wave.theta0, wave.w0
-    c0, c1 = params.u_coeffs
-    u0 = c0 + c1 * r0
     a, b = closed_form_ab(params, wave, k)
-    root = np.sqrt(a + 1j * b)
-    shift = -(r0**2 + k**2 + 1j * (w0 + 2.0 * th0 * u0) * k)
+    return _closed_form_branches(params, wave, k, a + 1j * b)
+
+
+def _closed_form_branches(params: SystemParams, wave: PlaneWave, k, radicand):
+    """lambda1 = -k^2*m - i*w0*k and the quadratic factor's shift +- sqrt(radicand)."""
+    r0, th0, w0 = wave.r0, wave.theta0, wave.w0
+    root = np.sqrt(radicand)
+    shift = -(r0**2 + k**2 + 1j * (w0 + 2.0 * th0 * params.u(r0)) * k)
     lam1 = -(k**2) * params.m - 1j * w0 * k
     return lam1, shift + root, shift - root
 
@@ -284,26 +294,19 @@ def compare_closed_form(params: SystemParams, wave: PlaneWave, ks) -> ClosedForm
     is explained rather than silently reconciled.
     """
     ks = np.asarray(ks, dtype=float)
-    mats = build_matrices(params, wave, "kappa_zero")
-    oracle = spectrum_table(mats, ks)
-    lam1, lam2, lam3 = closed_form_lambda(params, wave, ks)
-    closed = _sort_lambdas(np.stack([lam1, lam2, lam3], axis=-1))
-    dev = np.max(np.abs(closed - oracle), axis=-1)
+    oracle = spectrum_table(build_matrices(params, wave, "kappa_zero"), ks)
+
+    def deviation(branches):
+        return np.max(np.abs(_sort_lambdas(np.stack(branches, axis=-1)) - oracle), axis=-1)
+
+    dev = deviation(closed_form_lambda(params, wave, ks))
     i_worst = int(np.argmax(dev))
     max_dev = float(dev[i_worst])
     agrees = max_dev <= CLOSED_FORM_TOL
-
     explained = agrees
     if not agrees:
-        disc = oracle_discriminant(params, wave, ks)
-        root = np.sqrt(disc)
-        r0, th0, w0 = wave.r0, wave.theta0, wave.w0
-        u0 = params.u(r0)
-        shift = -(r0**2 + ks**2 + 1j * (w0 + 2.0 * th0 * u0) * ks)
-        fixed = _sort_lambdas(
-            np.stack([lam1, shift + root, shift - root], axis=-1)
-        )
-        explained = bool(np.max(np.abs(fixed - oracle)) <= CLOSED_FORM_TOL)
+        fixed = _closed_form_branches(params, wave, ks, oracle_discriminant(params, wave, ks))
+        explained = bool(np.max(deviation(fixed)) <= CLOSED_FORM_TOL)
 
     summary = {
         "r0": wave.r0,

@@ -217,7 +217,10 @@ def solve_plane_wave(
     Raises:
         NoRealSolution: no real r0 in [0, 1] satisfies the amplitude
             constraint (e.g. u(r0) and v(r0) share a strict sign).
+        ValueError: ``branch`` is negative.
     """
+    if branch < 0:
+        raise ValueError(f"branch counts the amplitude roots from 0, got {branch}")
     poly = _amplitude_polynomial(params)
     if np.all(poly == 0.0):
         return PlaneWave(r0=1.0, theta0=0.0, w0=float(w0))

@@ -134,30 +134,6 @@ def compose_polar(
     )
 
 
-def true_linearization(
-    params: SystemParams, wave: PlaneWave
-) -> dispersion.LinearizationMatrices:
-    """Exact Frechet derivative of the polar dynamics at pi = 0.
-
-    Extends the decoupled matrices by the gradient-placed density coupling
-    and by the two entries that the closed-form analysis keeps inside its
-    remainder: the rho_xx coefficient c0/r0 in the phase equation and the
-    advective phase/amplitude coupling 2*theta0/r0.
-    """
-    if wave.r0 <= 0:
-        raise ValueError("the polar linearization requires r0 > 0")
-    mats = dispersion.build_matrices(params, wave, "kappa_gradient")
-    A = mats.A.copy()
-    B = mats.B.copy()
-    C = mats.C.copy()
-    c0 = params.u_coeffs[0]
-    A[1, 0] += c0 / wave.r0
-    B[1, 0] += 2.0 * wave.theta0 / wave.r0
-    # Exact rho-coefficient without assuming the circle constraint.
-    C[0, 0] = (1.0 - wave.r0**2 - wave.theta0**2) - 2.0 * wave.r0**2
-    return dispersion.LinearizationMatrices(A=A, B=B, C=C)
-
-
 def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
     """rfft wavenumbers of a 1D grid and the mask of the modes a run keeps.
 
@@ -198,7 +174,7 @@ class _PolarWorkspace:
         # ik_powers times the kept modes, zero beyond them: the input of the
         # inverse transform, written in place by every evaluation.
         self._derivative_hats = np.zeros((3, 3, grid.n // 2 + 1), dtype=complex)
-        mats = true_linearization(params, wave)
+        mats = dispersion.true_linearization(params, wave)
         self.M = dispersion.pencil(mats, self.k[:, None, None])
         # (c0, c1) of u, v, s1, s2 and kappa, each shaped (5, 1) against r.
         p = params
@@ -367,7 +343,7 @@ def remainder(
     state's projection onto the 2/3-rule band, and it is band-limited to
     that band.  It vanishes at pi = 0 when the wave is an equilibrium of
     the dynamics, and it is quadratic in pi on slices where the pencil is
-    the exact linearization (see :func:`true_linearization`).  Raises
+    the exact linearization (see :func:`dispersion.true_linearization`).  Raises
     ChartBreakdown (at ``state.t``) where the projection leaves the polar
     chart, StepUnstable where it holds a NaN or exceeds the default blow-up
     threshold, and ValueError unless xi = 1.

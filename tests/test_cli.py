@@ -579,6 +579,31 @@ def test_an_explicit_wave_refuses_the_keys_of_a_solved_one(
 
 
 @pytest.mark.parametrize(
+    "wave, named",
+    [
+        ("w0 = 0.7\n", "w0"),
+        ("branch = 3\n", "branch"),
+        ("drift_compatibility = true\n", "drift_compatibility"),
+        ("w0 = 0.7\nbranch = 3\ndrift_compatibility = true\n", "w0, branch, drift_compatibility"),
+    ],
+    ids=["w0", "branch", "drift_compatibility", "all"],
+)
+def test_simulate_from_rest_refuses_the_wave_keys_it_cannot_honour(tmp_path, capsys, wave, named):
+    # Without r0 or theta0 simulate evolves P = Omega = 0, and these keys
+    # used to be ignored: the run wrote all-zero rows and exited 0.
+    out = tmp_path / "out"
+    text = "[grid]\nn = 32\n\n[solver]\ndt = 0.01\nt_end = 0.02\n\n[wave]\n" + wave
+    assert main(["simulate", "--config", write(tmp_path, "rest.ini", text), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": "simulate starts from P = Omega = 0 unless [wave] gives r0 or theta0; "
+        f"it cannot honour [wave] {named}",
+        "exit_code": 1,
+    }
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
     "key, value, message",
     [
         ("samples", "0", "samples must be at least 2, got 0"),

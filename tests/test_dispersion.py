@@ -20,6 +20,7 @@ from cglburgers.dispersion import (
     pencil,
     spectrum_table,
     stability_conditions,
+    true_linearization,
 )
 from cglburgers.model import (
     NoRealSolution,
@@ -27,7 +28,6 @@ from cglburgers.model import (
     SystemParams,
     solve_plane_wave,
 )
-from cglburgers.perturbation import true_linearization
 
 from helpers import coupled_case_printed, random_constrained_pair, sort_triple
 
@@ -853,3 +853,79 @@ def test_the_exact_pencil_has_the_eckhaus_growth_rate(theta0):
     eckhaus = -(r0**2 + ks**2) + np.sqrt(r0**4 + 4.0 * theta0**2 * ks**2)
     assert np.max(np.abs(lams[:, 0].real - eckhaus)) <= 1e-12
     assert (classify_spectrum(ks, lams).kind == "unstable") == (theta0**2 > 1.0 / 3.0)
+
+
+_affine = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    psi=st.floats(0.05, np.pi / 2 - 0.05),
+    u=_affine, v1=st.floats(-2.0, 2.0), m=st.floats(0.2, 2.0),
+    kappa=_affine, s1=_affine, s2=_affine, w0=st.floats(-2.0, 2.0),
+    placement=st.sampled_from(["kappa_zero", "kappa_gradient", "exact"]),
+)
+def test_the_reflection_of_the_wave_conjugates_its_spectrum(
+    psi, u, v1, m, kappa, s1, s2, w0, placement
+):
+    # x -> -x with Omega -> -Omega maps the wave (r0, theta0, w0) to
+    # (r0, -theta0, -w0) and the perturbation (rho, phi, h)(x) to
+    # (rho, phi, -h)(-x), so its pencil at k is F conj(M(k)) F with
+    # F = diag(1, 1, -1), and its spectrum is the conjugate one.
+    # kappa_constant is left out: it writes the coupling kappa*(|P|^2)_x,
+    # which is odd in x, as a zeroth-order entry, which is even, so its
+    # spectra are no mirror images: all of 200 random draws differ.
+    r0, theta0 = float(np.cos(psi)), float(np.sin(psi))
+    v0 = -(u[0] + u[1] * r0) * theta0**2 / r0**2 - v1 * r0
+    params = SystemParams(
+        u_coeffs=u, v_coeffs=(v0, v1), m=m, kappa_coeffs=kappa, s1_coeffs=s1, s2_coeffs=s2
+    )
+
+    def matrices(sign):
+        wave = PlaneWave(r0=r0, theta0=sign * theta0, w0=sign * w0)
+        if placement == "exact":
+            return true_linearization(params, wave)
+        return build_matrices(params, wave, placement)
+
+    mats, mirror = matrices(1.0), matrices(-1.0)
+    ks = default_k_grid()
+    flip = np.diag([1.0, 1.0, -1.0])
+    # Equal as numbers: the signs of zeros may differ.
+    assert np.array_equal(
+        pencil(mirror, ks[:, None, None]), flip @ pencil(mats, ks[:, None, None]).conj() @ flip
+    )
+    lams, mirrored = spectrum_table(mats, ks), spectrum_table(mirror, ks)
+    # Equal to round-off.  LAPACK's eigenvalues of conj(M) are those of M
+    # conjugated bit for bit, but not always under the sign flips of F:
+    # beside a coupling below round-off (kappa1 = 4.4e-20) one moved by an ulp.
+    want = _reference_sort_lambdas(lams.conj())
+    scale = np.maximum(np.max(np.abs(lams), axis=1, keepdims=True), 1.0)
+    assert np.all(np.abs(mirrored - want) <= 1e-12 * scale)
+    assert classify_spectrum(ks, mirrored).kind == classify_spectrum(ks, lams).kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    theta0=st.floats(0.02, 0.98), u=st.floats(-5.0, 5.0), m=st.floats(0.2, 2.0),
+    s1=st.floats(-2.0, 2.0), s2=st.floats(-2.0, 2.0), w0=st.floats(-2.0, 2.0),
+)
+def test_the_exact_pencil_has_the_stability_region_of_stuart_and_diprima(
+    theta0, u, m, s1, s2, w0
+):
+    # An oracle from outside the code.  With constant coefficients and
+    # kappa = 0 nothing drives h, and the (rho, phi) block linearizes a
+    # Ginzburg-Landau equation about the plane wave r0*exp(i*theta0*x).
+    # The wave is stable exactly when the Benjamin-Feir-Newell condition
+    # 1 + u*v > 0 and the Eckhaus bound theta0^2 < (1 + u*v)/(3 + u*v + 2*v^2)
+    # both hold (Stuart & DiPrima, Proc. R. Soc. Lond. A 362, 1978).
+    # Draws within 2e-2 of either boundary are left to the sampled grid.
+    r0 = float(np.sqrt(1.0 - theta0**2))
+    v = -u * theta0**2 / r0**2
+    newell = 1.0 + u * v
+    eckhaus = newell / (3.0 + u * v + 2.0 * v**2)
+    assume(abs(newell) > 2e-2 and abs(theta0**2 - eckhaus) > 2e-2)
+    params = SystemParams.constants(u=u, v=v, m=m, s1=s1, s2=s2)
+    mats = true_linearization(params, PlaneWave(r0=r0, theta0=theta0, w0=w0))
+    ks = default_k_grid()
+    verdict = classify_spectrum(ks, spectrum_table(mats, ks))
+    assert (verdict.kind == "stable") == (newell > 0.0 and theta0**2 < eckhaus)

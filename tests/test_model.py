@@ -111,6 +111,19 @@ def test_branch_selection_on_multiple_roots():
         solve_plane_wave(params, branch=5)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [SystemParams(u_coeffs=(-1.73, 6.646), v_coeffs=(0.452, -0.705)), SystemParams()],
+    ids=["two-roots", "u-v-zero"],
+)
+@pytest.mark.parametrize("branch", [-1, -2])
+def test_a_negative_branch_is_refused(params, branch):
+    # Python indexing counted a negative branch from the end: on the
+    # two-root model branch = -1 returned the branch = 1 wave, r0 = 0.2574.
+    with pytest.raises(ValueError, match=f"counts the amplitude roots from 0, got {branch}"):
+        solve_plane_wave(params, branch=branch)
+
+
 def test_plane_wave_rejects_off_circle():
     with pytest.raises(ValueError):
         PlaneWave(r0=0.5, theta0=0.5)

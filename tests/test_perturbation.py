@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cglburgers import dispersion, perturbation
+from cglburgers.dispersion import true_linearization
 from cglburgers.model import PlaneWave, SystemParams
 from cglburgers.perturbation import (
     ChartBreakdown,
@@ -12,7 +13,6 @@ from cglburgers.perturbation import (
     instability_experiment,
     quadratic_order_check,
     remainder,
-    true_linearization,
 )
 from cglburgers.solver import SCHEMES, FieldState, SolverConfig, StepUnstable, evolve
 from cglburgers.spectral import Grid, SpectralField

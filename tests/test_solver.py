@@ -258,6 +258,37 @@ def test_scaling_equivariance(grid):
     assert errO < 1e-4
 
 
+def _fields_at_one(P, W):
+    """P and Omega at t = 1 from the physical data (P, W), n = 128 and dt = 1e-2."""
+    grid = Grid(dim=1, n=128, length=2.0 * np.pi)
+    params = SystemParams.constants(u=0.3, v=0.2, xi=1.0, m=1.0, kappa=0.5, s1=0.1, s2=0.2)
+    state = FieldState(
+        P=SpectralField.from_physical(grid, P), omega=(SpectralField.from_physical(grid, W),)
+    )
+    final = _final_fields(state, params, 1e-2, 1.0, "exponential-rk2")
+    return final.P.physical(), final.omega[0].physical()
+
+
+@pytest.mark.parametrize("symmetry", ["reflection", "shift", "phase"])
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.integers(1, 127), alpha=st.floats(-np.pi, np.pi))
+def test_the_field_dynamics_keep_the_symmetries_of_the_equations(symmetry, seed, shift, alpha):
+    # x -> -x with Omega -> -Omega, a shift by whole grid points and the
+    # phase rotation P -> exp(i*alpha)*P each map solutions to solutions,
+    # and the spectral step commutes with them to round-off.
+    def act(P, W):
+        if symmetry == "reflection":  # f(-x) on the grid x_j = j*dx
+            return np.roll(P[::-1], 1), -np.roll(W[::-1], 1)
+        if symmetry == "shift":
+            return np.roll(P, shift), np.roll(W, shift)
+        return np.exp(1j * alpha) * P, W
+
+    state = _smooth_initial_state(Grid(dim=1, n=128), np.random.default_rng(seed), 0.1)
+    P, W = state.P.physical(), state.omega[0].physical()
+    for got, want in zip(_fields_at_one(*act(P, W)), act(*_fields_at_one(P, W))):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_forced_linear_duhamel(grid):
     # kappa = xi = 0 and P = 0: the drift obeys a forced heat equation whose
     # single-mode solution is available in closed form.

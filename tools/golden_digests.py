@@ -86,6 +86,9 @@ FAILING = {
     "dispersion --config configs/dispersion_reference.ini with drift_compatibility = true --seed 0": (
         "dispersion", "dispersion_reference.ini", {"wave": {"drift_compatibility": "true"}},
     ),
+    "simulate --config configs/smallness_run.ini with w0 = 0.7 --seed 0": (
+        "simulate", "smallness_run.ini", {"wave": {"w0": "0.7"}},
+    ),
 }
 
 
