@@ -127,13 +127,16 @@ def load_config(path: str | None) -> dict:
     cfg = {sec: {k: default for k, (_, default) in keys.items()} for sec, keys in SCHEMA.items()}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"config file not found: {path}")
-        for section in parser.sections():
+        try:
+            if not parser.read(path, encoding="utf-8"):
+                raise ConfigError(f"config file not found: {path}")
+            items = {section: parser.items(section) for section in parser.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}")
+        for section, pairs in items.items():
             if section not in SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
+            for key, raw in pairs:
                 if key not in SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 try:
@@ -160,12 +163,16 @@ def params_from_config(cfg: dict) -> SystemParams:
     )
 
 
-def _refuse_wave_keys(cfg: dict, keys: tuple[str, ...], why: str) -> None:
-    """Refuse, by name, each of ``keys`` whose ``[wave]`` value is not its default."""
-    w = cfg["wave"]
-    named = ", ".join(k for k in keys if w[k] != SCHEMA["wave"][k][1])
+def _refuse_keys(cfg: dict, section: str, keys: tuple[str, ...], why: str) -> None:
+    """Refuse, by name, each of ``keys`` whose ``[section]`` value is not its default.
+
+    A key set to its schema default is not refused: the parsed config
+    cannot tell it from a key left unset.
+    """
+    values = cfg[section]
+    named = ", ".join(k for k in keys if values[k] != SCHEMA[section][k][1])
     if named:
-        raise ValueError(f"{why}; it cannot honour [wave] {named}")
+        raise ValueError(f"{why}; it cannot honour [{section}] {named}")
 
 
 def wave_from_config(cfg: dict, params: SystemParams) -> PlaneWave:
@@ -186,7 +193,7 @@ def wave_from_config(cfg: dict, params: SystemParams) -> PlaneWave:
         )
     given = ", ".join(k for k in ("r0", "theta0") if w[k] is not None)
     why = f"a [wave] given by {given} is not solved"
-    _refuse_wave_keys(cfg, ("branch", "drift_compatibility"), why)
+    _refuse_keys(cfg, "wave", ("branch", "drift_compatibility"), why)
     if r0 is None:
         r0 = float(np.sqrt(max(1.0 - theta0**2, 0.0)))
     if theta0 is None:
@@ -266,7 +273,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     w = cfg["wave"]
     if w["r0"] is None and w["theta0"] is None:
         why = "simulate starts from P = Omega = 0 unless [wave] gives r0 or theta0"
-        _refuse_wave_keys(cfg, ("w0", "branch", "drift_compatibility"), why)
+        _refuse_keys(cfg, "wave", ("w0", "branch", "drift_compatibility"), why)
     elif grid.dim != 1:
         raise ValueError(f"a [wave] initial state needs [grid] dim = 1, not dim = {grid.dim}")
     else:
@@ -314,43 +321,22 @@ def cmd_dispersion(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def _scan_jobs(cfg: dict):
-    model = cfg["model"]
-    scan = cfg["scan"]
-    axes = []
-    for key in ("m", "w0", "u0", "v0", "kappa0", "s1_0", "s2_0"):
-        values = scan[key]
-        if values is None:
-            base = cfg["wave"]["w0"] if key == "w0" else model.get(key, 0.0)
-            values = [base]
-        axes.append([(key, v) for v in values])
-    return [dict(combo) for combo in itertools.product(*axes)]
-
-
 def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
-    d, w = cfg["dispersion"], cfg["wave"]
+    d, w, scan = cfg["dispersion"], cfg["wave"], cfg["scan"]
     why = "stability-scan solves the plane wave of each job at its own w0"
-    _refuse_wave_keys(cfg, ("r0", "theta0", "drift_compatibility"), why)
-    jobs = _scan_jobs(cfg)
+    _refuse_keys(cfg, "wave", ("r0", "theta0", "drift_compatibility"), why)
+    empty = ", ".join(k for k in SCHEMA["scan"] if scan[k] == [])
+    if empty:
+        raise ValueError(f"[scan] {empty} lists no value; an empty axis scans nothing")
+    # The axes in the atlas's column order; an unset one holds the value of
+    # [wave] w0 or of [model].
+    axes = {
+        k: [w["w0"] if k == "w0" else cfg["model"][k]] if scan[k] is None else scan[k]
+        for k in SCHEMA["scan"]
+    }
+    class_keys = [k for k in axes if k != "w0"]
     ks = dispersion.check_grid(dispersion.default_k_grid(d["k_extent"], d["samples"]))
 
-    header = [
-        "m",
-        "w0",
-        "u0",
-        "v0",
-        "kappa0",
-        "s1_0",
-        "s2_0",
-        "r0",
-        "theta0",
-        "verdict",
-        "C",
-        "omega_plus",
-        "band_lo",
-        "band_hi",
-    ]
-    rows = [[job[k] for k in header[:7]] for job in jobs]
     # A class is the jobs that differ only in w0.  The plane wave (r0,
     # theta0) does not depend on w0, and w0 enters the pencil only as
     # -i*k*w0*I, so a class takes one plane-wave solve and one eigen-solve
@@ -358,31 +344,25 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     # their pencils are equal.  Each job classifies those eigenvalues shifted
     # by its own w0, checked against its own pencil, on the grid checked
     # once above (shifted_verdict).  One class's eigenvalues are live at a time.
-    def drift_free_class(i):
-        return [v for k, v in jobs[i].items() if k != "w0"]
-
+    cells = {}
     solved_key = solved = None
-    order = sorted(range(len(jobs)), key=drift_free_class)
-    for _, members in itertools.groupby(order, key=drift_free_class):
-        members = list(members)
-        model = dict(cfg["model"])
-        model.update({k: v for k, v in jobs[members[0]].items() if k != "w0"})
-        params = params_from_config({"model": model})
+    for cls in itertools.product(*(axes[k] for k in class_keys)):
+        params = params_from_config({"model": dict(cfg["model"], **dict(zip(class_keys, cls)))})
         try:
             wave = solve_plane_wave(params, branch=w["branch"])
         except (NoRealSolution, ValueError):
-            for i in members:
-                rows[i] += [None, None, "no_wave", None, None, None, None]
+            for w0 in axes["w0"]:
+                cells[cls, w0] = [None, None, "no_wave", None, None, None, None]
             continue
         drift_free = dispersion.build_matrices(params, wave, d["coupling"])
         key = b"".join(x.tobytes() for x in (drift_free.A, drift_free.B, drift_free.C))
         if key != solved_key:
             solved_key, solved = key, dispersion.solved_eigvals(drift_free, ks)
-        for i in members:
-            job_wave = replace(wave, w0=jobs[i]["w0"])
+        for w0 in axes["w0"]:
+            job_wave = replace(wave, w0=w0)
             mats = dispersion.build_matrices(params, job_wave, d["coupling"])
-            verdict = dispersion.shifted_verdict(mats, ks, solved, job_wave.w0)
-            rows[i] += [
+            verdict = dispersion.shifted_verdict(mats, ks, solved, w0)
+            cells[cls, w0] = [
                 job_wave.r0,
                 job_wave.theta0,
                 verdict.kind,
@@ -390,6 +370,11 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
                 verdict.omega_plus,
                 *(verdict.unstable_band or (None, None)),
             ]
+    # The rows run in the product order of all seven axes, w0 second.
+    rows = (
+        [*job, *cells[job[:1] + job[2:], job[1]]] for job in itertools.product(*axes.values())
+    )
+    header = [*axes, "r0", "theta0", "verdict", "C", "omega_plus", "band_lo", "band_hi"]
     write_csv(out / "atlas.csv", "cglb.atlas.v1", header, rows)
     return 0
 
@@ -417,6 +402,8 @@ def _seeded_state(
 
 
 def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
+    why = "decay-fit measures the H^(s+1) norm of [experiment] s"
+    _refuse_keys(cfg, "solver", ("hs_exponent",), why)
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = grid_from_config(cfg)
@@ -526,6 +513,8 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
+    why = "quadratic-check takes the remainder on the 2/3-rule band"
+    _refuse_keys(cfg, "solver", ("k_cutoff",), why)
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = grid_from_config(cfg)
@@ -536,7 +525,6 @@ def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
     reports = []
     all_pass = True
     for _ in range(exp["directions"]):
-        # The remainder is taken on the 2/3-rule band, whatever k_cutoff says.
         pi_dir = _seeded_state(grid, None, exp["init_modes"], 1.0, rng)
         rep = perturbation.quadratic_order_check(pi_dir, params, wave, exp["eps_list"])
         reports.append(rep.to_json_dict())

@@ -12,6 +12,9 @@ only its own tests call is deleted, or its reference moves to
 
 import ast
 import io
+import os
+import subprocess
+import sys
 import tokenize
 from collections import Counter
 from pathlib import Path
@@ -69,3 +72,18 @@ def test_every_name_without_a_caller_in_the_package_is_argued_for():
     assert not unargued, f"no caller in src/ and not on ALLOWED: {unargued}"
     called = sorted(ALLOWED.keys() - uncalled)
     assert not called, f"on ALLOWED but called in src/: {called}"
+
+
+def test_the_package_root_loads_no_module():
+    # The root used to re-export 43 names, so importing one module loaded all seven.
+    probe = (
+        "import sys, cglburgers.solver\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cglburgers'))"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env["PYTHONPATH"] = str(PACKAGE.parent)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert ast.literal_eval(out) == [
+        "cglburgers", "cglburgers.model", "cglburgers.solver", "cglburgers.spectral"
+    ]

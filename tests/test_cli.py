@@ -66,6 +66,31 @@ def test_missing_config_file_exit_code(tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"[model]\nm = 1.0\n\n[model]\nu0 = 0.5\n",
+        b"[model]\nm = 1.0\nm = 2.0\n",
+        b"m = 1.0\n\n[model]\nu0 = 0.5\n",
+        b"[model]\nm = 1.0\xff\n",
+        b"[model]\nm = 1.0%\n",
+    ],
+    ids=["duplicate-section", "duplicate-key", "no-section-header", "not-utf8", "percent"],
+)
+def test_a_config_file_that_does_not_parse_is_refused_by_its_path(tmp_path, capsys, text):
+    # Each of these used to end the run with a traceback and no JSON line.
+    path = tmp_path / "bad.ini"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["dispersion", "--config", str(path), "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error.keys() == {"error", "exit_code"} and error["exit_code"] == 1
+    assert error["error"].startswith(f"cannot parse config file {path}: ")
+    assert not out.exists()
+
+
 DISPERSION_INI = """
 [model]
 m = 1.0
@@ -379,9 +404,12 @@ def _per_job_atlas(path, out):
     ks = dispersion.default_k_grid(d["k_extent"], d["samples"])
     header = ["m", "w0", "u0", "v0", "kappa0", "s1_0", "s2_0", "r0", "theta0",
               "verdict", "C", "omega_plus", "band_lo", "band_hi"]
+    axes = [cfg["scan"][k] or [cfg["wave"]["w0"] if k == "w0" else cfg["model"][k]]
+            for k in header[:7]]
     rows = []
-    for job in cli._scan_jobs(cfg):
-        base = [job[k] for k in header[:7]]
+    for values in itertools.product(*axes):
+        job = dict(zip(header[:7], values))
+        base = list(values)
         model = dict(cfg["model"], **{k: v for k, v in job.items() if k != "w0"})
         params = cli.params_from_config({"model": model})
         try:
@@ -486,6 +514,31 @@ def test_stability_scan_refuses_the_wave_keys_it_cannot_honour(tmp_path, capsys,
         f"it cannot honour [wave] {named}",
         "exit_code": 1,
     }
+    assert not (out / "atlas.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "scan, named",
+    [("m =\n", "m"), ("m = 1.0\nw0 = ,\n", "w0"), ("m = 1.0\nu0 =\ns2_0 =\n", "u0, s2_0")],
+    ids=["m", "w0", "u0-s2_0"],
+)
+def test_stability_scan_refuses_an_axis_that_lists_no_value(
+    tmp_path, capsys, monkeypatch, scan, named
+):
+    # An empty axis used to scan nothing: the atlas held its two header
+    # lines alone, and the run exited 0.
+    calls = []
+    monkeypatch.setattr(cli, "solve_plane_wave", lambda *a, **k: calls.append(a))
+    out = tmp_path / "out"
+    text = "[dispersion]\nk_extent = 8.0\nsamples = 65\n\n[scan]\n" + scan
+    assert main(["stability-scan", "--config", write(tmp_path, "scan.ini", text),
+                 "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": f"[scan] {named} lists no value; an empty axis scans nothing",
+        "exit_code": 1,
+    }
+    assert calls == []
     assert not (out / "atlas.csv").exists()
 
 
@@ -711,6 +764,21 @@ def test_quadratic_check_refuses_xi_other_than_one(tmp_path, capsys):
     assert not (out / "quadratic.json").exists()
 
 
+def test_quadratic_check_refuses_a_k_cutoff(tmp_path, capsys):
+    # The remainder is taken on the 2/3-rule band: k_cutoff = 3 used to be
+    # ignored, and quadratic.json was byte for byte the one without it.
+    path = write(tmp_path, "quad.ini", QUAD_UNIT_INI + "\n[solver]\nk_cutoff = 3.0\n")
+    out = tmp_path / "out"
+    assert main(["quadratic-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": "quadratic-check takes the remainder on the 2/3-rule band; "
+        "it cannot honour [solver] k_cutoff",
+        "exit_code": 1,
+    }
+    assert not any(out.iterdir())
+
+
 def test_quadratic_check_refuses_scales_that_leave_the_polar_chart(tmp_path, capsys):
     # eps = 3 takes r0 + rho across zero: this used to exit 2 with psi
     # computed across r = 0.
@@ -812,6 +880,26 @@ def test_decay_fit_cli(tmp_path):
     report = json.loads((out / "decay.json").read_text())
     assert report["pass"] is True
     assert report["alpha_reference"] == pytest.approx(-1.25)
+
+
+def test_decay_fit_refuses_an_hs_exponent(tmp_path, capsys):
+    # decay-fit measures the H^(s+1) norm: hs_exponent = 3 used to be
+    # ignored, and both artifacts were byte for byte the ones without it.
+    path = write(
+        tmp_path,
+        "decay.ini",
+        "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 32\n\n"
+        "[solver]\ndt = 0.01\nt_end = 0.5\nhs_exponent = 3.0\n",
+    )
+    out = tmp_path / "out"
+    assert main(["decay-fit", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": "decay-fit measures the H^(s+1) norm of [experiment] s; "
+        "it cannot honour [solver] hs_exponent",
+        "exit_code": 1,
+    }
+    assert not any(out.iterdir())
 
 
 def test_csv_float_format_full_precision(tmp_path):

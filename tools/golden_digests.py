@@ -89,6 +89,15 @@ FAILING = {
     "simulate --config configs/smallness_run.ini with w0 = 0.7 --seed 0": (
         "simulate", "smallness_run.ini", {"wave": {"w0": "0.7"}},
     ),
+    "decay-fit --config configs/decay_reference.ini with hs_exponent = 3 --seed 0": (
+        "decay-fit", "decay_reference.ini", {"solver": {"hs_exponent": "3"}},
+    ),
+    "quadratic-check --config configs/decay_reference.ini with k_cutoff = 3 --seed 0": (
+        "quadratic-check", "decay_reference.ini", {"solver": {"k_cutoff": "3"}},
+    ),
+    "stability-scan --config configs/stability_atlas.ini with m = --seed 0": (
+        "stability-scan", "stability_atlas.ini", {"scan": {"m": ""}},
+    ),
 }
 
 
