@@ -244,7 +244,9 @@ def write_csv(path: Path, schema: str, header: list[str], rows) -> None:
 def write_json(path: Path, schema: str, payload: dict) -> None:
     doc = {"schema": schema}
     doc.update(payload)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    # JSON (RFC 8259) has no inf or NaN: a round trip writes them as null.
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _fail_json(message: str, code: int) -> int:
@@ -283,7 +285,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         state = solver.FieldState(P=P, omega=(omega,), t=0.0)
     status = "completed"
     try:
-        summary = solver.evolve(state, params, solver.Forcing.zero(), sconf)
+        summary = solver.evolve(state, params, config=sconf)
         rows = summary.rows
     except solver.StepUnstable as exc:
         status = f"unstable@{exc.t:.6g}"
@@ -379,28 +381,6 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def _seeded_state(
-    grid: Grid, k_cutoff: float | None, modes: int, amp: float, rng
-) -> perturbation.PerturbationState:
-    """The state with random complex normal coefficients times ``amp`` on modes 1..``modes``.
-
-    Raises ValueError if ``modes`` is below 1 or exceeds the largest mode
-    index of the kept band of ``grid`` and ``k_cutoff``.
-    """
-    if modes < 1:
-        raise ValueError(f"init_modes = {modes} seeds no mode; it must be at least 1")
-    _, keep = perturbation._kept_band(grid, k_cutoff)
-    top = int(np.count_nonzero(keep)) - 1
-    if modes > top:
-        raise ValueError(
-            f"init_modes = {modes} exceeds the largest kept mode index {top} "
-            "of this grid and k_cutoff"
-        )
-    hats = np.zeros((grid.n // 2 + 1, 3), dtype=complex)
-    hats[1 : modes + 1] = amp * (rng.normal(size=(modes, 3)) + 1j * rng.normal(size=(modes, 3)))
-    return perturbation.PerturbationState.from_hats(grid, hats)
-
-
 def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
     why = "decay-fit measures the H^(s+1) norm of [experiment] s"
     _refuse_keys(cfg, "solver", ("hs_exponent",), why)
@@ -410,7 +390,7 @@ def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
     sconf = solver_config_from_config(cfg)
     exp = cfg["experiment"]
     rng = np.random.default_rng(seed)
-    pi0 = _seeded_state(grid, sconf.k_cutoff, exp["init_modes"], exp["amp"], rng)
+    pi0 = perturbation.seeded_state(grid, sconf.k_cutoff, exp["init_modes"], exp["amp"], rng)
     report = perturbation.decay_experiment(params, wave, pi0, exp["s"], sconf)
     payload = {"slice": _slice_summary(cfg, wave)}
     payload.update(report.to_json_dict())
@@ -452,6 +432,9 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
         raise ValueError(f"cases must be at least 1, not {b['cases']}")
     if not b["q_list"]:
         raise ValueError("q_list must hold at least one scale")
+    fractional = ", ".join(f"{q:g}" for q in b["q_list"] if not q.is_integer())
+    if fractional:
+        raise ValueError(f"q_list must hold integer dyadic scales, not {fractional}")
     # mu < 0 is a backward heat equation, and the fitted constants divide by mu.
     if not 0.0 < b["mu"] < np.inf:
         raise ValueError(f"mu must be positive and finite, not {b['mu']!r}")
@@ -515,6 +498,8 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
 def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
     why = "quadratic-check takes the remainder on the 2/3-rule band"
     _refuse_keys(cfg, "solver", ("k_cutoff",), why)
+    why = "quadratic-check guards the remainder with the default blow-up threshold"
+    _refuse_keys(cfg, "solver", ("blowup",), why)
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = grid_from_config(cfg)
@@ -525,7 +510,7 @@ def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
     reports = []
     all_pass = True
     for _ in range(exp["directions"]):
-        pi_dir = _seeded_state(grid, None, exp["init_modes"], 1.0, rng)
+        pi_dir = perturbation.seeded_state(grid, None, exp["init_modes"], 1.0, rng)
         rep = perturbation.quadratic_order_check(pi_dir, params, wave, exp["eps_list"])
         reports.append(rep.to_json_dict())
         all_pass = all_pass and rep.passed

@@ -388,7 +388,7 @@ class SpectralVerdict:
         c = self.parabola_constant
         return {
             "verdict": self.kind,
-            "C": None if c is None or np.isinf(c) else c,
+            "C": c,  # an unbounded C is written as null
             "C_unconstrained": bool(c is not None and np.isinf(c)),
             "omega_plus": self.omega_plus,
             "unstable_band": list(self.unstable_band) if self.unstable_band else None,

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .solver import FieldState, Forcing, diagonal_operators, etd2_step
-from .spectral import Grid, SpectralField, ifft_axes
+from .spectral import Grid, SpectralField, ifft_axes, lp_norms
 
 ANNULUS_INNER = 0.75
 ANNULUS_OUTER = 8.0 / 3.0
@@ -168,7 +168,7 @@ def dyadic_block(f: SpectralField, q: int, variant: str = "homogeneous") -> Spec
 
 
 def _block_lp_norms(
-    grid: Grid, spectra: np.ndarray, idx: BesovIndex
+    grid: Grid, spectra: np.ndarray, p: float, homogeneous: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """(scales q, L^p norms of the blocks) for the requested variant.
 
@@ -179,23 +179,18 @@ def _block_lp_norms(
     removal for the homogeneous variant: every phi_q vanishes at k = 0.
     """
     part = partition_for(grid)
-    qs, mults = part.homogeneous_blocks if idx.homogeneous else part.nonhomogeneous_blocks
+    qs, mults = part.homogeneous_blocks if homogeneous else part.nonhomogeneous_blocks
     lead = spectra.shape[: spectra.ndim - grid.dim]
     blocks = spectra.reshape(*lead, 1, *grid.shape) * mults
     axes = tuple(range(-grid.dim, 0))
-    if idx.p == 2.0:
+    if p == 2.0:
         mag = np.abs(blocks)
         del blocks
         return qs, np.sqrt(np.sum(np.square(mag, out=mag), axis=axes))
     blocks = ifft_axes(grid, blocks)  # rebound, so that the product is freed
     mag = np.abs(blocks)
     del blocks
-    if np.isinf(idx.p):
-        return qs, np.max(mag, axis=axes)
-    means = np.mean(mag**idx.p, axis=axes)
-    # The root per scalar: numpy's vectorized power can differ in the last bit.
-    roots = [m ** (1.0 / idx.p) for m in means.ravel()]
-    return qs, np.array(roots).reshape(means.shape)
+    return qs, lp_norms(mag, p, axes)
 
 
 def _ell_r(values: np.ndarray, r: float) -> np.ndarray:
@@ -219,7 +214,7 @@ def besov_norm(f: SpectralField | Sequence[SpectralField], idx: BesovIndex):
         spectra = fields[0].spectral()[None]  # a view: np.stack would copy it
     else:
         spectra = np.stack([g.spectral() for g in fields])
-    qs, norms = _block_lp_norms(fields[0].grid, spectra, idx)
+    qs, norms = _block_lp_norms(fields[0].grid, spectra, idx.p, idx.homogeneous)
     norms = _ell_r(2.0 ** (qs * idx.s) * norms, idx.r)
     return float(norms[0]) if isinstance(f, SpectralField) else norms.tolist()
 
@@ -327,12 +322,7 @@ def check_semigroup_decay(
         [fhat[None], fhat * np.exp(decay * times.reshape(-1, *(1,) * grid.dim))]
     )
     mags = np.abs(ifft_axes(grid, spectra))
-    axes = tuple(range(1, mags.ndim))
-    if np.isinf(p):
-        norms = [float(m) for m in np.max(mags, axis=axes)]
-    else:
-        # The root per scalar: numpy's vectorized power can differ in the last bit.
-        norms = [float(m ** (1.0 / p)) for m in np.mean(mags**p, axis=axes)]
+    norms = lp_norms(mags, p, tuple(range(1, mags.ndim))).tolist()
     base = norms[0]
     logs = [np.log(norm / base) for norm in norms[1:]]
     slope = np.polyfit(times, np.array(logs), 1)[0]
@@ -350,6 +340,37 @@ def _source_spectrum(g: Forcing, grid: Grid, t: float) -> np.ndarray:
     return src.spectral()
 
 
+def _heat_spectra(
+    fields: Sequence[SpectralField],
+    g: Forcing | None,
+    mu: float,
+    u_disp: float,
+    times: np.ndarray,
+):
+    """Spectra at ``times`` of the solutions of df/dt = mu*(1+i*u)*Lap(f) + g from ``fields``.
+
+    Yields each field's spectra in one (times, *grid.shape) buffer, refilled
+    for the next field.  The propagators exp(L*dt_j) are exact per mode and built once
+    for all fields; a source enters through the shared ETD2 step, a
+    second-order exponential quadrature of the variation-of-constants integral.
+    """
+    grid = fields[0].grid
+    L = -mu * (1.0 + 1j * u_disp) * grid.k_squared
+    forced = g is not None and g.f1 is not None
+    dts = np.diff(times)
+    steps = [diagonal_operators(L, dt) if forced else np.exp(L * dt) for dt in dts]
+    source = lambda f, t: _source_spectrum(g, grid, t)
+    spectra = np.empty((times.size, *grid.shape), dtype=complex)
+    for f in fields:
+        spectra[0] = f.spectral()
+        for j, (dt, op) in enumerate(zip(dts, steps)):
+            if forced:
+                spectra[j + 1] = etd2_step(spectra[j], times[j], source, op, dt)[0]
+            else:
+                np.multiply(op, spectra[j], out=spectra[j + 1])
+        yield spectra
+
+
 def heat_solution_series(
     f0: SpectralField,
     g: Forcing | None,
@@ -357,26 +378,9 @@ def heat_solution_series(
     u_disp: float,
     times: np.ndarray,
 ) -> list[SpectralField]:
-    """Integrate df/dt = mu*(1+i*u)*Lap(f) + g on the given time grid.
-
-    The diffusion factor is exact per mode; the source enters through the
-    shared ETD2 step, a second-order exponential quadrature of the
-    variation-of-constants integral.
-    """
-    grid = f0.grid
-    times = np.asarray(times, dtype=float)
-    L = -mu * (1.0 + 1j * u_disp) * grid.k_squared
-    fhat = f0.spectral()
-    out = [SpectralField.from_spectral(grid, fhat)]
-    source = lambda f, t: _source_spectrum(g, grid, t)
-    for t0, t1 in zip(times[:-1], times[1:]):
-        dt = t1 - t0
-        if g is None or g.f1 is None:
-            fhat = np.exp(L * dt) * fhat
-        else:
-            fhat, _ = etd2_step(fhat, t0, source, diagonal_operators(L, dt), dt)
-        out.append(SpectralField.from_spectral(grid, fhat))
-    return out
+    """Integrate df/dt = mu*(1+i*u)*Lap(f) + g on the given time grid (see :func:`_heat_spectra`)."""
+    spectra = next(_heat_spectra([f0], g, mu, u_disp, np.asarray(times, dtype=float)))
+    return [SpectralField.from_spectral(f0.grid, row) for row in spectra]
 
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -412,8 +416,7 @@ def space_time_besov_norm(
 
     ``spectra`` stacks one spectrum per time sample: ``(times, *grid.shape)``.
     """
-    idx = BesovIndex(s=sigma, p=p, r=np.inf, homogeneous=True)
-    qs, per_block = _block_lp_norms(grid, spectra, idx)  # (times, blocks)
+    qs, per_block = _block_lp_norms(grid, spectra, p, homogeneous=True)  # (times, blocks)
     # One time norm per block: a vectorized trapezoid or power moves the last bits.
     time_norms = np.array([_time_norm(series, times, rho) for series in per_block.T])
     return float(_ell_r(2.0 ** (qs * sigma) * time_norms, r))
@@ -446,41 +449,26 @@ def check_smoothing_estimate(
 
     ``f0`` is one field, or a sequence of fields on one grid; a sequence
     gets a list with one report per field, each bitwise the report of that
-    field alone.  The source's norm is taken once for all of them, and
-    without a source so are the propagators exp(L*dt_j): each field's
-    spectra are then stepped in one (times, *grid.shape) array.  The fields
-    are handled one at a time, so the peak memory is that of one.
+    field alone.  The source's norm is taken once for all of them, and so
+    are the heat propagators (see :func:`_heat_spectra`).  The fields are
+    handled one at a time, so the peak memory is that of one.
     """
     fields = [f0] if isinstance(f0, SpectralField) else f0
     rho = idx.rho if idx.rho is not None else 1.0
     times = graded_times(t_end, n_steps)
     grid = fields[0].grid
-    forced = g is not None and g.f1 is not None
-    if forced:
+    source_norm = 0.0  # the norms are >= 0, so adding 0.0 keeps their bits
+    if g is not None and g.f1 is not None:
         sources = np.stack([_source_spectrum(g, grid, t) for t in times])
         source_norm = mu ** (1.0 / rho - 1.0) * space_time_besov_norm(
             grid, sources, times, idx.s - 2.0 + 2.0 / rho, idx.p, idx.r, rho
         )
-    else:
-        L = -mu * (1.0 + 1j * u_disp) * grid.k_squared
-        # One row per step, each evaluated as heat_solution_series does.
-        props = [np.exp(L * (t1 - t0)) for t0, t1 in zip(times[:-1], times[1:])]
-        spectra = np.empty((times.size, *grid.shape), dtype=complex)
     reports = []
-    for f in fields:
-        if forced:
-            series = heat_solution_series(f, g, mu, u_disp, times)
-            spectra = np.stack([h.spectral() for h in series])
-        else:
-            spectra[0] = f.spectral()
-            for j, prop in enumerate(props):
-                np.multiply(prop, spectra[j], out=spectra[j + 1])
+    for f, spectra in zip(fields, _heat_spectra(fields, g, mu, u_disp, times)):
         lhs = mu ** (1.0 / rho) * space_time_besov_norm(
             grid, spectra, times, idx.s + 2.0 / rho1, idx.p, idx.r, rho1
         )
-        rhs = besov_norm(f, BesovIndex(s=idx.s, p=idx.p, r=idx.r, homogeneous=True))
-        if forced:
-            rhs = rhs + source_norm
+        rhs = besov_norm(f, BesovIndex(s=idx.s, p=idx.p, r=idx.r, homogeneous=True)) + source_norm
         ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / max(rhs, 1e-300)
         reports.append(SmoothingRatioReport(lhs=lhs, rhs=rhs, ratio=ratio))
     return reports[0] if isinstance(f0, SpectralField) else reports

@@ -96,21 +96,6 @@ class PerturbationState:
         return float(np.sqrt(np.mean(self.rho**2 + self.phi**2 + self.h**2)))
 
 
-@dataclass
-class RemainderBundle:
-    """Nonlinear remainder fields (psi1, psi2, psi3)."""
-
-    psi1: np.ndarray
-    psi2: np.ndarray
-    psi3: np.ndarray
-
-    def stack(self) -> np.ndarray:
-        return np.stack([self.psi1, self.psi2, self.psi3])
-
-    def joint_l2(self) -> float:
-        return float(np.sqrt(np.mean(self.psi1**2 + self.psi2**2 + self.psi3**2)))
-
-
 def compose_polar(
     wave: PlaneWave, state: PerturbationState
 ) -> tuple[SpectralField, SpectralField]:
@@ -147,6 +132,28 @@ def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, np.ndarr
     if k_cutoff is not None:
         keep = keep & grid.kmax_mask(k_cutoff)[:half]
     return grid.k_min_positive * np.arange(half), keep
+
+
+def seeded_state(
+    grid: Grid, k_cutoff: float | None, modes: int, amp: float, rng
+) -> PerturbationState:
+    """The state with random complex normal coefficients times ``amp`` on modes 1..``modes``.
+
+    Raises ValueError if ``modes`` is below 1 or exceeds the largest mode
+    index of the kept band of ``grid`` and ``k_cutoff``.
+    """
+    if modes < 1:
+        raise ValueError(f"init_modes = {modes} seeds no mode; it must be at least 1")
+    _, keep = _kept_band(grid, k_cutoff)
+    top = int(np.count_nonzero(keep)) - 1
+    if modes > top:
+        raise ValueError(
+            f"init_modes = {modes} exceeds the largest kept mode index {top} "
+            "of this grid and k_cutoff"
+        )
+    hats = np.zeros((grid.n // 2 + 1, 3), dtype=complex)
+    hats[1 : modes + 1] = amp * (rng.normal(size=(modes, 3)) + 1j * rng.normal(size=(modes, 3)))
+    return PerturbationState.from_hats(grid, hats)
 
 
 class _PolarWorkspace:
@@ -334,10 +341,12 @@ def _polar_row(ws: _PolarWorkspace, hats: np.ndarray, t: float) -> dict:
 
 def remainder(
     state: PerturbationState, params: SystemParams, wave: PlaneWave
-) -> RemainderBundle:
+) -> PerturbationState:
     """The remainder fields (psi1, psi2, psi3) paired with the closed-form linearization.
 
-    psi is the polar tendency that the integrator steps
+    They come back as a state at ``state.t`` whose rows rho, phi and h hold
+    psi1, psi2 and psi3, the remainders of those three equations.  psi is
+    the polar tendency that the integrator steps
     (:meth:`_PolarWorkspace.tendency_hats`) minus the ``kappa_gradient``
     pencil of :func:`dispersion.build_matrices`, both evaluated on the
     state's projection onto the 2/3-rule band, and it is band-limited to
@@ -361,10 +370,10 @@ def _remainder_on(grid: Grid, params: SystemParams, wave: PlaneWave):
     closed = dispersion.build_matrices(params, wave, "kappa_gradient")
     pencil = dispersion.pencil(closed, ws.k[:, None, None])
 
-    def psi_of(state: PerturbationState) -> RemainderBundle:
+    def psi_of(state: PerturbationState) -> PerturbationState:
         hats = state.hats()[: ws.nk]
         psi = ws.tendency_hats(hats, state.t) - np.einsum("mij,mj->mi", pencil, hats)
-        return RemainderBundle(*irfft_axes(grid, ws.padded(psi).T))
+        return PerturbationState.from_hats(grid, ws.padded(psi), state.t)
 
     return psi_of
 

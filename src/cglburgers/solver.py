@@ -94,10 +94,6 @@ class Forcing:
     f1: Callable[[float], object] | None = None
     f2: Callable[[float], object] | None = None
 
-    @classmethod
-    def zero(cls) -> "Forcing":
-        return cls()
-
 
 @dataclass
 class SolverConfig:
@@ -360,7 +356,7 @@ def rhs_nonlinear(state: FieldState, params: SystemParams, forcing: Forcing | No
     """
     consts = params.require_constant()
     grid = state.grid
-    forcing = forcing or Forcing.zero()
+    forcing = forcing or Forcing()
     N, _, _ = _nonlinear_hats(grid, consts, _stack(state), state.t, forcing)
     rates = _unstack(grid, N, state.t)
     return rates.P.as_physical(), tuple(w.as_physical() for w in rates.omega)
@@ -485,7 +481,7 @@ def _field_system(grid: Grid, params: SystemParams, forcing, config: SolverConfi
     those modes are zero after every step.
     """
     consts = params.require_constant()
-    forcing = forcing or Forcing.zero()
+    forcing = forcing or Forcing()
     lay = _layout(grid)
     # One evaluation per distinct diagonal: P, and Omega on the rfftn half.
     ops_P = diagonal_operators(-(1.0 + 1j * consts.u) * grid.k_squared, config.dt)
@@ -509,22 +505,6 @@ def _field_system(grid: Grid, params: SystemParams, forcing, config: SolverConfi
         return Nu
 
     return ops, N
-
-
-def step(
-    state: FieldState,
-    params: SystemParams,
-    forcing: Forcing | None = None,
-    config: SolverConfig | None = None,
-) -> FieldState:
-    """Advance the state by one time step (single-step exponential scheme).
-
-    Raises ValueError if the drift is not real.
-    """
-    config = config or SolverConfig()
-    ops, N = _field_system(state.grid, params, forcing, config)
-    u, _ = etd2_step(_stack(state), state.t, N, ops, config.dt)
-    return _unstack(state.grid, u, state.t + config.dt)
 
 
 class _DiagnosticsRows:

@@ -204,14 +204,24 @@ class SpectralField:
         return float(np.max(np.abs(phys.imag))) <= tol * scale
 
 
+def lp_norms(mag: np.ndarray, p: float, axes: tuple[int, ...]) -> np.ndarray:
+    """L^p norms over ``axes`` of the magnitudes ``mag``, with the normalized measure.
+
+    For p = inf the max; otherwise the p-th root of the mean p-th power,
+    taken per scalar: numpy's vectorized power can differ in the last bit.
+    """
+    if np.isinf(p):
+        return np.max(mag, axis=axes)
+    means = np.mean(mag**p, axis=axes)
+    return np.array([m ** (1.0 / p) for m in means.ravel()]).reshape(means.shape)
+
+
 def lp_norm(f: SpectralField, p: float = 2.0) -> float:
     """Physical-space L^p norm with the normalized measure dx/L."""
     mag = np.abs(f.physical())
-    if np.isinf(p):
-        return float(np.max(mag)) if mag.size else 0.0
     if p <= 0:
         raise ValueError("p must be positive")
-    return float(np.mean(mag**p) ** (1.0 / p))
+    return float(lp_norms(mag, p, tuple(range(mag.ndim))))
 
 
 def band_limited_noise(

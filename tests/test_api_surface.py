@@ -23,6 +23,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cglburgers"
 
 ALLOWED = {
     "lp_norm": "criterion 8 sums the L^2 norms of the dyadic blocks against lp_norm(f)",
+    "heat_solution_series": "the propagator and forced-series tests of tests/test_solver.py, "
+    "tests/test_littlewood_paley.py and tests/test_besov_blocks.py check it against exact "
+    "solutions",
     "dyadic_block": "criterion 8 takes the homogeneous blocks one by one",
     "homogeneous_range": "criterion 8 ranges over the homogeneous blocks",
     "nonhomogeneous_range": "the per-block references of tests/test_besov_blocks.py",
@@ -33,7 +36,6 @@ ALLOWED = {
     "against the eigenvalue oracle",
     "rhs_nonlinear": "the RHS seam: tests/test_rhs.py and tests/test_solver.py compare it "
     "with independent right-hand sides",
-    "step": "the one-step seam: tests/test_solver.py compares it with evolve",
     "remainder": "the remainder seam: tests/test_polar_rhs.py and tests/test_perturbation.py "
     "compare it with the reference remainders",
     "constants": "bench/workloads.py and the tests build constant-coefficient parameters with it",

@@ -779,6 +779,22 @@ def test_quadratic_check_refuses_a_k_cutoff(tmp_path, capsys):
     assert not any(out.iterdir())
 
 
+def test_quadratic_check_refuses_a_blowup(tmp_path, capsys):
+    # The remainder is guarded by the default threshold: blowup = 1e-9 used
+    # to be replaced by it, and quadratic.json was byte for byte the one
+    # without it, while decay-fit on the same config stops at t = 0.
+    path = write(tmp_path, "quad.ini", QUAD_UNIT_INI + "\n[solver]\nblowup = 1e-9\n")
+    out = tmp_path / "out"
+    assert main(["quadratic-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": "quadratic-check guards the remainder with the default blow-up threshold; "
+        "it cannot honour [solver] blowup",
+        "exit_code": 1,
+    }
+    assert not any(out.iterdir())
+
+
 def test_quadratic_check_refuses_scales_that_leave_the_polar_chart(tmp_path, capsys):
     # eps = 3 takes r0 + rho across zero: this used to exit 2 with psi
     # computed across r = 0.
@@ -845,6 +861,23 @@ def test_besov_check_refuses_a_viscosity_that_is_not_positive(tmp_path, capsys, 
     assert not (out / "besov_report.json").exists()
 
 
+@pytest.mark.parametrize(
+    "q_list, named", [("1.9, 2.5, 3.7, 4.2", "1.9, 2.5, 3.7, 4.2"), ("1, nan", "nan")]
+)
+def test_besov_check_refuses_a_scale_that_is_not_an_integer(tmp_path, capsys, q_list, named):
+    # The scales used to be truncated: 1.9, 2.5, 3.7, 4.2 wrote the report
+    # of 1, 2, 3, 4 and exited 0, and nan failed naming no key.
+    path = write(tmp_path, "besov.ini", f"[besov]\nn = 64\ncases = 5\nq_list = {q_list}\n")
+    out = tmp_path / "out"
+    assert main(["besov-check", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": f"q_list must hold integer dyadic scales, not {named}",
+        "exit_code": 1,
+    }
+    assert not (out / "besov_report.json").exists()
+
+
 def test_besov_check_runs(tmp_path):
     path = write(tmp_path, "besov.ini", "[besov]\nn = 64\ncases = 5\n")
     out = tmp_path / "out"
@@ -900,6 +933,34 @@ def test_decay_fit_refuses_an_hs_exponent(tmp_path, capsys):
         "exit_code": 1,
     }
     assert not any(out.iterdir())
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "command, text, artifact, nulls",
+    [
+        # Too short to decay through the fit window: a degenerate fit.
+        ("decay-fit", "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 128\n\n"
+         "[solver]\ndt = 0.002\nt_end = 0.05\ncadence = 25\n",
+         "decay.json", ["rel_err"]),
+        # Two rows: too few to fit a rate.
+        ("instability", "[model]\nm = -1.0\n\n[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n"
+         "[grid]\nn = 256\n\n[solver]\ndt = 0.001\nt_end = 0.02\ncadence = 20\n",
+         "growth.json", ["rate", "rel_err"]),
+    ],
+    ids=["decay-fit", "instability"],
+)
+def test_a_failed_fit_writes_json_that_strict_parsers_accept(
+    tmp_path, command, text, artifact, nulls
+):
+    # These used to write the non-JSON tokens Infinity and NaN.
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, "fit.ini", text), "--out", str(out)]) == 2
+    report = json.loads((out / artifact).read_text(), parse_constant=_refuse_constant)
+    assert [k for k, v in report.items() if v is None] == nulls
 
 
 def test_csv_float_format_full_precision(tmp_path):

@@ -104,8 +104,8 @@ def test_remainder_single_term(grid):
         grid=grid, rho=np.zeros(grid.shape), phi=np.zeros(grid.shape), h=np.sin(x)
     )
     psi = remainder(state, params, wave)
-    assert np.max(np.abs(psi.psi3 + np.sin(x) * np.cos(x))) < 1e-12
-    assert np.max(np.abs(psi.psi1)) < 1e-12
+    assert np.max(np.abs(psi.h + np.sin(x) * np.cos(x))) < 1e-12
+    assert np.max(np.abs(psi.rho)) < 1e-12
 
 
 def test_remainder_refuses_states_outside_the_polar_chart(grid):
@@ -207,15 +207,15 @@ def test_remainder_dual_transcription():
     wave = PlaneWave(r0=1.0, theta0=0.0, w0=0.3)
     psi = remainder(state, params, wave)
     ref1, ref2, ref3 = _psi_printed_reference(state, params, wave)
-    assert np.max(np.abs(psi.psi1 - ref1)) < 1e-14
-    assert np.max(np.abs(psi.psi3 - ref3)) < 1e-14
+    assert np.max(np.abs(psi.rho - ref1)) < 1e-14
+    assert np.max(np.abs(psi.h - ref3)) < 1e-14
     n = g.n
     k = g.k_min_positive * np.arange(n // 2 + 1)
     rho_x, phi_x = (np.fft.irfft(1j * k * np.fft.rfft(f), n=n) for f in (state.rho, state.phi))
     gap = 4.0 * rho_x * (wave.theta0 + phi_x) / (wave.r0 + state.rho)
     gap = np.fft.irfft(np.fft.rfft(gap) * (np.arange(n // 2 + 1) <= n / 3.0), n=n)
     assert np.max(np.abs(gap)) > 1e-3
-    assert np.max(np.abs(psi.psi2 - ref2 - gap)) < 1e-14
+    assert np.max(np.abs(psi.phi - ref2 - gap)) < 1e-14
 
     # Every coefficient amplitude-dependent and a carrier wave: psi3 agrees.
     params = SystemParams(
@@ -229,7 +229,7 @@ def test_remainder_dual_transcription():
     theta0 = g.k_min_positive
     wave = PlaneWave(r0=float(np.sqrt(1 - theta0**2)), theta0=theta0, w0=0.3)
     psi = remainder(state, params, wave)
-    assert np.max(np.abs(psi.psi3 - _psi_printed_reference(state, params, wave)[2])) < 1e-14
+    assert np.max(np.abs(psi.h - _psi_printed_reference(state, params, wave)[2])) < 1e-14
 
 
 def test_remainder_derivative_lipschitz_spot_check(grid):

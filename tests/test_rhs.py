@@ -179,7 +179,7 @@ def _assert_close(got, want):
 )
 def test_field_system_rhs_matches_reference(dim, seed, amplitude, k_cutoff, forced):
     grid = GRIDS[dim]
-    forcing = _forcing(grid, seed) if forced else Forcing.zero()
+    forcing = _forcing(grid, seed) if forced else Forcing()
     config = SolverConfig(dt=1e-9, k_cutoff=k_cutoff)
     _, N = solver._field_system(grid, PARAMS, forcing, config)
     state = _state(grid, seed, amplitude)
@@ -202,7 +202,7 @@ def test_rhs_nonlinear_matches_reference(dim, seed, amplitude, forced):
     state = _state(grid, seed, amplitude)
     want = reference_hats(
         grid, PARAMS.require_constant(), _spectra(state), state.t,
-        forcing or Forcing.zero(), True,
+        forcing or Forcing(), True,
     )
     dP, dO = rhs_nonlinear(state, PARAMS, forcing)
     _assert_close(np.stack([dP.spectral(), *(w.spectral() for w in dO)]), want)
@@ -280,7 +280,7 @@ def test_packed_rhs_matches_reference_on_band_limited_data(dim, n, seed, amplitu
     _, N = solver._field_system(grid, PARAMS, None, SolverConfig(dt=1e-9))
     got = _spectra(solver._unstack(grid, N(solver._stack(state), 0.0), 0.0))
     want = reference_hats(
-        grid, PARAMS.require_constant(), _spectra(state), 0.0, Forcing.zero(), True
+        grid, PARAMS.require_constant(), _spectra(state), 0.0, Forcing(), True
     )
     _assert_close(got, want)
 
@@ -294,7 +294,7 @@ def test_nonlinear_hats_match_the_scaled_reference_bitwise(dim, seed, k_cutoff, 
     # into the transforms' normalization changes no bit.
     grid = GRIDS[dim]
     consts = PARAMS.require_constant()
-    forcing = _forcing(grid, seed) if forced else Forcing.zero()
+    forcing = _forcing(grid, seed) if forced else Forcing()
     u = solver._stack(_state(grid, seed, 0.5))
     if k_cutoff is not None:
         keep, lay = grid.kmax_mask(k_cutoff), solver._layout(grid)

@@ -15,7 +15,6 @@ from cglburgers.solver import (
     StepUnstable,
     evolve,
     rhs_nonlinear,
-    step,
 )
 from cglburgers.littlewood_paley import heat_solution_series, partition_for
 from cglburgers.spectral import Grid, SpectralField, band_limited_noise
@@ -120,15 +119,6 @@ def test_rhs_matches_refined_finite_differences(grid):
     scale = np.max(np.abs(dPf))
     assert np.max(np.abs(dP.physical() - dPf[::4])) < 1e-6 * scale
     assert np.max(np.abs(dO[0].physical() - dWf[::4])) < 1e-6 * max(np.max(np.abs(dWf)), 1e-12)
-
-
-def test_step_zero_state_stays_zero(grid):
-    params = SystemParams.constants(m=1.0)
-    state = FieldState.zeros(grid)
-    out = step(state, params, config=SolverConfig(dt=0.01))
-    assert np.max(np.abs(out.P.spectral())) == 0.0
-    assert np.max(np.abs(out.omega[0].spectral())) == 0.0
-    assert out.t == pytest.approx(0.01)
 
 
 def test_zero_state_remains_zero_bit_exact(grid):
@@ -683,7 +673,7 @@ def test_cutoff_in_the_operators_matches_the_projection_loop(dim, n, scheme, k_c
 
     one_step = replace(config, scheme="exponential-rk2", t_end=config.dt)
     _, final = _projected_evolve(state, params, one_step)
-    assert np.array_equal(_spectra(step(state, params, config=one_step)), _spectra(final))
+    assert np.array_equal(_spectra(evolve(state, params, config=one_step).final), _spectra(final))
 
 
 def test_evolve_refuses_a_drift_that_is_not_real(grid):
@@ -699,15 +689,13 @@ def test_evolve_refuses_a_drift_that_is_not_real(grid):
     evolve(real, params, config=SolverConfig(dt=1e-3, t_end=0.01))
 
 
-def test_step_and_rhs_refuse_a_drift_that_is_not_real(grid):
+def test_rhs_refuses_a_drift_that_is_not_real(grid):
     # Only evolve used to check; on this state the imaginary part of the
     # drift moved the dP/dt of rhs_nonlinear by up to 29.
     rng = np.random.default_rng(5)
     drift = band_limited_noise(grid, rng, max_index=8, amplitude=0.1)
     state = FieldState(P=band_limited_noise(grid, rng, max_index=8), omega=(drift,))
     params = SystemParams.constants(u=0.3, v=0.2, xi=0.5, m=1.0, kappa=0.5, s1=0.1)
-    with pytest.raises(ValueError, match="drift Omega must be real"):
-        step(state, params, config=SolverConfig(dt=1e-3))
     with pytest.raises(ValueError, match="drift Omega must be real"):
         rhs_nonlinear(state, params)
     nyquist = np.zeros(grid.n, dtype=complex)

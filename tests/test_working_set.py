@@ -91,7 +91,7 @@ def test_nonlinear_hats_peak_above_live_is_bounded():
             for _ in range(grid.dim)
         ),
     )
-    u, forcing = solver._stack(state), Forcing.zero()
+    u, forcing = solver._stack(state), Forcing()
     want = solver._nonlinear_hats(grid, consts, u, 0.0, forcing)  # builds the cached layout
     got, peak = _traced_peak(lambda: solver._nonlinear_hats(grid, consts, u, 0.0, forcing))
     assert np.array_equal(got[0], want[0])

@@ -98,6 +98,12 @@ FAILING = {
     "stability-scan --config configs/stability_atlas.ini with m = --seed 0": (
         "stability-scan", "stability_atlas.ini", {"scan": {"m": ""}},
     ),
+    "quadratic-check --config configs/decay_reference.ini with blowup = 1e-9 --seed 0": (
+        "quadratic-check", "decay_reference.ini", {"solver": {"blowup": "1e-9"}},
+    ),
+    "besov-check --config configs/besov_suite.ini with q_list = 1.5 --seed 0": (
+        "besov-check", "besov_suite.ini", {"besov": {"q_list": "1.5"}},
+    ),
 }
 
 
