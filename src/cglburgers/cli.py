@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import itertools
 import json
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dispersion, littlewood_paley as lp, perturbation, solver
-from .model import NoRealSolution, PlaneWave, SystemParams, solve_plane_wave
+from .model import NoRealSolution, PlaneWave, SystemParams, plane_wave_key, solve_plane_wave
 from .spectral import Grid, band_limited_noise
 
 _TWO_PI = 2.0 * np.pi
@@ -341,17 +342,25 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
 
     # A class is the jobs that differ only in w0.  The plane wave (r0,
     # theta0) does not depend on w0, and w0 enters the pencil only as
-    # -i*k*w0*I, so a class takes one plane-wave solve and one eigen-solve
-    # of its drift-free (w0 = 0) pencil, shared with the next class when
-    # their pencils are equal.  Each job classifies those eigenvalues shifted
-    # by its own w0, checked against its own pencil, on the grid checked
-    # once above (shifted_verdict).  One class's eigenvalues are live at a time.
+    # -i*k*w0*I.  So a class takes the plane wave of the class before when
+    # their amplitude polynomials are equal (plane_wave_key), validated
+    # against its own parameters, and one eigen-solve of its drift-free
+    # (w0 = 0) pencil, shared with the class before when their pencils are
+    # equal.  Its jobs classify those eigenvalues shifted by their own w0,
+    # checked against their own pencils in one shifted_verdicts call, on the
+    # grid checked once above.  One class's eigenvalues are live at a time.
     cells = {}
-    solved_key = solved = None
+    wave_key = solved_key = None
     for cls in itertools.product(*(axes[k] for k in class_keys)):
         params = params_from_config({"model": dict(cfg["model"], **dict(zip(class_keys, cls)))})
+        poly_key = plane_wave_key(params)
         try:
-            wave = solve_plane_wave(params, branch=w["branch"])
+            if poly_key != wave_key:
+                wave_key, wave = poly_key, None  # stays None if the solve raises
+                wave = solve_plane_wave(params, branch=w["branch"])
+            elif wave is None:
+                raise NoRealSolution("the class before found no wave")
+            wave.validate(params)
         except (NoRealSolution, ValueError):
             for w0 in axes["w0"]:
                 cells[cls, w0] = [None, None, "no_wave", None, None, None, None]
@@ -360,13 +369,15 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
         key = b"".join(x.tobytes() for x in (drift_free.A, drift_free.B, drift_free.C))
         if key != solved_key:
             solved_key, solved = key, dispersion.solved_eigvals(drift_free, ks)
-        for w0 in axes["w0"]:
-            job_wave = replace(wave, w0=w0)
-            mats = dispersion.build_matrices(params, job_wave, d["coupling"])
-            verdict = dispersion.shifted_verdict(mats, ks, solved, w0)
+        job_mats = [
+            dispersion.build_matrices(params, replace(wave, w0=w0), d["coupling"])
+            for w0 in axes["w0"]
+        ]
+        verdicts = dispersion.shifted_verdicts(job_mats, ks, solved, axes["w0"])
+        for w0, verdict in zip(axes["w0"], verdicts):
             cells[cls, w0] = [
-                job_wave.r0,
-                job_wave.theta0,
+                wave.r0,
+                wave.theta0,
                 verdict.kind,
                 verdict.parabola_constant,
                 verdict.omega_plus,
@@ -438,6 +449,11 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
     # mu < 0 is a backward heat equation, and the fitted constants divide by mu.
     if not 0.0 < b["mu"] < np.inf:
         raise ValueError(f"mu must be positive and finite, not {b['mu']!r}")
+    if not np.isfinite(b["u_disp"]):
+        raise ValueError(f"u_disp must be finite, not {b['u_disp']!r}")
+    # Below 1 the L^p "norm" of the decay check is no norm.
+    if not 1.0 <= b["p"] <= np.inf:
+        raise ValueError(f"p must lie in [1, inf], not {b['p']!r}")
     grid = Grid(dim=1, n=b["n"], length=_TWO_PI)
     rng = np.random.default_rng(seed)
     part = lp.partition_for(grid)
@@ -533,7 +549,9 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cglb",
         description="Simulation and spectral-stability toolkit for coupled "
@@ -546,8 +564,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--threads", type=int, default=1, help="accepted; runs serially")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

@@ -18,6 +18,7 @@ are supported:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,27 +132,80 @@ def _sort_lambdas(lams: np.ndarray) -> np.ndarray:
     return np.take_along_axis(lams, order, axis=-1)
 
 
-def _char_coefficients(Ms: np.ndarray):
-    """Trace, sum of principal 2x2 minors and determinant of 3x3 matrices.
+def _expansion(order: int):
+    """The signed products of entries that sum to the principal ``order``-minor sum in z.
 
-    Closed form in the nine entries, elementwise over the leading axes.
+    Orders 1, 2 and 3 give the trace, the sum of principal 2x2 minors and
+    the determinant.
+
+    The entries of C + z*B + z^2*A are quadratics in z.  Each product takes
+    one entry per row of a principal minor, entry (``rows[i]``, ``cols[i]``)
+    at its coefficient of z^``powers[i]``, with the sign of the permutation.
+    The products are sorted by their total power n of z, whose run starts at
+    ``starts[n]``.
     """
-    (a, b, c), (d, e, f), (g, h, i) = (
-        [Ms[..., row, col] for col in range(3)] for row in range(3)
-    )
-    ei_fh = e * i - f * h
-    tr = a + e + i
-    minors = (a * e - b * d) + (a * i - c * g) + ei_fh
-    det = a * ei_fh - b * (d * i - f * g) + c * (d * h - e * g)
-    return tr, minors, det
+    terms = []
+    for rows in itertools.combinations(range(3), order):
+        for cols in itertools.permutations(rows):
+            sign = (-1.0) ** sum(a > b for a, b in itertools.combinations(cols, 2))
+            for powers in itertools.product(range(3), repeat=order):
+                terms.append((sum(powers), rows, cols, powers, sign))
+    n, rows, cols, powers, signs = (np.array(x) for x in zip(*sorted(terms)))
+    return rows.T, cols.T, powers.T, signs, np.searchsorted(n, np.arange(2 * order + 1))
 
 
-def _char_residuals(Ms: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Relative characteristic-polynomial residual of each eigenvalue."""
-    tr, minors, det = (x[..., None] for x in _char_coefficients(Ms))
-    p = lams**3 - tr * lams**2 + minors * lams - det
+_EXPANSIONS = tuple(_expansion(order) for order in (1, 2, 3))
+# Re i^(2m) = Im i^(2m+1) = (-1)^m.
+_I_POWER_SIGNS = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _char_polynomials(job_mats) -> np.ndarray:
+    """Coefficients in z of tr, the principal 2x2 minor sum and det of C + z*B + z^2*A.
+
+    ``(jobs, 3, 7)``: per job the three polynomials, of degrees 2, 4 and 6,
+    lowest power first and padded with zeros.
+    """
+    # (job, row, column, power of z)
+    P = np.stack([np.stack([m.C, m.B, m.A], axis=-1) for m in job_mats])
+    polys = np.zeros((len(job_mats), 3, 7))
+    for i, (rows, cols, powers, signs, starts) in enumerate(_EXPANSIONS):
+        products = signs * P[:, rows[0], cols[0], powers[0]]
+        for r, c, d in zip(rows[1:], cols[1:], powers[1:]):
+            products *= P[:, r, c, d]
+        polys[:, i, : starts.size] = np.add.reduceat(products, starts, axis=-1)
+    return polys
+
+
+def _char_coefficients(job_mats, ks: np.ndarray):
+    """Trace, sum of principal 2x2 minors and determinant of each job's M(k), each (jobs, rows).
+
+    Each is a polynomial in z = i*k with real coefficients: its even powers
+    give the real part and its odd powers the imaginary part, each by Horner
+    in k^2, so no (rows, 3, 3) stack is built and the values at -k are bit
+    for bit the conjugates of those at k.
+    """
+    polys = _char_polynomials(job_mats)
+    even = polys[..., ::2] * _I_POWER_SIGNS
+    odd = polys[..., 1::2] * _I_POWER_SIGNS[:3]
+    k2 = ks * ks
+    re, im = even[..., 3, None], odd[..., 2, None]
+    for j in (2, 1, 0):
+        re = re * k2 + even[..., j, None]
+    for j in (1, 0):
+        im = im * k2 + odd[..., j, None]
+    coefficients = np.empty(re.shape, dtype=complex)
+    coefficients.real = re
+    coefficients.imag = im * ks
+    return coefficients[:, 0], coefficients[:, 1], coefficients[:, 2]
+
+
+def _char_residuals(job_mats, ks: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Relative residual of each eigenvalue of ``lams`` (jobs, rows, 3) in its job's M(k)."""
+    tr, minors, det = (x[..., None] for x in _char_coefficients(job_mats, ks))
+    p = ((lams - tr) * lams + minors) * lams - det
     mag = np.abs(lams)
-    terms = (mag**3, np.abs(tr) * mag**2, np.abs(minors) * mag, np.abs(det), 1.0)
+    mag2 = mag * mag
+    terms = (mag2 * mag, np.abs(tr) * mag2, np.abs(minors) * mag, np.abs(det), 1.0)
     return np.abs(p) / functools.reduce(np.maximum, terms)
 
 
@@ -163,9 +217,9 @@ def _solved_rows(ks) -> tuple[np.ndarray, int]:
     return ks, ks.size // 2 if np.array_equal(ks, -ks[::-1]) else 0
 
 
-def _check_residuals(Ms: np.ndarray, lams: np.ndarray) -> None:
-    """Refuse ``lams`` unless each solves the characteristic polynomial of its M(k) to 1e-9."""
-    worst = float(np.max(_char_residuals(Ms, lams)))
+def _check_residuals(job_mats, ks: np.ndarray, lams: np.ndarray) -> None:
+    """Refuse ``lams`` unless each solves the characteristic polynomial of its job's M(k)."""
+    worst = float(np.max(_char_residuals(job_mats, ks, lams)))
     if not worst <= RESIDUAL_TOL:
         raise ArithmeticError(
             f"eigenvalue residual {worst:.2e} could not be verified to {RESIDUAL_TOL:g}"
@@ -189,10 +243,9 @@ def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
     On any other grid every row is solved and checked.
     """
     ks, n_neg = _solved_rows(ks)
-    Ms = pencil(mats, ks[n_neg:, None, None])
-    raw = np.linalg.eigvals(Ms)
+    raw = np.linalg.eigvals(pencil(mats, ks[n_neg:, None, None]))
     lams = _sort_lambdas(raw)
-    _check_residuals(Ms, lams)
+    _check_residuals([mats], ks[n_neg:], lams[None])
     if n_neg:
         lams = np.concatenate([_sort_lambdas(raw[::-1][:n_neg].conj()), lams])
     return lams
@@ -503,27 +556,32 @@ def classify_spectrum(ks: np.ndarray, lams: np.ndarray) -> SpectralVerdict:
     return _classify(ks, lams)
 
 
-def shifted_verdict(
-    mats: LinearizationMatrices, ks: np.ndarray, drift_free: np.ndarray, w0: float
-) -> SpectralVerdict:
-    """The :func:`classify_spectrum` verdict of ``mats`` from a drift-free solve.
+def shifted_verdicts(
+    job_mats, ks: np.ndarray, drift_free: np.ndarray, w0s
+) -> list[SpectralVerdict]:
+    """The :func:`classify_spectrum` verdict of each job from one drift-free solve.
 
-    The drift w0 enters M(k) only as -i*k*w0*I.  ``drift_free`` is the
-    :func:`solved_eigvals` of ``mats`` with w0 = 0 on a grid ``ks`` that
-    :func:`check_grid` accepts.  Its eigenvalues shifted by -i*k*w0 (real
-    parts bit for bit) are refused if not finite, and each is checked
-    unsorted against the characteristic polynomial of its own M(k) to 1e-9,
-    so a wrong shift raises ArithmeticError.  On a mirror grid only the
-    solved rows are classified: the k < 0 rows are their exact conjugates,
-    and the band's ends are grid values, a growing k or its mirror.
+    The jobs differ only in their drift w0, which enters M(k) only as
+    -i*k*w0*I.  ``drift_free`` is the :func:`solved_eigvals` of their common
+    pencil with w0 = 0 on a grid ``ks`` that :func:`check_grid` accepts, and
+    ``job_mats[j]`` is the pencil of ``w0s[j]``.  The eigenvalues shifted by
+    -i*k*w0 for every job (real parts bit for bit) are refused if not finite
+    and checked unsorted, all in one call, against the characteristic
+    polynomial of each job's own M(k) to 1e-9, so a wrong shift raises
+    ArithmeticError.  On a mirror grid only the solved rows are classified:
+    the k < 0 rows are their exact conjugates, and the band's ends are grid
+    values, a growing k or its mirror.
     """
     ks, n_neg = _solved_rows(ks)
-    lams = drift_free.copy()
-    lams.imag -= ks[n_neg:, None] * w0
+    w0s = np.asarray(w0s, dtype=float)
+    if w0s.shape != (len(job_mats),):
+        raise ValueError(f"one w0 per pencil: {len(job_mats)} pencils, w0s shaped {w0s.shape}")
+    lams = np.repeat(drift_free[None], w0s.size, axis=0)
+    lams.imag -= ks[n_neg:, None] * w0s[:, None, None]
     _refuse_non_finite(lams)
-    _check_residuals(pencil(mats, ks[n_neg:, None, None]), lams)
+    _check_residuals(job_mats, ks[n_neg:], lams)
     mirrors = ks[ks.size - n_neg - 1 :: -1] if n_neg else None
-    return _classify(ks[n_neg:], lams, mirrors)
+    return [_classify(ks[n_neg:], job_lams, mirrors) for job_lams in lams]
 
 
 @dataclass(frozen=True)

@@ -311,8 +311,8 @@ def check_semigroup_decay(
     supported in the annulus at scale 2**q decays like exp(-c*mu*4**q*t)
     with c between the squared inner and outer annulus radii.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    if not 1.0 <= p <= np.inf:
+        raise ValueError(f"p must lie in [1, inf], not {p!r}")
     f = test_field if test_field is not None else annulus_field(grid, q, rng=rng)
     times = np.asarray(t_grid, dtype=float)
     decay = -mu * (1.0 + 1j * u_disp) * grid.k_squared

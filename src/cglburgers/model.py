@@ -186,6 +186,17 @@ def _amplitude_polynomial(params: SystemParams) -> np.ndarray:
     return np.array([d1 - c1, d0 - c0, c1, c0], dtype=float)
 
 
+def plane_wave_key(params: SystemParams) -> bytes:
+    """The bytes of the amplitude polynomial that :func:`solve_plane_wave` roots.
+
+    Two parameter sets with equal keys have the same amplitude roots, so at
+    equal ``branch`` they find the same (r0, theta0), or none; whether that
+    wave meets each set's own constraints is for :meth:`PlaneWave.validate`
+    to say.
+    """
+    return _amplitude_polynomial(params).tobytes()
+
+
 def _polish_root(poly: np.ndarray, r: float) -> float:
     deriv = np.polyder(poly)
     for _ in range(POLISH_ITERATIONS):

@@ -61,6 +61,38 @@ def test_a_value_that_does_not_parse_is_refused_by_its_key(tmp_path, capsys, tex
     assert error == {"error": message, "exit_code": 1}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "cglb: error: the following arguments are required: command"),
+        (["bogus"], "cglb: error: argument command: invalid choice: 'bogus'"),
+        (["dispersion", "--seed", "x"], "cglb dispersion: error: argument --seed: invalid int value: 'x'"),
+        (["dispersion", "--bogus"], "cglb: error: unrecognized arguments: --bogus"),
+    ],
+    ids=["no-command", "unknown-command", "bad-seed", "unknown-option"],
+)
+def test_a_bad_invocation_exits_1_with_the_usage_error(capsys, argv, message):
+    # The parser is built once per process; each call still parses afresh.
+    for _ in range(2):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cglb") and message in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cglb")
+
+
+def test_main_looks_up_the_command_at_call_time(tmp_path, monkeypatch):
+    # A wrapper put into COMMANDS after the parser was built is what runs.
+    main(["--help"])
+    calls = []
+    monkeypatch.setitem(cli.COMMANDS, "dispersion", lambda cfg, out, seed: calls.append(seed) or 0)
+    assert main(["dispersion", "--out", str(tmp_path), "--seed", "7"]) == 0
+    assert calls == [7]
+
+
 def test_missing_config_file_exit_code(tmp_path):
     code = main(["dispersion", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path)])
     assert code == 1
@@ -420,7 +452,7 @@ def _per_job_atlas(path, out):
         mats = dispersion.build_matrices(params, wave, d["coupling"])
         drift_free = dispersion.build_matrices(params, replace(wave, w0=0.0), d["coupling"])
         solved = dispersion.solved_eigvals(drift_free, ks)
-        verdict = dispersion.shifted_verdict(mats, ks, solved, wave.w0)
+        [verdict] = dispersion.shifted_verdicts([mats], ks, solved, [wave.w0])
         c, band = verdict.parabola_constant, verdict.unstable_band
         rows.append(base + [
             wave.r0,
@@ -435,23 +467,68 @@ def _per_job_atlas(path, out):
     return out.read_bytes()
 
 
-def test_stability_scan_solves_the_plane_wave_once_per_class(tmp_path, monkeypatch):
+def test_stability_scan_writes_the_atlas_of_per_job_solves(tmp_path):
     path = write(tmp_path, "slice.ini", ATLAS_SLICE_INI)
     want = _per_job_atlas(path, tmp_path / "reference.csv")
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return solve_plane_wave(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "solve_plane_wave", counting)
     out = tmp_path / "out"
     assert main(["stability-scan", "--config", path, "--out", str(out)]) == 0
-    assert len(calls) == 4 * 3 * 2
     got = (out / "atlas.csv").read_bytes()
     assert got == want
     verdicts = {line.split(",")[9] for line in got.decode().splitlines()[2:]}
     assert {"stable", "unstable", "no_wave"} <= verdicts
+
+
+def _runs(keys):
+    """The number of runs of equal consecutive entries of ``keys``."""
+    return sum(1 for i, key in enumerate(keys) if i == 0 or key != keys[i - 1])
+
+
+@pytest.mark.parametrize(
+    "config, wave_solves, eigen_solves",
+    [("stability_atlas.ini", 1, 4), ("atlas-slice", 12, 16)],
+)
+def test_stability_scan_solves_each_wave_and_pencil_once_per_run(
+    tmp_path, monkeypatch, config, wave_solves, eigen_solves
+):
+    # One plane-wave solve per run of classes with equal amplitude
+    # polynomials u(r)*(1 - r^2) + v(r)*r^2, and one eigen-solve per run of
+    # equal drift-free pencils, each run in the order the scan walks its
+    # classes: the product of the six non-w0 axes.  (On the slice one of the
+    # 15 distinct pencils comes back after another, and is solved twice.)
+    if config == "atlas-slice":
+        path = write(tmp_path, "slice.ini", ATLAS_SLICE_INI)
+    else:
+        path = str(Path(__file__).resolve().parents[1] / "configs" / config)
+    cfg = load_config(path)
+    keys = [k for k in cli.SCHEMA["scan"] if k != "w0"]
+    polynomials, pencils = [], []
+    for values in itertools.product(*(cfg["scan"][k] or [cfg["model"][k]] for k in keys)):
+        params = cli.params_from_config({"model": dict(cfg["model"], **dict(zip(keys, values)))})
+        (u0, u1), (v0, v1) = params.u_coeffs, params.v_coeffs
+        polynomials.append((v1 - u1, v0 - u0, u1, u0))
+        try:
+            wave = solve_plane_wave(params, branch=cfg["wave"]["branch"])
+        except ValueError:  # NoRealSolution included: a no_wave class
+            continue
+        mats = dispersion.build_matrices(params, wave, cfg["dispersion"]["coupling"])
+        pencils.append(b"".join(x.tobytes() for x in (mats.A, mats.B, mats.C)))
+    assert (_runs(polynomials), _runs(pencils)) == (wave_solves, eigen_solves)
+
+    solves, eigen = [], []
+    eigvals = np.linalg.eigvals
+
+    def counting_solve(*args, **kwargs):
+        solves.append(args)
+        return solve_plane_wave(*args, **kwargs)
+
+    def counting_eigvals(Ms):
+        eigen.append(Ms.shape)
+        return eigvals(Ms)
+
+    monkeypatch.setattr(cli, "solve_plane_wave", counting_solve)
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    assert main(["stability-scan", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert (len(solves), len(eigen)) == (wave_solves, eigen_solves)
 
 
 def test_stability_scan_sorts_no_eigenvalues(tmp_path, monkeypatch):
@@ -859,6 +936,40 @@ def test_besov_check_refuses_a_viscosity_that_is_not_positive(tmp_path, capsys, 
     assert error["exit_code"] == 1
     assert "mu" in error["error"]
     assert not (out / "besov_report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("p = 0.5", "p must lie in [1, inf], not 0.5"),
+        ("p = 0", "p must lie in [1, inf], not 0.0"),
+        ("p = nan", "p must lie in [1, inf], not nan"),
+        ("u_disp = nan", "u_disp must be finite, not nan"),
+        ("u_disp = -inf", "u_disp must be finite, not -inf"),
+    ],
+    ids=["p-half", "p-zero", "p-nan", "u_disp-nan", "u_disp-inf"],
+)
+def test_besov_check_refuses_an_exponent_below_one_or_a_drift_that_is_not_finite(
+    tmp_path, capsys, monkeypatch, edit, message
+):
+    # p = 0.5 used to pass with exit 0 (an L^p "norm" below 1 is no norm),
+    # and u_disp = nan to exit 2 with every fitted constant NaN.  Both are
+    # refused before any check runs.
+    calls = []
+    monkeypatch.setattr(cli.lp, "partition_for", lambda *a: calls.append(a))
+    path = write(tmp_path, "besov.ini", f"[besov]\nn = 64\ncases = 5\n{edit}\n")
+    out = tmp_path / "out"
+    assert main(["besov-check", "--config", path, "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert [json.loads(line) for line in lines] == [{"error": message, "exit_code": 1}]
+    assert calls == []
+    assert not (out / "besov_report.json").exists()
+
+
+def test_besov_check_accepts_the_exponents_one_and_infinity(tmp_path):
+    for p in ("1", "inf"):
+        path = write(tmp_path, "besov.ini", f"[besov]\nn = 64\ncases = 5\np = {p}\n")
+        assert main(["besov-check", "--config", path, "--out", str(tmp_path / p)]) == 0
 
 
 @pytest.mark.parametrize(

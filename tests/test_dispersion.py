@@ -329,22 +329,27 @@ def test_residual_guard_rejects_no_valid_cases():
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    log_scale=st.floats(-3.0, 3.0),
+    zeros=st.floats(0.0, 0.8),
+    k_extent=st.floats(0.0, 64.0),
     count=st.integers(1, 64),
 )
-def test_closed_form_char_coefficients_match_numpy(seed, log_scale, count):
+def test_closed_form_char_coefficients_match_numpy(seed, zeros, k_extent, count):
+    # Real A, B and C with entries of magnitude 1e-3 ... 1e3 and random zeros.
     rng = np.random.default_rng(seed)
-    Ms = 10.0**log_scale * (
-        rng.standard_normal((count, 3, 3)) + 1j * rng.standard_normal((count, 3, 3))
-    )
+    A, B, C = 10.0 ** rng.uniform(-3.0, 3.0, (3, 3, 3)) * rng.choice([-1.0, 1.0], (3, 3, 3))
+    for entries in (A, B, C):
+        entries[rng.random((3, 3)) < zeros] = 0.0
+    mats = dispersion.LinearizationMatrices(A=A, B=B, C=C)
+    ks = rng.uniform(-k_extent, k_extent, count)
+    Ms = pencil(mats, ks[:, None, None])
     tr = np.trace(Ms, axis1=-2, axis2=-1)
     minors = 0.5 * (tr**2 - np.trace(Ms @ Ms, axis1=-2, axis2=-1))
     det = np.linalg.det(Ms)
     # Each coefficient is homogeneous of its degree in the entries.
     size = np.max(np.abs(Ms), axis=(-2, -1))
-    got = dispersion._char_coefficients(Ms)
+    got = dispersion._char_coefficients([mats], ks)
     for degree, g, want in zip((1, 2, 3), got, (tr, minors, det)):
-        assert np.all(np.abs(g - want) <= 1e-12 * size**degree)
+        assert np.all(np.abs(g[0] - want) <= 1e-12 * size**degree)
 
 
 def test_residual_guard_fires_on_shifted_roots(monkeypatch):
@@ -538,7 +543,7 @@ def _reference_spectrum_table(mats, ks):
     else:
         raw = np.linalg.eigvals(Ms)
     lams = _reference_sort_lambdas(raw)
-    res = dispersion._char_residuals(Ms, lams)
+    res = dispersion._char_residuals([mats], ks, lams[None])
     worst = float(np.max(res))
     if worst > dispersion.RESIDUAL_TOL:
         raise ArithmeticError(
@@ -590,7 +595,7 @@ def test_spectrum_table_is_bitwise_the_full_grid_table(
     _assert_same_bits(spectrum_table(mats, ks), want)
     if layout.startswith("mirror"):
         # The k < 0 residuals, which the half-grid check skips, are the k > 0 ones.
-        res = dispersion._char_residuals(_reference_pencil(mats, ks[:, None, None]), want)
+        res = dispersion._char_residuals([mats], ks, want[None])[0]
         assert np.array_equal(res, res[::-1])
 
 
@@ -678,7 +683,7 @@ def test_the_drift_enters_the_pencil_as_a_shift_of_the_diagonal(
 def _shifted_table(ks, drift_free, w0):
     """The drift-free eigenvalues shifted by -i*k*w0, conjugate-filled and sorted.
 
-    The reference for shifted_verdict: the full table, ordered as
+    The reference for shifted_verdicts: the full table, ordered as
     spectrum_table orders the eigenvalues it solves.
     """
     ks = np.asarray(ks, dtype=float)
@@ -728,7 +733,7 @@ def test_a_shared_drift_free_solve_gives_the_table_of_each_drift(
     except ArithmeticError:  # a near-defective pencil that no route verifies
         assume(False)
     # Every shifted eigenvalue passes the residual check against this job's pencil.
-    verdict = dispersion.shifted_verdict(mats, ks, drift_free, w0)
+    [verdict] = dispersion.shifted_verdicts([mats], ks, drift_free, [w0])
     shared = _shifted_table(ks, drift_free, w0)
     scale = np.maximum(np.max(np.abs(direct), axis=-1), 1.0)
     # Two roots a gap apart move by up to scale/gap times a perturbation, so
@@ -746,27 +751,44 @@ def test_a_shared_drift_free_solve_gives_the_table_of_each_drift(
         assert _verdict_bits(verdict) == _verdict_bits(classify_spectrum(ks, shared))
 
 
-def test_a_wrong_shift_fails_the_residual_check():
+@pytest.mark.parametrize("wrong", [0, 1, 2])
+def test_a_wrong_shift_fails_the_residual_check(wrong):
+    # One batch of three drifts: the job at position ``wrong`` is given the
+    # pencil of w0 but the shift of -w0, and the whole batch is refused.
     params = SystemParams.constants(u=-0.5, v=0.5, m=0.5, kappa=0.5, s1=0.3)
-    wave = solve_plane_wave(params, w0=1.0)
+    wave = solve_plane_wave(params)
     ks = default_k_grid(8.0, 65)
-    drift_free = dispersion.solved_eigvals(
-        build_matrices(params, dataclasses.replace(wave, w0=0.0), "kappa_gradient"), ks
-    )
-    mats = build_matrices(params, wave, "kappa_gradient")
-    verdict = dispersion.shifted_verdict(mats, ks, drift_free, 1.0)
-    assert verdict.kind == classify_spectrum(ks, spectrum_table(mats, ks)).kind
+    drift_free = dispersion.solved_eigvals(build_matrices(params, wave, "kappa_gradient"), ks)
+    w0s = [0.5, 1.0, 1.5]
+    job_mats = [
+        build_matrices(params, dataclasses.replace(wave, w0=w0), "kappa_gradient") for w0 in w0s
+    ]
+    verdicts = dispersion.shifted_verdicts(job_mats, ks, drift_free, w0s)
+    for mats, verdict in zip(job_mats, verdicts):
+        assert verdict.kind == classify_spectrum(ks, spectrum_table(mats, ks)).kind
+    shifts = list(w0s)
+    shifts[wrong] = -shifts[wrong]
     with pytest.raises(ArithmeticError, match="eigenvalue residual"):
-        dispersion.shifted_verdict(mats, ks, drift_free, -1.0)
+        dispersion.shifted_verdicts(job_mats, ks, drift_free, shifts)
+
+
+def test_each_pencil_takes_one_drift():
+    params = SystemParams.constants(m=0.5)
+    wave = solve_plane_wave(params)
+    ks = default_k_grid(8.0, 65)
+    mats = build_matrices(params, wave)
+    drift_free = dispersion.solved_eigvals(mats, ks)
+    with pytest.raises(ValueError, match="one w0 per pencil"):
+        dispersion.shifted_verdicts([mats, mats], ks, drift_free, [0.0])
 
 
 def _assert_the_shifted_verdict_is_the_table_verdict(mats, ks, drift_free, w0):
     table = _shifted_table(ks, drift_free, w0)
     try:
-        got = dispersion.shifted_verdict(mats, ks, drift_free, w0)
+        [got] = dispersion.shifted_verdicts([mats], ks, drift_free, [w0])
     except ArithmeticError:  # refused only where the table's own check refuses
-        Ms = pencil(mats, np.asarray(ks, dtype=float)[:, None, None])
-        assert not np.max(dispersion._char_residuals(Ms, table)) <= dispersion.RESIDUAL_TOL
+        ks = np.asarray(ks, dtype=float)
+        assert not np.max(dispersion._char_residuals([mats], ks, table[None])) <= dispersion.RESIDUAL_TOL
         return None
     assert _verdict_bits(got) == _verdict_bits(classify_spectrum(ks, table))
     return got

@@ -237,6 +237,13 @@ def test_semigroup_decay_random_annulus_sup_norm(grid):
     assert rep.passed
 
 
+@pytest.mark.parametrize("p", [0.5, 0.0, np.nan])
+def test_semigroup_decay_refuses_an_exponent_below_one(grid, p):
+    # As BesovIndex does: below 1 the L^p "norm" is no norm.
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
+        check_semigroup_decay(grid, 3, mu=0.7, u_disp=0.0, t_grid=np.linspace(0.0, 0.05, 3), p=p)
+
+
 def test_semigroup_scaling_law(grid):
     t_grids = {q: np.linspace(0.0, 0.2 / 4.0**q, 9) for q in (1, 2, 3, 4)}
     fitted = {}

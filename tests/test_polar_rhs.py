@@ -340,3 +340,26 @@ def test_the_linear_part_is_the_derivative_of_the_tendency():
     assert errors[-1] < 1e-4, errors
     for coarse, fine in zip(errors, errors[1:]):
         assert 7.0 < coarse / fine < 13.0, errors
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_evolve_polar_keeps_the_reflection_symmetry(seed):
+    # x -> -x maps the wave (theta0, w0) to (-theta0, -w0) and the
+    # perturbation (rho, phi, h)(x) to (rho, phi, -h)(-x); the polar
+    # dynamics commute with it to round-off.  A parity slip, such as theta0
+    # where theta0^2 belongs, breaks it.
+    grid = Grid(dim=1, n=64, length=LENGTH)
+    theta0 = 0.9 * grid.k_min_positive
+    wave = PlaneWave(r0=float(np.sqrt(1.0 - theta0**2)), theta0=theta0, w0=0.4)
+    mirror = PlaneWave(r0=wave.r0, theta0=-wave.theta0, w0=-wave.w0)
+    config = SolverConfig(dt=1e-2, t_end=1.0, cadence=100)
+
+    def reflect(state):
+        rho, phi, h = (np.roll(f[::-1], 1) for f in state.stack())
+        return PerturbationState(grid=grid, rho=rho, phi=phi, h=-h, t=state.t)
+
+    state0 = _state(grid, seed, 1e-3)
+    state0.t = 0.0
+    want = reflect(evolve_polar(state0, PARAMS, wave, config).final).stack()
+    got = evolve_polar(reflect(state0), PARAMS, mirror, config).final.stack()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -267,8 +267,8 @@ def test_the_field_dynamics_keep_the_symmetries_of_the_equations(symmetry, seed,
     # phase rotation P -> exp(i*alpha)*P each map solutions to solutions,
     # and the spectral step commutes with them to round-off.
     def act(P, W):
-        if symmetry == "reflection":  # f(-x) on the grid x_j = j*dx
-            return np.roll(P[::-1], 1), -np.roll(W[::-1], 1)
+        if symmetry == "reflection":
+            return _reflect(P), -_reflect(W)
         if symmetry == "shift":
             return np.roll(P, shift), np.roll(W, shift)
         return np.exp(1j * alpha) * P, W
@@ -276,6 +276,47 @@ def test_the_field_dynamics_keep_the_symmetries_of_the_equations(symmetry, seed,
     state = _smooth_initial_state(Grid(dim=1, n=128), np.random.default_rng(seed), 0.1)
     P, W = state.P.physical(), state.omega[0].physical()
     for got, want in zip(_fields_at_one(*act(P, W)), act(*_fields_at_one(P, W))):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _reflect(f, axis=0):
+    """f(-x) along ``axis`` on the grid x_j = j*dx."""
+    return np.roll(np.flip(f, axis), 1, axis)
+
+
+def _fields_2d_at_half(P, W1, W2):
+    """P, Omega1 and Omega2 at t = 0.5 from physical data, 2D n = 32 and dt = 1e-2."""
+    grid = Grid(dim=2, n=32, length=2.0 * np.pi)
+    params = SystemParams.constants(u=0.3, v=0.2, xi=1.0, m=1.0, kappa=0.5, s1=0.1, s2=0.2)
+    state = FieldState(
+        P=SpectralField.from_physical(grid, P),
+        omega=tuple(SpectralField.from_physical(grid, W) for W in (W1, W2)),
+    )
+    final = _final_fields(state, params, 1e-2, 0.5, "exponential-rk2")
+    return (final.P.physical(), *(W.physical() for W in final.omega))
+
+
+@pytest.mark.parametrize("symmetry", ["axis-swap", "rotation"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_2d_field_dynamics_keep_the_symmetries_of_the_square(symmetry, seed):
+    # The axis swap (x, y) -> (y, x) with (Omega1, Omega2) -> (Omega2,
+    # Omega1), and the rotation by 90 degrees, f -> f(y, -x) with Omega ->
+    # (-Omega2, Omega1), map solutions to solutions.  The rotation catches
+    # Omega1*d2 + Omega2*d1 in place of Omega . grad; the swap does not.
+    def act(P, W1, W2):
+        if symmetry == "axis-swap":
+            return P.T, W2.T, W1.T
+        rotate = lambda f: _reflect(f.T)  # noqa: E731
+        return rotate(P), -rotate(W2), rotate(W1)
+
+    grid = Grid(dim=2, n=32, length=2.0 * np.pi)
+    rng = np.random.default_rng(seed)
+    P = band_limited_noise(grid, rng, max_index=4, amplitude=0.05).physical()
+    W1, W2 = (
+        band_limited_noise(grid, rng, max_index=4, amplitude=0.05, real=True).physical().real
+        for _ in range(2)
+    )
+    for got, want in zip(_fields_2d_at_half(*act(P, W1, W2)), act(*_fields_2d_at_half(P, W1, W2))):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

@@ -104,6 +104,12 @@ FAILING = {
     "besov-check --config configs/besov_suite.ini with q_list = 1.5 --seed 0": (
         "besov-check", "besov_suite.ini", {"besov": {"q_list": "1.5"}},
     ),
+    "besov-check --config configs/besov_suite.ini with p = 0.5 --seed 0": (
+        "besov-check", "besov_suite.ini", {"besov": {"p": "0.5"}},
+    ),
+    "besov-check --config configs/besov_suite.ini with u_disp = nan --seed 0": (
+        "besov-check", "besov_suite.ini", {"besov": {"u_disp": "nan"}},
+    ),
 }
 
 
