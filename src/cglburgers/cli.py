@@ -67,7 +67,7 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     "dispersion": {
         "k_extent": ("float", 16.0),
         "samples": ("int", 1024),
-        "coupling": ("str", "kappa_zero"),
+        "coupling": ("str", "kappa_gradient"),
     },
     "scan": {
         "m": ("floatlist", None),
@@ -162,6 +162,12 @@ def params_from_config(cfg: dict) -> SystemParams:
         s1_coeffs=(m["s1_0"], m["s1_1"]),
         s2_coeffs=(m["s2_0"], m["s2_1"]),
     )
+
+
+def _refuse_coupling(cfg: dict, command: str) -> None:
+    """Refuse a ``[dispersion] coupling`` other than the placement the dynamics step."""
+    why = f"{command} linearizes the dynamics, whose coupling is kappa_gradient"
+    _refuse_keys(cfg, "dispersion", ("coupling",), why)
 
 
 def _refuse_keys(cfg: dict, section: str, keys: tuple[str, ...], why: str) -> None:
@@ -395,6 +401,7 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
 def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
     why = "decay-fit measures the H^(s+1) norm of [experiment] s"
     _refuse_keys(cfg, "solver", ("hs_exponent",), why)
+    _refuse_coupling(cfg, "decay-fit")
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = grid_from_config(cfg)
@@ -416,6 +423,7 @@ def cmd_decay_fit(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_instability(cfg: dict, out: Path, seed: int) -> int:
+    _refuse_coupling(cfg, "instability")
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = grid_from_config(cfg)
@@ -481,7 +489,7 @@ def cmd_besov_check(cfg: dict, out: Path, seed: int) -> int:
         band_limited_noise(grid, rng, max_index=grid.n // 4, zero_mean=True)
         for _ in range(b["cases"])
     ]
-    idx = lp.BesovIndex(s=0.0, p=2.0, r=1.0, rho=1.0, homogeneous=True)
+    idx = lp.BesovIndex(s=0.0, p=2.0, r=1.0, rho=1.0)
     reports = lp.check_smoothing_estimate(cases, None, b["mu"], b["u_disp"], idx, rho1=1.0)
     max_ratio = max(rep.ratio for rep in reports)
 
@@ -516,6 +524,7 @@ def cmd_quadratic_check(cfg: dict, out: Path, seed: int) -> int:
     _refuse_keys(cfg, "solver", ("k_cutoff",), why)
     why = "quadratic-check guards the remainder with the default blow-up threshold"
     _refuse_keys(cfg, "solver", ("blowup",), why)
+    _refuse_coupling(cfg, "quadratic-check")
     params = params_from_config(cfg)
     wave = wave_from_config(cfg, params)
     grid = grid_from_config(cfg)

@@ -6,13 +6,13 @@ Its spectrum on the periodic domain is the set of roots lambda of the cubic
 
     det(-k^2*A + i*k*B + (C - lambda*I)) = 0
 
-per wavenumber k.  Three placements of the density-coupling strength kappa
+per wavenumber k.  Two placements of the density-coupling strength kappa
 are supported:
 
-* ``kappa_zero``       -- no coupling row (drift decouples);
-* ``kappa_constant``   -- entry -2*r0*kappa(r0) in C[2,0] (zeroth order);
 * ``kappa_gradient``   -- entry -2*r0*kappa(r0) in B[2,0] (first order, the
-  placement obtained by differentiating the density coupling).
+  placement obtained by differentiating the density coupling, and the one
+  the dynamics step; the default);
+* ``kappa_constant``   -- entry -2*r0*kappa(r0) in C[2,0] (zeroth order).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .model import PlaneWave, SystemParams
 
-COUPLING_MODES = ("kappa_zero", "kappa_constant", "kappa_gradient")
+COUPLING_MODES = ("kappa_constant", "kappa_gradient")
 
 RESIDUAL_TOL = 1e-9
 # Largest deviation of the printed closed form from the eigenvalues of M(k)
@@ -56,7 +56,7 @@ def _gamma(params: SystemParams, wave: PlaneWave) -> float:
 
 
 def build_matrices(
-    params: SystemParams, wave: PlaneWave, coupling: str = "kappa_zero"
+    params: SystemParams, wave: PlaneWave, coupling: str = "kappa_gradient"
 ) -> LinearizationMatrices:
     """Assemble the linearization matrices about ``wave``."""
     if coupling not in COUPLING_MODES:
@@ -81,24 +81,21 @@ def build_matrices(
             [0.0, 0.0, 0.0],
         ]
     )
-    if coupling == "kappa_constant":
-        C[2, 0] = -2.0 * r0 * params.kappa(r0)
-    elif coupling == "kappa_gradient":
-        B[2, 0] = -2.0 * r0 * params.kappa(r0)
+    (C if coupling == "kappa_constant" else B)[2, 0] = -2.0 * r0 * params.kappa(r0)
     return LinearizationMatrices(A=A, B=B, C=C)
 
 
 def true_linearization(params: SystemParams, wave: PlaneWave) -> LinearizationMatrices:
     """Exact Frechet derivative of the polar dynamics at pi = 0.
 
-    Extends the decoupled matrices by the gradient-placed density coupling
-    and by the two entries that the closed-form analysis keeps inside its
-    remainder: the rho_xx coefficient c0/r0 in the phase equation and the
-    advective phase/amplitude coupling 2*theta0/r0.
+    Extends the gradient-placed matrices of :func:`build_matrices` by the
+    two entries that the closed-form analysis keeps inside its remainder:
+    the rho_xx coefficient c0/r0 in the phase equation and the advective
+    phase/amplitude coupling 2*theta0/r0.
     """
     if wave.r0 <= 0:
         raise ValueError("the polar linearization requires r0 > 0")
-    mats = build_matrices(params, wave, "kappa_gradient")
+    mats = build_matrices(params, wave)
     mats.A[1, 0] += params.u_coeffs[0] / wave.r0
     mats.B[1, 0] += 2.0 * wave.theta0 / wave.r0
     # Exact rho-coefficient without assuming the circle constraint.
@@ -243,7 +240,7 @@ def spectrum_table(mats: LinearizationMatrices, ks: np.ndarray) -> np.ndarray:
     On any other grid every row is solved and checked.
     """
     ks, n_neg = _solved_rows(ks)
-    raw = np.linalg.eigvals(pencil(mats, ks[n_neg:, None, None]))
+    raw = solved_eigvals(mats, ks)
     lams = _sort_lambdas(raw)
     _check_residuals([mats], ks[n_neg:], lams[None])
     if n_neg:
@@ -344,10 +341,14 @@ def compare_closed_form(params: SystemParams, wave: PlaneWave, ks) -> ClosedForm
     When the two disagree beyond ``CLOSED_FORM_TOL`` the comparison
     additionally checks that replacing the printed radicand by the
     pencil-derived discriminant reproduces the oracle, so every discrepancy
-    is explained rather than silently reconciled.
+    is explained rather than silently reconciled.  The printed closed form
+    reads no kappa, so a wave with kappa(r0) != 0 is refused (ValueError).
     """
+    kappa = params.kappa(wave.r0)
+    if kappa != 0.0:
+        raise ValueError(f"the closed form reads no kappa; kappa(r0) = {kappa!r} is not 0")
     ks = np.asarray(ks, dtype=float)
-    oracle = spectrum_table(build_matrices(params, wave, "kappa_zero"), ks)
+    oracle = spectrum_table(build_matrices(params, wave), ks)
 
     def deviation(branches):
         return np.max(np.abs(_sort_lambdas(np.stack(branches, axis=-1)) - oracle), axis=-1)
@@ -376,55 +377,6 @@ def compare_closed_form(params: SystemParams, wave: PlaneWave, ks) -> ClosedForm
         explained=explained,
         params_summary=summary,
     )
-
-
-def closed_form_lambda_coupled(
-    k,
-    s1: float,
-    s2: float = 0.0,
-    w0: float = 0.0,
-    u: float = 0.0,
-    kappa: float = 1.0,
-    m: float = 1.0,
-):
-    """Closed-form spectrum on the coupled unit-amplitude slice.
-
-    Valid for the plane wave r0 = 1, theta0 = 0 with v = 0 and the
-    zeroth-order (``kappa_constant``) coupling placement.  For u = 0 the
-    cubic factors into a simple eigenvalue -k^2 - i*w0*k and a quadratic
-    pair; for u = 1 (with m = 1) the three roots come from the Cardano
-    solution of  z^3 + 2*z^2 - 2i*kappa*k*s1*z - 2i*kappa*k^3*s2 = 0
-    shifted by -(2/3 + k^2 + i*k*w0).
-    """
-    k = np.asarray(k, dtype=float)
-    drift = -1j * w0 * k
-    if u == 0.0:
-        lam1 = -(k**2) + drift
-        half_trace = -(k**2) * (1.0 + m) / 2.0 - 1.0 + drift
-        half_gap = -1.0 + k**2 * (m - 1.0) / 2.0
-        # For m = 1 the radicand reduces to 1 + 2i*kappa*k*s1.
-        root = np.sqrt(half_gap**2 + 2j * kappa * k * s1)
-        return lam1, half_trace + root, half_trace - root
-    if u == 1.0:
-        if m != 1.0:
-            raise ValueError("the u = 1 closed form requires m = 1")
-        # Cardano data for z^3 + 2 z^2 - 2i kappa k s1 z - 2i kappa k^3 s2 = 0,
-        # written via a = -27q and b = -3p of the depressed cubic.
-        p = -2j * kappa * k * s1 - 4.0 / 3.0
-        q = 16.0 / 27.0 + 4j * kappa * k * s1 / 3.0 - 2j * kappa * k**3 * s2
-        a = -27.0 * q
-        b = -3.0 * p
-        W = (a + np.sqrt(a**2 - 4.0 * b**3 + 0j)) ** (1.0 / 3.0)
-        shift = -(2.0 / 3.0 + k**2) + drift
-        cbrt2 = 2.0 ** (1.0 / 3.0)
-        omega = np.exp(2j * np.pi / 3.0)
-        S = W / (3.0 * cbrt2)
-        T = cbrt2 * b / (3.0 * W)
-        lam1 = shift + S + T
-        lam2 = shift + omega * S + np.conj(omega) * T
-        lam3 = shift + np.conj(omega) * S + omega * T
-        return lam1, lam2, lam3
-    raise ValueError("closed forms are available for u = 0 and u = 1 only")
 
 
 @dataclass

@@ -64,13 +64,12 @@ def phi_profile(xi: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BesovIndex:
-    """Regularity/integrability indices of a (space-time) Besov norm."""
+    """Regularity/integrability indices of a homogeneous (space-time) Besov norm."""
 
     s: float
     p: float = 2.0
     r: float = 1.0
     rho: float | None = None
-    homogeneous: bool = True
 
     def __post_init__(self):
         for name, value in (("p", self.p), ("r", self.r)):
@@ -150,36 +149,25 @@ def partition_for(grid: Grid) -> DyadicPartition:
     return DyadicPartition(grid)
 
 
-def dyadic_block(f: SpectralField, q: int, variant: str = "homogeneous") -> SpectralField:
-    """Frequency-annulus projection of ``f`` at dyadic scale ``q``."""
-    part = partition_for(f.grid)
-    if variant == "homogeneous":
-        qs, mults = part.homogeneous_blocks
-    elif variant == "nonhomogeneous":
-        if q <= -2:
-            return SpectralField.from_spectral(f.grid, np.zeros(f.grid.shape, complex))
-        qs, mults = part.nonhomogeneous_blocks
-    else:
-        raise ValueError("variant must be 'homogeneous' or 'nonhomogeneous'")
+def dyadic_block(f: SpectralField, q: int) -> SpectralField:
+    """Frequency-annulus projection of ``f`` at homogeneous dyadic scale ``q``."""
+    qs, mults = partition_for(f.grid).homogeneous_blocks
     lo, hi = int(qs[0]), int(qs[-1])
     if not lo <= q <= hi:
         raise OutOfRange(f"dyadic scale {q} outside resolvable range [{lo}, {hi}]")
     return SpectralField.from_spectral(f.grid, f.spectral() * mults[q - lo])
 
 
-def _block_lp_norms(
-    grid: Grid, spectra: np.ndarray, p: float, homogeneous: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """(scales q, L^p norms of the blocks) for the requested variant.
+def _block_lp_norms(grid: Grid, spectra: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(scales q, L^p norms of the homogeneous blocks).
 
     ``spectra`` has shape ``(..., *grid.shape)`` and the norms come back as
     ``(..., blocks)``, all from one product with the stacked multipliers.
     At p = 2 the norms follow from Parseval with no transform; any other p
     takes one inverse transform over the spatial axes.  The mean needs no
-    removal for the homogeneous variant: every phi_q vanishes at k = 0.
+    removal: every phi_q vanishes at k = 0.
     """
-    part = partition_for(grid)
-    qs, mults = part.homogeneous_blocks if homogeneous else part.nonhomogeneous_blocks
+    qs, mults = partition_for(grid).homogeneous_blocks
     lead = spectra.shape[: spectra.ndim - grid.dim]
     blocks = spectra.reshape(*lead, 1, *grid.shape) * mults
     axes = tuple(range(-grid.dim, 0))
@@ -203,7 +191,7 @@ def _ell_r(values: np.ndarray, r: float) -> np.ndarray:
 
 
 def besov_norm(f: SpectralField | Sequence[SpectralField], idx: BesovIndex):
-    """Discrete Besov norm: ell^r over scales of 2**(q*s) * ||Delta_q f||_p.
+    """Discrete homogeneous Besov norm: ell^r over scales of 2**(q*s) * ||Delta_q f||_p.
 
     ``f`` is one field, or a sequence of fields on one grid; a sequence gets
     a list with one norm per field, each bitwise the norm of that field
@@ -214,7 +202,7 @@ def besov_norm(f: SpectralField | Sequence[SpectralField], idx: BesovIndex):
         spectra = fields[0].spectral()[None]  # a view: np.stack would copy it
     else:
         spectra = np.stack([g.spectral() for g in fields])
-    qs, norms = _block_lp_norms(fields[0].grid, spectra, idx.p, idx.homogeneous)
+    qs, norms = _block_lp_norms(fields[0].grid, spectra, idx.p)
     norms = _ell_r(2.0 ** (qs * idx.s) * norms, idx.r)
     return float(norms[0]) if isinstance(f, SpectralField) else norms.tolist()
 
@@ -416,7 +404,7 @@ def space_time_besov_norm(
 
     ``spectra`` stacks one spectrum per time sample: ``(times, *grid.shape)``.
     """
-    qs, per_block = _block_lp_norms(grid, spectra, p, homogeneous=True)  # (times, blocks)
+    qs, per_block = _block_lp_norms(grid, spectra, p)  # (times, blocks)
     # One time norm per block: a vectorized trapezoid or power moves the last bits.
     time_norms = np.array([_time_norm(series, times, rho) for series in per_block.T])
     return float(_ell_r(2.0 ** (qs * sigma) * time_norms, r))
@@ -468,7 +456,7 @@ def check_smoothing_estimate(
         lhs = mu ** (1.0 / rho) * space_time_besov_norm(
             grid, spectra, times, idx.s + 2.0 / rho1, idx.p, idx.r, rho1
         )
-        rhs = besov_norm(f, BesovIndex(s=idx.s, p=idx.p, r=idx.r, homogeneous=True)) + source_norm
+        rhs = besov_norm(f, idx) + source_norm
         ratio = 0.0 if (lhs == 0.0 and rhs == 0.0) else lhs / max(rhs, 1e-300)
         reports.append(SmoothingRatioReport(lhs=lhs, rhs=rhs, ratio=ratio))
     return reports[0] if isinstance(f0, SpectralField) else reports
@@ -484,7 +472,7 @@ def smallness_monitor(state: FieldState | Sequence[FieldState], p: float):
     call per component over all of them.
     """
     states = [state] if isinstance(state, FieldState) else state
-    idx = BesovIndex(s=states[0].grid.dim / p - 1.0, p=p, r=1.0, homogeneous=True)
+    idx = BesovIndex(s=states[0].grid.dim / p - 1.0, p=p, r=1.0)
     total = np.array(besov_norm([s.P for s in states], idx))
     for a in range(states[0].grid.dim):
         total += besov_norm([s.omega[a] for s in states], idx)

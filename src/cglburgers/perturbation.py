@@ -347,7 +347,7 @@ def remainder(
     They come back as a state at ``state.t`` whose rows rho, phi and h hold
     psi1, psi2 and psi3, the remainders of those three equations.  psi is
     the polar tendency that the integrator steps
-    (:meth:`_PolarWorkspace.tendency_hats`) minus the ``kappa_gradient``
+    (:meth:`_PolarWorkspace.tendency_hats`) minus the (gradient-placed)
     pencil of :func:`dispersion.build_matrices`, both evaluated on the
     state's projection onto the 2/3-rule band, and it is band-limited to
     that band.  It vanishes at pi = 0 when the wave is an equilibrium of
@@ -367,7 +367,7 @@ def _remainder_on(grid: Grid, params: SystemParams, wave: PlaneWave):
     serve every call.
     """
     ws = _PolarWorkspace(grid, params, wave, SolverConfig())
-    closed = dispersion.build_matrices(params, wave, "kappa_gradient")
+    closed = dispersion.build_matrices(params, wave)
     pencil = dispersion.pencil(closed, ws.k[:, None, None])
 
     def psi_of(state: PerturbationState) -> PerturbationState:
@@ -474,7 +474,7 @@ def resolved_spectral_gap(
     params: SystemParams, wave: PlaneWave, grid: Grid, k_cutoff: float | None = None
 ) -> float:
     """max Re(lambda) over the nonzero wavenumbers resolved on the grid."""
-    mats = dispersion.build_matrices(params, wave, "kappa_gradient")
+    mats = dispersion.build_matrices(params, wave)
     k, keep = _kept_band(grid, k_cutoff)
     lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
     return float(np.max(lams.real))
@@ -595,7 +595,7 @@ def instability_experiment(
             "of this grid and k_cutoff"
         )
 
-    mats = dispersion.build_matrices(params, wave, "kappa_gradient")
+    mats = dispersion.build_matrices(params, wave)
     eigvals, eigvecs = np.linalg.eig(dispersion.pencil(mats, k_seed))
     vec = eigvecs[:, int(np.argmax(eigvals.real))]
     vec = vec / np.linalg.norm(vec)

@@ -78,6 +78,55 @@ def coupled_case_printed(k, s1, w0):
     )
 
 
+def closed_form_lambda_coupled(
+    k,
+    s1: float,
+    s2: float = 0.0,
+    w0: float = 0.0,
+    u: float = 0.0,
+    kappa: float = 1.0,
+    m: float = 1.0,
+):
+    """Closed-form spectrum on the coupled unit-amplitude slice.
+
+    Valid for the plane wave r0 = 1, theta0 = 0 with v = 0 and the
+    zeroth-order (``kappa_constant``) coupling placement.  For u = 0 the
+    cubic factors into a simple eigenvalue -k^2 - i*w0*k and a quadratic
+    pair; for u = 1 (with m = 1) the three roots come from the Cardano
+    solution of  z^3 + 2*z^2 - 2i*kappa*k*s1*z - 2i*kappa*k^3*s2 = 0
+    shifted by -(2/3 + k^2 + i*k*w0).
+    """
+    k = np.asarray(k, dtype=float)
+    drift = -1j * w0 * k
+    if u == 0.0:
+        lam1 = -(k**2) + drift
+        half_trace = -(k**2) * (1.0 + m) / 2.0 - 1.0 + drift
+        half_gap = -1.0 + k**2 * (m - 1.0) / 2.0
+        # For m = 1 the radicand reduces to 1 + 2i*kappa*k*s1.
+        root = np.sqrt(half_gap**2 + 2j * kappa * k * s1)
+        return lam1, half_trace + root, half_trace - root
+    if u == 1.0:
+        if m != 1.0:
+            raise ValueError("the u = 1 closed form requires m = 1")
+        # Cardano data for z^3 + 2 z^2 - 2i kappa k s1 z - 2i kappa k^3 s2 = 0,
+        # written via a = -27q and b = -3p of the depressed cubic.
+        p = -2j * kappa * k * s1 - 4.0 / 3.0
+        q = 16.0 / 27.0 + 4j * kappa * k * s1 / 3.0 - 2j * kappa * k**3 * s2
+        a = -27.0 * q
+        b = -3.0 * p
+        W = (a + np.sqrt(a**2 - 4.0 * b**3 + 0j)) ** (1.0 / 3.0)
+        shift = -(2.0 / 3.0 + k**2) + drift
+        cbrt2 = 2.0 ** (1.0 / 3.0)
+        omega = np.exp(2j * np.pi / 3.0)
+        S = W / (3.0 * cbrt2)
+        T = cbrt2 * b / (3.0 * W)
+        lam1 = shift + S + T
+        lam2 = shift + omega * S + np.conj(omega) * T
+        lam3 = shift + np.conj(omega) * S + omega * T
+        return lam1, lam2, lam3
+    raise ValueError("closed forms are available for u = 0 and u = 1 only")
+
+
 def sort_triple(lams: np.ndarray) -> np.ndarray:
     """Descending real part (round-off tolerant), ties by ascending imag."""
     lams = np.asarray(lams)

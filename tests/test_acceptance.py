@@ -50,7 +50,7 @@ def announce(num, text):
     print(f"\n[criterion {num:02d}] PASS - {text}")
 
 
-def _table(params, wave, coupling="kappa_zero", ks=K_GRID):
+def _table(params, wave, coupling="kappa_gradient", ks=K_GRID):
     mats = dispersion.build_matrices(params, wave, coupling)
     return dispersion.spectrum_table(mats, ks)
 

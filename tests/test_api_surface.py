@@ -32,8 +32,6 @@ ALLOWED = {
     "stability_conditions": "criterion 4 checks the conditions against the closed-form real parts",
     "closed_form_real_parts": "criterion 4 compares them with the stability conditions",
     "compare_closed_form": "criterion 3 compares the closed forms with the eigenvalue oracle",
-    "closed_form_lambda_coupled": "tests/test_dispersion.py checks the coupled closed form "
-    "against the eigenvalue oracle",
     "rhs_nonlinear": "the RHS seam: tests/test_rhs.py and tests/test_solver.py compare it "
     "with independent right-hand sides",
     "remainder": "the remainder seam: tests/test_polar_rhs.py and tests/test_perturbation.py "

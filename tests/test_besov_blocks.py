@@ -30,13 +30,9 @@ def reference_block_norms(f, idx):
     """(scales q, L^p norms of the blocks), one inverse transform per block."""
     part = partition_for(f.grid)
     fhat = f.spectral().copy()
-    if idx.homogeneous:
-        fhat[(0,) * f.grid.dim] = 0.0
-        qs = list(part.homogeneous_range())
-        mults = [part.phi(q) for q in qs]
-    else:
-        qs = [-1] + list(part.nonhomogeneous_range())
-        mults = [part.chi] + [part.phi(q) for q in part.nonhomogeneous_range()]
+    fhat[(0,) * f.grid.dim] = 0.0
+    qs = list(part.homogeneous_range())
+    mults = [part.phi(q) for q in qs]
     norms = [
         lp_norm(SpectralField.from_spectral(f.grid, fhat * m), idx.p) for m in mults
     ]
@@ -55,7 +51,7 @@ def reference_besov_norm(f, idx):
 
 
 def reference_smallness_monitor(state, p):
-    idx = BesovIndex(s=state.grid.dim / p - 1.0, p=p, r=1.0, homogeneous=True)
+    idx = BesovIndex(s=state.grid.dim / p - 1.0, p=p, r=1.0)
     total = reference_besov_norm(state.P, idx)
     for w in state.omega:
         total += reference_besov_norm(w, idx)
@@ -154,14 +150,13 @@ def _field(grid, seed, amplitude, real):
     seed=st.integers(0, 2**32 - 1),
     amplitude=st.floats(1e-6, 1e3),
     p=st.sampled_from(EXPONENTS),
-    homogeneous=st.booleans(),
     real=st.booleans(),
 )
-def test_besov_norm_matches_per_block_reference(dim, seed, amplitude, p, homogeneous, real):
+def test_besov_norm_matches_per_block_reference(dim, seed, amplitude, p, real):
     f = _field(GRIDS[dim], seed, amplitude, real)
     s = dim / p - 1.0
     for r in (1.0, 2.0, np.inf):
-        idx = BesovIndex(s=s, p=p, r=r, homogeneous=homogeneous)
+        idx = BesovIndex(s=s, p=p, r=r)
         _assert_matches(besov_norm(f, idx), reference_besov_norm(f, idx), p)
 
 
@@ -187,9 +182,8 @@ def test_smallness_monitor_matches_per_block_reference(dim, seed, amplitude, p):
     seed=st.integers(0, 2**32 - 1),
     count=st.integers(1, 5),
     p=st.sampled_from(EXPONENTS),
-    homogeneous=st.booleans(),
 )
-def test_sequence_forms_match_the_single_calls_bitwise(dim, seed, count, p, homogeneous):
+def test_sequence_forms_match_the_single_calls_bitwise(dim, seed, count, p):
     # One value per item, each the single call's to the last bit, also at
     # p = 2 and for a sequence of one.
     grid = GRIDS[dim]
@@ -197,7 +191,7 @@ def test_sequence_forms_match_the_single_calls_bitwise(dim, seed, count, p, homo
     amplitudes = 10.0 ** rng.uniform(-6, 3, size=count)
     fields = [_field(grid, seed + i, a, real=bool(i % 2)) for i, a in enumerate(amplitudes)]
     for r in (1.0, 2.0, np.inf):
-        idx = BesovIndex(s=dim / p - 1.0, p=p, r=r, homogeneous=homogeneous)
+        idx = BesovIndex(s=dim / p - 1.0, p=p, r=r)
         assert besov_norm(fields, idx) == [besov_norm(f, idx) for f in fields]
     states = [
         FieldState(P=f, omega=tuple(_field(grid, seed + i + a, 1.0, real=True) for a in range(dim)))
@@ -258,15 +252,15 @@ def test_dyadic_block_matches_multiplier_products(grid):
     fhat = f.spectral()
     for q in part.homogeneous_range():
         assert np.array_equal(dyadic_block(f, q).spectral(), fhat * part.phi(q))
+    # The nonhomogeneous blocks: the low-pass chi at q = -1, then phi_q for q >= 0.
+    qs, mults = part.nonhomogeneous_blocks
+    assert np.array_equal(qs, np.arange(-1.0, part.q_max + 1))
+    assert np.array_equal(fhat * mults[0], fhat * part.chi)
     for q in part.nonhomogeneous_range():
-        got = dyadic_block(f, q, "nonhomogeneous").spectral()
-        assert np.array_equal(got, fhat * part.phi(q))
-    assert np.array_equal(dyadic_block(f, -1, "nonhomogeneous").spectral(), fhat * part.chi)
-    assert np.all(dyadic_block(f, -2, "nonhomogeneous").spectral() == 0.0)
-    for q, variant in ((part.q_min - 1, "homogeneous"), (part.q_max + 1, "homogeneous"),
-                       (part.q_max + 1, "nonhomogeneous")):
+        assert np.array_equal(fhat * mults[q + 1], fhat * part.phi(q))
+    for q in (part.q_min - 1, part.q_max + 1):
         with pytest.raises(OutOfRange):
-            dyadic_block(f, q, variant)
+            dyadic_block(f, q)
     assert np.shares_memory(part.homogeneous_blocks[1], part.phi(part.q_max))
 
 
@@ -287,9 +281,8 @@ def test_besov_norm_fft_count(monkeypatch, dim, p, expected):
     f = _field(GRIDS[dim], 0, 1.0, real=False)
     assert f.space == "spectral"
     calls = _count_ffts(monkeypatch)
-    for homogeneous in (True, False):
-        besov_norm(f, BesovIndex(s=0.5, p=p, homogeneous=homogeneous))
-    assert len(calls) == 2 * expected
+    besov_norm(f, BesovIndex(s=0.5, p=p))
+    assert len(calls) == expected
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -155,6 +155,35 @@ def test_dispersion_reference_row(tmp_path):
     assert verdict["C_unconstrained"] is True
 
 
+def test_dispersion_reads_the_kappa_of_its_config(tmp_path):
+    # The default placement used to drop kappa: the coupled wave was written
+    # "stable" (sup_real -2.4e-4), exactly as the wave with kappa = 0 is.
+    verdicts = {}
+    for kappa0 in ("0.0", "0.5"):
+        text = f"[model]\nkappa0 = {kappa0}\n\n[wave]\ntheta0 = 0.5\n"
+        path = write(tmp_path, f"k{kappa0}.ini", text)
+        out = tmp_path / kappa0
+        assert main(["dispersion", "--config", path, "--out", str(out)]) == 0
+        verdicts[kappa0] = json.loads((out / "verdict.json").read_text())
+    assert verdicts["0.0"]["verdict"] == "stable"
+    coupled = verdicts["0.5"]
+    assert coupled["verdict"] == "unstable"
+    assert coupled["sup_real"] == pytest.approx(0.05808, abs=1e-5)
+    assert coupled["unstable_band"] == pytest.approx([-0.45357, 0.45357], abs=1e-5)
+
+
+def test_dispersion_refuses_a_placement_that_is_gone(tmp_path, capsys):
+    path = write(tmp_path, "zero.ini", DISPERSION_INI + "coupling = kappa_zero\n")
+    out = tmp_path / "out"
+    assert main(["dispersion", "--config", path, "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": "coupling must be one of ('kappa_constant', 'kappa_gradient')",
+        "exit_code": 1,
+    }
+    assert not any(out.iterdir())
+
+
 def test_simulate_zero_data_all_zero(tmp_path):
     path = write(
         tmp_path,
@@ -356,6 +385,22 @@ def test_stability_scan_verdicts(tmp_path):
     verdicts = {float(l.split(",")[m_col]): l.split(",")[verdict_col] for l in lines[2:]}
     assert verdicts[-1.0] == "unstable"
     assert verdicts[1.0] == "stable"
+
+
+def test_stability_scan_reads_the_kappa_of_each_job(tmp_path):
+    # The default placement used to drop kappa: all three rows were
+    # "stable" with C = 0.12530.  kappa0 = 0.5 sits at the long-wave
+    # threshold of this wave and is not asserted.
+    text = "[scan]\nm = 0.5\nu0 = -0.5\nv0 = 0.5\nkappa0 = 0.0, 0.5, 2.0\n"
+    out = tmp_path / "out"
+    assert main(["stability-scan", "--config", write(tmp_path, "k.ini", text),
+                 "--out", str(out)]) == 0
+    lines = (out / "atlas.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = {row[header.index("kappa0")]: row for row in (l.split(",") for l in lines[2:])}
+    assert rows["0"][header.index("verdict")] == "stable"
+    assert float(rows["0"][header.index("C")]) == pytest.approx(0.12530, abs=1e-5)
+    assert rows["2"][header.index("verdict")] == "unstable"
 
 
 def test_stability_scan_thread_independence(tmp_path):
@@ -1044,6 +1089,43 @@ def test_decay_fit_refuses_an_hs_exponent(tmp_path, capsys):
         "exit_code": 1,
     }
     assert not any(out.iterdir())
+
+
+POLAR_INI = (
+    "[wave]\nr0 = 1.0\ntheta0 = 0.0\n\n[grid]\nn = 32\n\n[solver]\ndt = 0.01\nt_end = 0.5\n"
+)
+
+
+@pytest.mark.parametrize("command", ["decay-fit", "instability", "quadratic-check"])
+@pytest.mark.parametrize("coupling", ["kappa_constant", "kappa_zero"])
+def test_polar_commands_refuse_a_coupling_other_than_the_dynamics(
+    tmp_path, capsys, command, coupling
+):
+    # Each linearizes the dynamics with the gradient placement.  decay-fit
+    # with kappa_constant used to exit 0 with a byte-identical decay.json.
+    text = POLAR_INI + f"\n[dispersion]\ncoupling = {coupling}\n"
+    out = tmp_path / "out"
+    assert main([command, "--config", write(tmp_path, "c.ini", text), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {
+        "error": f"{command} linearizes the dynamics, whose coupling is kappa_gradient; "
+        "it cannot honour [dispersion] coupling",
+        "exit_code": 1,
+    }
+    assert not any(out.iterdir())
+
+
+def test_decay_fit_takes_the_dynamics_coupling_spelled_out(tmp_path):
+    # The default, written out, is no request to refuse.
+    # The fit on this short run fails (exit 2); both runs fail alike.
+    runs = {}
+    for name, extra in (("unset", ""), ("spelled", "\n[dispersion]\ncoupling = kappa_gradient\n")):
+        out = tmp_path / name
+        path = write(tmp_path, f"{name}.ini", POLAR_INI + extra)
+        code = main(["decay-fit", "--config", path, "--out", str(out)])
+        runs[name] = code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert runs["unset"] == runs["spelled"]
+    assert runs["unset"][1]
 
 
 def _refuse_constant(name):

@@ -12,7 +12,6 @@ from cglburgers.dispersion import (
     build_matrices,
     classify_spectrum,
     closed_form_lambda,
-    closed_form_lambda_coupled,
     closed_form_ab,
     closed_form_real_parts,
     compare_closed_form,
@@ -29,7 +28,12 @@ from cglburgers.model import (
     solve_plane_wave,
 )
 
-from helpers import coupled_case_printed, random_constrained_pair, sort_triple
+from helpers import (
+    closed_form_lambda_coupled,
+    coupled_case_printed,
+    random_constrained_pair,
+    sort_triple,
+)
 
 
 def unit_wave(w0=0.0):
@@ -63,6 +67,19 @@ def test_constant_coupling_entry():
     grad = build_matrices(params, unit_wave(), coupling="kappa_gradient")
     assert grad.B[2, 0] == pytest.approx(-2.0)
     assert grad.C[2, 0] == 0.0
+
+
+def test_the_default_placement_is_the_gradient_one():
+    # The default used to be a third placement that dropped kappa.
+    params = SystemParams.constants(kappa=0.5, s1=0.3)
+    wave = PlaneWave(r0=0.8, theta0=0.6, w0=0.2)
+    default, grad = build_matrices(params, wave), build_matrices(params, wave, "kappa_gradient")
+    for got, want in zip((default.A, default.B, default.C), (grad.A, grad.B, grad.C)):
+        assert np.array_equal(got, want)
+    assert default.B[2, 0] == -2.0 * 0.8 * 0.5
+    assert COUPLING_MODES == ("kappa_constant", "kappa_gradient")
+    with pytest.raises(ValueError, match="coupling must be one of"):
+        build_matrices(params, wave, "kappa_zero")
 
 
 def test_unit_wave_eigenvalues_k1():
@@ -160,6 +177,14 @@ def test_closed_form_discrepancies_are_explained():
             n_disagree += 1
     # Generic draws with carrier and nonlinear dispersion do deviate.
     assert n_disagree > 0
+
+
+def test_the_closed_form_comparison_refuses_a_coupling():
+    # The printed closed form reads no kappa.  The comparison used to build
+    # its oracle with kappa dropped too, and reported agreement.
+    params = SystemParams.constants(kappa=0.5)
+    with pytest.raises(ValueError, match=r"reads no kappa; kappa\(r0\) = 0.5 is not 0"):
+        compare_closed_form(params, unit_wave(), np.linspace(-8, 8, 101))
 
 
 def test_real_parts_match_principal_root():
@@ -885,7 +910,7 @@ _affine = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
     psi=st.floats(0.05, np.pi / 2 - 0.05),
     u=_affine, v1=st.floats(-2.0, 2.0), m=st.floats(0.2, 2.0),
     kappa=_affine, s1=_affine, s2=_affine, w0=st.floats(-2.0, 2.0),
-    placement=st.sampled_from(["kappa_zero", "kappa_gradient", "exact"]),
+    placement=st.sampled_from(["kappa_gradient", "exact"]),
 )
 def test_the_reflection_of_the_wave_conjugates_its_spectrum(
     psi, u, v1, m, kappa, s1, s2, w0, placement

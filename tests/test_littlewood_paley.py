@@ -124,8 +124,8 @@ def test_block_out_of_range(grid):
         dyadic_block(f, part.q_max + 1)
     with pytest.raises(OutOfRange):
         dyadic_block(f, part.q_min - 1)
-    low = dyadic_block(f, -5, variant="nonhomogeneous")
-    assert np.max(np.abs(low.spectral())) == 0.0
+    # No nonhomogeneous block lies below the low-pass block q = -1.
+    assert part.nonhomogeneous_blocks[0][0] == -1.0
 
 
 def test_besov_zero(grid):
@@ -382,25 +382,15 @@ def test_smallness_monitor_single_block_bracket(grid):
 SHORT = Grid(dim=1, n=64, length=2.0)
 
 
-def test_short_period_nonhomogeneous_besov_norm():
-    part = partition_for(SHORT)
-    assert part.q_min == 1
-    f = band_limited_noise(SHORT, np.random.default_rng(11), zero_mean=True)
-    nonhom = besov_norm(f, BesovIndex(s=0.0, homogeneous=False))
-    # Zero mean leaves the low-pass block and the empty q = 0 block at zero.
-    assert nonhom == besov_norm(f, BesovIndex(s=0.0))
-    assert part.partition_deviation()[0] <= 1e-15
-
-
 def test_short_period_nonhomogeneous_blocks():
     part = partition_for(SHORT)
+    assert part.q_min == 1
+    assert part.partition_deviation()[0] <= 1e-15
     f = band_limited_noise(SHORT, np.random.default_rng(12))
-    assert np.all(dyadic_block(f, 0, "nonhomogeneous").spectral() == 0.0)
+    blocks = dict(zip(*part.nonhomogeneous_blocks))
+    assert np.all(f.spectral() * blocks[0] == 0.0)
     for q in range(part.q_min, part.q_max + 1):
-        np.testing.assert_array_equal(
-            dyadic_block(f, q, "nonhomogeneous").spectral(),
-            dyadic_block(f, q).spectral(),
-        )
+        np.testing.assert_array_equal(f.spectral() * blocks[q], dyadic_block(f, q).spectral())
 
 
 def test_short_period_bony_identity():

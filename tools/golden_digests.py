@@ -62,6 +62,14 @@ EDITED = {
             },
         },
     ),
+    # A coupled wave, which the default placement reads: r0 is unset, so it
+    # comes from the unit circle at theta0.
+    "dispersion --config configs/dispersion_reference.ini with kappa0 = 0.5, theta0 = 0.5 --seed 0": (
+        "dispersion", "dispersion_reference.ini", {
+            "model": {"kappa0": "0.5"},
+            "wave": {"r0": "", "theta0": "0.5"},
+        },
+    ),
 }
 # The same, for runs refused before they compute anything.
 FAILING = {
@@ -109,6 +117,9 @@ FAILING = {
     ),
     "besov-check --config configs/besov_suite.ini with u_disp = nan --seed 0": (
         "besov-check", "besov_suite.ini", {"besov": {"u_disp": "nan"}},
+    ),
+    "decay-fit --config configs/decay_reference.ini with coupling = kappa_constant --seed 0": (
+        "decay-fit", "decay_reference.ini", {"dispersion": {"coupling": "kappa_constant"}},
     ),
 }
 
