@@ -49,6 +49,11 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
         "branch": ("int", 0),
         "drift_compatibility": ("bool", False),
     },
+    "initial": {
+        "amplitude": ("optfloat", None),
+        "max_index": ("optint", None),
+        "zero_mean": ("bool", True),
+    },
     "grid": {
         "dim": ("int", 1),
         "n": ("int", 256),
@@ -109,6 +114,8 @@ def _convert(tag: str, raw: str):
         return None if raw.strip() == "" else float(raw)
     if tag == "int":
         return int(raw)
+    if tag == "optint":
+        return None if raw.strip() == "" else int(raw)
     if tag == "bool":
         value = raw.strip().lower()
         if value in ("true", "1", "yes", "on"):
@@ -274,12 +281,42 @@ def _slice_summary(cfg: dict, wave: PlaneWave) -> dict:
     }
 
 
+def _noise_state(cfg: dict, grid: Grid, seed: int) -> solver.FieldState:
+    """The ``[initial]`` state: band-limited noise in P, then in each drift component.
+
+    Each field is drawn by ``band_limited_noise`` from one generator seeded
+    with ``seed``, P first, as acceptance criterion 10 draws its data.
+    """
+    init = cfg["initial"]
+    if not np.isfinite(init["amplitude"]):
+        raise ValueError(f"[initial] amplitude must be finite, not {init['amplitude']!r}")
+    if init["max_index"] is not None and init["max_index"] < 0:
+        raise ValueError(f"[initial] max_index must be at least 0, not {init['max_index']}")
+    rng = np.random.default_rng(seed)
+    noise = functools.partial(
+        band_limited_noise,
+        grid,
+        rng,
+        max_index=init["max_index"],
+        zero_mean=init["zero_mean"],
+        amplitude=init["amplitude"],
+    )
+    return solver.FieldState(P=noise(), omega=tuple(noise(real=True) for _ in range(grid.dim)))
+
+
 def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     params = params_from_config(cfg)
     grid = grid_from_config(cfg)
     sconf = solver_config_from_config(cfg)
     state = solver.FieldState.zeros(grid)
     w = cfg["wave"]
+    if cfg["initial"]["amplitude"] is None:
+        why = "simulate draws no [initial] noise without an amplitude"
+        _refuse_keys(cfg, "initial", ("max_index", "zero_mean"), why)
+    else:
+        why = "simulate starts from the [initial] noise or from a [wave], not both"
+        _refuse_keys(cfg, "wave", tuple(SCHEMA["wave"]), why)
+        state = _noise_state(cfg, grid, seed)
     if w["r0"] is None and w["theta0"] is None:
         why = "simulate starts from P = Omega = 0 unless [wave] gives r0 or theta0"
         _refuse_keys(cfg, "wave", ("w0", "branch", "drift_compatibility"), why)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cglburgers import cli, dispersion
+from cglburgers import cli, dispersion, solver
 from cglburgers.cli import ConfigError, load_config, main
-from cglburgers.model import solve_plane_wave
+from cglburgers.model import SystemParams, solve_plane_wave
+from cglburgers.spectral import band_limited_noise
 
 
 def write(tmp_path, name, text):
@@ -280,6 +281,98 @@ def test_simulate_refuses_a_wave_in_two_dimensions(tmp_path, capsys):
     assert code == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert "dim = 2" in error["error"]
+
+
+# Criterion 10's 1D physics and data, over four steps.
+NOISE_RUN_INI = """
+[model]
+u0 = 0.3
+v0 = 0.2
+xi = 0.0
+kappa0 = 0.5
+s1_0 = 0.1
+
+[initial]
+amplitude = 2e-3
+max_index = 8
+
+[grid]
+n = 256
+
+[solver]
+dt = 0.005
+t_end = 0.02
+cadence = 1
+besov_p = 1.0
+"""
+
+
+def _simulate_artifacts(root, text, seed):
+    root.mkdir(exist_ok=True)
+    out = root / "out"
+    path = write(root, "noise.ini", text)
+    assert main(["simulate", "--config", path, "--out", str(out), "--seed", str(seed)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_simulate_draws_the_data_of_criterion_10(tmp_path):
+    # simulate used to start from P = Omega = 0 whatever --seed said.
+    grid = cli.Grid(dim=1, n=256)
+    rng = np.random.default_rng(17)
+    state = solver.FieldState(
+        P=band_limited_noise(grid, rng, max_index=8, amplitude=2e-3, zero_mean=True),
+        omega=(
+            band_limited_noise(grid, rng, max_index=8, amplitude=2e-3, real=True, zero_mean=True),
+        ),
+    )
+    params = SystemParams.constants(u=0.3, v=0.2, xi=0.0, m=1.0, kappa=0.5, s1=0.1)
+    config = solver.SolverConfig(dt=5e-3, t_end=0.02, cadence=1, besov_p=1.0)
+    rows = solver.evolve(state, params, config=config).rows
+    header = ["t", "L2_P", "L2_Omega", "Hs_P", "Hs_Omega", "besov_proxy"]
+    want = [",".join(cli._fmt(row[h]) for h in header) for row in rows]
+    got = _simulate_artifacts(tmp_path, NOISE_RUN_INI, 17)["diagnostics.csv"]
+    assert got.decode().splitlines()[2:] == want
+    assert rows[0]["besov_proxy"] > 0.0
+
+
+def test_simulate_draws_its_initial_noise_from_the_seed(tmp_path):
+    runs = [_simulate_artifacts(tmp_path / str(i), NOISE_RUN_INI, seed)
+            for i, seed in enumerate((0, 0, 1))]
+    assert runs[0] == runs[1]
+    assert runs[0]["diagnostics.csv"] != runs[2]["diagnostics.csv"]
+    # zero_mean = false adds the mean modes to the same draws.
+    text = NOISE_RUN_INI.replace("max_index = 8", "max_index = 8\nzero_mean = false")
+    meaned = _simulate_artifacts(tmp_path / "meaned", text, 0)
+    assert meaned["diagnostics.csv"] != runs[0]["diagnostics.csv"]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (NOISE_RUN_INI + "\n[wave]\nr0 = 0.8\n",
+         "simulate starts from the [initial] noise or from a [wave], not both; "
+         "it cannot honour [wave] r0"),
+        (NOISE_RUN_INI + "\n[wave]\nw0 = 0.7\nbranch = 1\n",
+         "simulate starts from the [initial] noise or from a [wave], not both; "
+         "it cannot honour [wave] w0, branch"),
+        ("[initial]\nmax_index = 4\nzero_mean = false\n",
+         "simulate draws no [initial] noise without an amplitude; "
+         "it cannot honour [initial] max_index, zero_mean"),
+        ("[initial]\nmax_index = 4\n\n[wave]\nr0 = 1.0\n",
+         "simulate draws no [initial] noise without an amplitude; "
+         "it cannot honour [initial] max_index"),
+        ("[initial]\namplitude = nan\n", "[initial] amplitude must be finite, not nan"),
+        ("[initial]\namplitude = 1e-3\nmax_index = -1\n",
+         "[initial] max_index must be at least 0, not -1"),
+    ],
+    ids=["wave", "wave-keys", "no-amplitude", "no-amplitude-beside-a-wave", "nan", "max-index"],
+)
+def test_simulate_refuses_initial_noise_it_cannot_draw(tmp_path, capsys, text, message):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", write(tmp_path, "bad.ini", text), "--out", str(out)]) == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error == {"error": message, "exit_code": 1}
+    assert not any(out.iterdir())
 
 
 # theta0 = 0.6 is the lowest wavenumber of the grid, so simulate can compose its wave.
