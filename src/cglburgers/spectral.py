@@ -207,11 +207,14 @@ class SpectralField:
 def lp_norms(mag: np.ndarray, p: float, axes: tuple[int, ...]) -> np.ndarray:
     """L^p norms over ``axes`` of the magnitudes ``mag``, with the normalized measure.
 
-    For p = inf the max; otherwise the p-th root of the mean p-th power,
-    taken per scalar: numpy's vectorized power can differ in the last bit.
+    For p = inf the max; for p = 1 the mean, bitwise the root below since
+    x ** 1.0 == x; otherwise the p-th root of the mean p-th power, taken per
+    scalar: numpy's vectorized power can differ in the last bit.
     """
     if np.isinf(p):
         return np.max(mag, axis=axes)
+    if p == 1.0:
+        return np.mean(mag, axis=axes)
     means = np.mean(mag**p, axis=axes)
     return np.array([m ** (1.0 / p) for m in means.ravel()]).reshape(means.shape)
 

@@ -208,7 +208,7 @@ def test_rhs_nonlinear_matches_reference(dim, seed, amplitude, forced):
     _assert_close(np.stack([dP.spectral(), *(w.spectral() for w in dO)]), want)
 
 
-@pytest.mark.parametrize("dim, expected", [(1, 7), (2, 8)])
+@pytest.mark.parametrize("dim, expected", [(1, 6), (2, 8)])
 def test_rhs_evaluation_fft_count(monkeypatch, dim, expected):
     grid = GRIDS[dim]
     _, N = solver._field_system(grid, PARAMS, None, SolverConfig(dt=1e-9))
