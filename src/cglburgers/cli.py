@@ -382,6 +382,8 @@ def cmd_stability_scan(cfg: dict, out: Path, seed: int) -> int:
     }
     class_keys = [k for k in axes if k != "w0"]
     ks = dispersion.check_grid(dispersion.default_k_grid(d["k_extent"], d["samples"]))
+    # Checked here, not only by build_matrices: a class without a wave builds no pencil.
+    dispersion.check_coupling(d["coupling"])
 
     # A class is the jobs that differ only in w0.  The plane wave (r0,
     # theta0) does not depend on w0, and w0 enters the pencil only as

@@ -55,12 +55,17 @@ def _gamma(params: SystemParams, wave: PlaneWave) -> float:
     return c1 * th0**2 + r0**2 * params.v_prime(r0) + 2.0 * r0 * params.v(r0)
 
 
+def check_coupling(coupling: str) -> None:
+    """Refuse a coupling placement that is not one of ``COUPLING_MODES``."""
+    if coupling not in COUPLING_MODES:
+        raise ValueError(f"coupling must be one of {COUPLING_MODES}")
+
+
 def build_matrices(
     params: SystemParams, wave: PlaneWave, coupling: str = "kappa_gradient"
 ) -> LinearizationMatrices:
     """Assemble the linearization matrices about ``wave``."""
-    if coupling not in COUPLING_MODES:
-        raise ValueError(f"coupling must be one of {COUPLING_MODES}")
+    check_coupling(coupling)
     r0, th0, w0 = wave.r0, wave.theta0, wave.w0
     c0, c1 = params.u_coeffs
     u0 = c0 + c1 * r0

@@ -173,10 +173,24 @@ def test_dispersion_reads_the_kappa_of_its_config(tmp_path):
     assert coupled["unstable_band"] == pytest.approx([-0.45357, 0.45357], abs=1e-5)
 
 
-def test_dispersion_refuses_a_placement_that_is_gone(tmp_path, capsys):
-    path = write(tmp_path, "zero.ini", DISPERSION_INI + "coupling = kappa_zero\n")
+# Every class of this scan writes no_wave, so it builds no pencil; such a
+# scan used to accept any placement and exit 0.
+NO_WAVE_SCAN_INI = "[scan]\nu0 = 1.0\nv0 = 0.5\n\n[dispersion]\nsamples = 16\n"
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("dispersion", DISPERSION_INI + "coupling = kappa_zero\n"),
+        ("stability-scan", NO_WAVE_SCAN_INI + "coupling = kappa_zero\n"),
+        ("stability-scan", NO_WAVE_SCAN_INI + "coupling = bogus\n"),
+    ],
+    ids=["dispersion", "stability-scan-no-wave", "stability-scan-bogus"],
+)
+def test_a_placement_that_is_gone_is_refused(tmp_path, capsys, command, text):
+    path = write(tmp_path, "zero.ini", text)
     out = tmp_path / "out"
-    assert main(["dispersion", "--config", path, "--out", str(out)]) == 1
+    assert main([command, "--config", path, "--out", str(out)]) == 1
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert error == {
         "error": "coupling must be one of ('kappa_constant', 'kappa_gradient')",
