@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cglburgers.spectral import (
     Grid,
@@ -10,6 +11,7 @@ from cglburgers.spectral import (
     ifft_axes,
     irfft_axes,
     lp_norm,
+    lp_norms,
     rfft_axes,
 )
 
@@ -135,3 +137,44 @@ def test_transform_helpers_match_the_scaled_transforms_bitwise(dim_log2_n, seed,
     assert np.array_equal(
         irfft_axes(grid, xh), np.fft.irfftn(xh * size, s=grid.shape, axes=axes)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    log2_n=st.integers(3, 9),
+    seed=SEEDS,
+    lead=st.sampled_from([(1,), (2,), (3, 3), (5,)]),
+    exponent=st.integers(-30, 30),
+)
+def test_a_stacked_1d_transform_is_bitwise_its_per_row_transforms(log2_n, seed, lead, exponent):
+    # The full-field step takes P and dP/dx from one transform of a (2, n)
+    # stack, and the polar step inverts a (3, 3, n/2 + 1) stack in one call.
+    n = 2**log2_n
+    grid = Grid(dim=1, n=n)
+    rng = np.random.default_rng(seed)
+    scale = 10.0**exponent
+    x = scale * (rng.normal(size=(*lead, n)) + 1j * rng.normal(size=(*lead, n)))
+    xr = scale * rng.normal(size=(*lead, n))
+    xh = scale * (rng.normal(size=(*lead, n // 2 + 1)) + 1j * rng.normal(size=(*lead, n // 2 + 1)))
+    for helper, data in ((fft_axes, x), (ifft_axes, x), (rfft_axes, xr), (irfft_axes, xh)):
+        stacked = helper(grid, data)
+        rows = [helper(grid, row) for row in data.reshape(-1, data.shape[-1])]
+        assert stacked.tobytes() == np.array(rows).tobytes(), helper.__name__
+
+
+# Magnitudes as the L^p kernel meets them, with the values that end a sum early.
+MAGNITUDES = st.one_of(
+    st.floats(0.0, 1e300), st.sampled_from([0.0, np.inf, np.nan]), st.floats(0.0, 1e-300)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    mag=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 9)), elements=MAGNITUDES),
+    axes=st.sampled_from([(-1,), (0,), (0, 1)]),
+)
+def test_lp_norms_at_p_one_is_bitwise_the_per_scalar_root(mag, axes):
+    # The mean is returned without the root: x ** 1.0 == x.
+    means = np.mean(mag**1.0, axis=axes)
+    want = np.array([m ** (1.0 / 1.0) for m in means.ravel()]).reshape(means.shape)
+    assert np.asarray(lp_norms(mag, 1.0, axes)).tobytes() == want.tobytes()
