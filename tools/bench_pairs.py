@@ -171,8 +171,12 @@ def main(argv: list[str] | None = None) -> int:
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["host"] = runs[0]["host"]
-    doc.setdefault("commits", {}).update(zip(SIDES, map(commit, revs)))
-    entry = {"seconds": args.seconds, "runs": runs, "summary": summarize(runs, better)}
+    entry = {
+        "commits": dict(zip(SIDES, map(commit, revs))),
+        "seconds": args.seconds,
+        "runs": runs,
+        "summary": summarize(runs, better),
+    }
     if args.claim is not None:
         entry["claim_check"] = claim_check(entry["summary"], args.claim, better[args.claim])
     doc.setdefault("workloads", {})[args.workload] = entry
