@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from cglburgers import cli, dispersion, solver
 from cglburgers.cli import ConfigError, load_config, main
 from cglburgers.model import SystemParams, solve_plane_wave
-from cglburgers.spectral import band_limited_noise
+from cglburgers.spectral import Grid, band_limited_noise
 
 
 def write(tmp_path, name, text):
@@ -331,7 +331,7 @@ def _simulate_artifacts(root, text, seed):
 
 def test_simulate_draws_the_data_of_criterion_10(tmp_path):
     # simulate used to start from P = Omega = 0 whatever --seed said.
-    grid = cli.Grid(dim=1, n=256)
+    grid = Grid(dim=1, n=256)
     rng = np.random.default_rng(17)
     state = solver.FieldState(
         P=band_limited_noise(grid, rng, max_index=8, amplitude=2e-3, zero_mean=True),
