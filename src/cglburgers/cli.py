@@ -51,8 +51,6 @@ SCHEMA: dict[str, dict[str, tuple[str, object]]] = {
     },
     "initial": {
         "amplitude": ("optfloat", None),
-        "max_index": ("optint", None),
-        "zero_mean": ("bool", True),
     },
     "grid": {
         "dim": ("int", 1),
@@ -114,8 +112,6 @@ def _convert(tag: str, raw: str):
         return None if raw.strip() == "" else float(raw)
     if tag == "int":
         return int(raw)
-    if tag == "optint":
-        return None if raw.strip() == "" else int(raw)
     if tag == "bool":
         value = raw.strip().lower()
         if value in ("true", "1", "yes", "on"):
@@ -285,21 +281,15 @@ def _noise_state(cfg: dict, grid: Grid, seed: int) -> solver.FieldState:
     """The ``[initial]`` state: band-limited noise in P, then in each drift component.
 
     Each field is drawn by ``band_limited_noise`` from one generator seeded
-    with ``seed``, P first, as acceptance criterion 10 draws its data.
+    with ``seed``, P first, as acceptance criterion 10 draws its 1D data:
+    modes |index| <= 8 per axis, the mean mode zeroed.
     """
-    init = cfg["initial"]
-    if not np.isfinite(init["amplitude"]):
-        raise ValueError(f"[initial] amplitude must be finite, not {init['amplitude']!r}")
-    if init["max_index"] is not None and init["max_index"] < 0:
-        raise ValueError(f"[initial] max_index must be at least 0, not {init['max_index']}")
+    amplitude = cfg["initial"]["amplitude"]
+    if not np.isfinite(amplitude):
+        raise ValueError(f"[initial] amplitude must be finite, not {amplitude!r}")
     rng = np.random.default_rng(seed)
     noise = functools.partial(
-        band_limited_noise,
-        grid,
-        rng,
-        max_index=init["max_index"],
-        zero_mean=init["zero_mean"],
-        amplitude=init["amplitude"],
+        band_limited_noise, grid, rng, max_index=8, zero_mean=True, amplitude=amplitude
     )
     return solver.FieldState(P=noise(), omega=tuple(noise(real=True) for _ in range(grid.dim)))
 
@@ -310,10 +300,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     sconf = solver_config_from_config(cfg)
     state = solver.FieldState.zeros(grid)
     w = cfg["wave"]
-    if cfg["initial"]["amplitude"] is None:
-        why = "simulate draws no [initial] noise without an amplitude"
-        _refuse_keys(cfg, "initial", ("max_index", "zero_mean"), why)
-    else:
+    if cfg["initial"]["amplitude"] is not None:
         why = "simulate starts from the [initial] noise or from a [wave], not both"
         _refuse_keys(cfg, "wave", tuple(SCHEMA["wave"]), why)
         state = _noise_state(cfg, grid, seed)

@@ -308,7 +308,6 @@ s1_0 = 0.1
 
 [initial]
 amplitude = 2e-3
-max_index = 8
 
 [grid]
 n = 256
@@ -354,10 +353,6 @@ def test_simulate_draws_its_initial_noise_from_the_seed(tmp_path):
             for i, seed in enumerate((0, 0, 1))]
     assert runs[0] == runs[1]
     assert runs[0]["diagnostics.csv"] != runs[2]["diagnostics.csv"]
-    # zero_mean = false adds the mean modes to the same draws.
-    text = NOISE_RUN_INI.replace("max_index = 8", "max_index = 8\nzero_mean = false")
-    meaned = _simulate_artifacts(tmp_path / "meaned", text, 0)
-    assert meaned["diagnostics.csv"] != runs[0]["diagnostics.csv"]
 
 
 @pytest.mark.parametrize(
@@ -369,17 +364,9 @@ def test_simulate_draws_its_initial_noise_from_the_seed(tmp_path):
         (NOISE_RUN_INI + "\n[wave]\nw0 = 0.7\nbranch = 1\n",
          "simulate starts from the [initial] noise or from a [wave], not both; "
          "it cannot honour [wave] w0, branch"),
-        ("[initial]\nmax_index = 4\nzero_mean = false\n",
-         "simulate draws no [initial] noise without an amplitude; "
-         "it cannot honour [initial] max_index, zero_mean"),
-        ("[initial]\nmax_index = 4\n\n[wave]\nr0 = 1.0\n",
-         "simulate draws no [initial] noise without an amplitude; "
-         "it cannot honour [initial] max_index"),
         ("[initial]\namplitude = nan\n", "[initial] amplitude must be finite, not nan"),
-        ("[initial]\namplitude = 1e-3\nmax_index = -1\n",
-         "[initial] max_index must be at least 0, not -1"),
     ],
-    ids=["wave", "wave-keys", "no-amplitude", "no-amplitude-beside-a-wave", "nan", "max-index"],
+    ids=["wave", "wave-keys", "nan"],
 )
 def test_simulate_refuses_initial_noise_it_cannot_draw(tmp_path, capsys, text, message):
     out = tmp_path / "out"
