@@ -185,8 +185,6 @@ def _ell_r(values: np.ndarray, r: float) -> np.ndarray:
     """ell^r norms over the last axis of ``values``, shaped ``values.shape[:-1]``."""
     if np.isinf(r):
         return np.max(values, axis=-1)
-    if r == 1.0:
-        return np.sum(values, axis=-1)  # bitwise the root below: x ** 1.0 == x
     sums = np.sum(values**r, axis=-1)
     # The root per scalar: numpy's vectorized power can differ in the last bit.
     return np.array([s ** (1.0 / r) for s in sums.flat]).reshape(sums.shape)

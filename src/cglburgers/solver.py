@@ -191,8 +191,6 @@ class _Layout:
         # [1, ik_1, .., ik_d]: one irfftn gives each Omega_a and its gradient.
         ones = np.ones((1, *self.ik_half.shape[1:]))
         self.value_grad = np.concatenate([ones, self.ik_half])
-        # Shape of the drift view of a packed state, built once for split.
-        self.drift_shape = (dim, *self.shape[:-1], self.h)
         self.k2_half = self.half(grid.k_squared)
         self.dealias_half = self.half(grid.dealias_mask())
         self.dealias = self.pack(grid.dealias_mask(), self.dealias_half)
@@ -214,8 +212,8 @@ class _Layout:
         """
         lead = u.shape[:-1]
         return (
-            u[..., : self.size].reshape(lead + self.shape),
-            u[..., self.size :].reshape(lead + self.drift_shape),
+            u[..., : self.size].reshape(*lead, *self.shape),
+            u[..., self.size :].reshape(*lead, self.dim, *self.shape[:-1], self.h),
         )
 
     def full(self, half: np.ndarray) -> np.ndarray:

@@ -3,11 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from hypothesis.extra.numpy import arrays
 
 from cglburgers.littlewood_paley import (
     BesovIndex,
-    _ell_r,
     OutOfRange,
     besov_norm,
     bony_split,
@@ -45,23 +43,6 @@ def reference_ell_r(values, r):
     if np.isinf(r):
         return float(np.max(values))
     return float(np.sum(values**r) ** (1.0 / r))
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    values=arrays(
-        float,
-        st.tuples(st.integers(1, 4), st.integers(1, 12)),
-        elements=st.one_of(
-            st.floats(0.0, 1e300), st.sampled_from([0.0, np.inf, np.nan]), st.floats(0.0, 1e-300)
-        ),
-    )
-)
-def test_ell_one_is_bitwise_the_per_scalar_root(values):
-    # The sum is returned without the root: x ** 1.0 == x.
-    sums = np.sum(values**1.0, axis=-1)
-    want = np.array([s ** (1.0 / 1.0) for s in sums.flat]).reshape(sums.shape)
-    assert _ell_r(values, 1.0).tobytes() == want.tobytes()
 
 
 def reference_besov_norm(f, idx):
