@@ -17,7 +17,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .model import ConstantCoefficients, SystemParams
-from .spectral import Grid, SpectralField, fft_axes, ifft_axes, irfft_axes, rfft_axes
+from .spectral import (
+    Grid, SpectralField, band_gap, fft_axes, ifft_axes, irfft_axes, rfft_axes,
+)
 
 BLOWUP_DEFAULT = 1e6
 # Largest ratio of the anti-Hermitian to the Hermitian part of a drift
@@ -250,14 +252,32 @@ def _nonlinear_hats(
     2/3-rule mask.  Masking is linear and idempotent, so the products
     need no projection of their own; only |P|^2 is masked first, because it
     is a factor of the cubic term.  P and grad P are complex: in 1D one
-    ``ifft`` of the stack [P, dP/dx], in 2D one ``ifftn`` each, since a
-    stacked (3, n, n) ``ifftn`` measured slower than three calls.  The drift
-    and its gradient are real and come from one stacked ``irfftn``, and the
-    drift tendencies go back through one stacked ``rfftn``: 6 transforms
-    in 1D, 8 in 2D.  Returns the packed N, where
+    ``ifft`` of the stack [P, dP/dx], in 2D one inverse transform each,
+    since a stacked (3, n, n) ``ifftn`` measured slower than three calls.
+    The drift and its gradient are real and come from one stacked inverse
+    real transform, and the drift tendencies go back through one stacked
+    real transform: 6 transforms in 1D, 8 in 2D.  Returns the packed N, where
     dP/dt = (1+iu)*Lap(P) + N_P and dOmega_a/dt = m*Lap(Omega_a) + N_a,
     the largest physical field magnitude and the largest drift magnitude
     max|Omega| (each NaN when a field value it covers is NaN).
+
+    In 2D the route is chosen once per evaluation, from the state.  When
+    P's spectrum has no row outside the band |index| <= n/3, all eight
+    transforms take the passes of :mod:`cglburgers.spectral` that skip the
+    lines outside the band in one of their two passes (the drift's inverse
+    only if, in addition, the drift halves have no column past n/3), and
+    every value is bit for bit numpy's n-d one.  The masked forward
+    transforms are exact for any input, but a state with P outside the band
+    (initial data on every mode, a test of aliasing) keeps numpy's n-d calls
+    throughout.  A run is in the band once its initial data are: N adds
+    nothing outside it, and the linear step damps what is there until it
+    underflows; the round-off that transforming a drift given on the grid
+    leaves outside the band lasts 38 of criterion 10's 50 steps.  The
+    skipped columns of a masked forward transform hold a zero or NaN, as the
+    mask would leave them, though a zero may differ in sign, so a NaN in
+    the band still reaches every kept mode and trips the guards at the same
+    evaluation.  A pruned transform takes two or three numpy calls: 20 an
+    evaluation in the band, 19 with the drift outside it.
 
     The working set is kept small on purpose: sums accumulate in place,
     each array is dropped after its last reader, and the masked transforms
@@ -269,10 +289,13 @@ def _nonlinear_hats(
     lay = _layout(grid)
     dim = lay.dim
     Ph, Ohs = lay.split(u)
+    gap = band_gap(grid.n)
+    band = dim == 2 and not Ph[gap].any()
+    drift_band = band and not Ohs[..., gap].any()
     # V[a, 0] = Omega_a and V[a, 1 + b] = d_b Omega_a, all real.  Its
     # transform holds three stack-sized arrays at once; it goes first, while
     # nothing else is live.
-    V = irfft_axes(grid, Ohs[:, None] * lay.value_grad)
+    V = irfft_axes(grid, Ohs[:, None] * lay.value_grad, band=drift_band)
     O = V[:, 0]
     if dim == 1:
         # At n = 256 a transform costs more in call overhead than in arithmetic.
@@ -281,14 +304,14 @@ def _nonlinear_hats(
         np.multiply(lay.ikP[0], Ph, out=PdP[1])
         P, *dP = ifft_axes(grid, PdP)
     else:
-        P = ifft_axes(grid, Ph)
-        dP = [ifft_axes(grid, ik * Ph) for ik in lay.ikP]
+        P = ifft_axes(grid, Ph, band=band)
+        dP = [ifft_axes(grid, ik * Ph, band=band) for ik in lay.ikP]
     vmax = float(np.abs(O).max())
     amax = float(np.maximum(np.abs(P).max(), vmax))
 
-    absP2_hat = rfft_axes(grid, P.real**2 + P.imag**2)
+    absP2_hat = rfft_axes(grid, P.real**2 + P.imag**2, band=band)
     absP2_hat *= lay.dealias_half
-    absP2 = irfft_axes(grid, absP2_hat)
+    absP2 = irfft_axes(grid, absP2_hat, band=band)
 
     # Sums over the axes start from their first term; a sum from 0 costs a pass.
     adv, div = O[0] * dP[0], V[0, 1]
@@ -318,9 +341,9 @@ def _nonlinear_hats(
     # Each transform is masked straight into its part of the packed N.
     N = np.empty_like(u)
     NPh, NOh = lay.split(N)
-    np.multiply(fft_axes(grid, NP), lay.dealias_P, out=NPh)
+    np.multiply(fft_axes(grid, NP, band=band), lay.dealias_P, out=NPh)
     del NP
-    NO_hat = rfft_axes(grid, NO)
+    NO_hat = rfft_axes(grid, NO, band=band)
     NO_hat -= consts.kappa * lay.ik_half * absP2_hat
     np.multiply(NO_hat, lay.dealias_O, out=NOh)
     return N, amax, vmax

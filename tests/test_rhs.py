@@ -208,11 +208,8 @@ def test_rhs_nonlinear_matches_reference(dim, seed, amplitude, forced):
     _assert_close(np.stack([dP.spectral(), *(w.spectral() for w in dO)]), want)
 
 
-@pytest.mark.parametrize("dim, expected", [(1, 6), (2, 8)])
-def test_rhs_evaluation_fft_count(monkeypatch, dim, expected):
-    grid = GRIDS[dim]
-    _, N = solver._field_system(grid, PARAMS, None, SolverConfig(dt=1e-9))
-    u = solver._stack(_state(grid, 0, 0.1))
+def _count_transforms(monkeypatch) -> list:
+    """The numpy transforms called from now on, one entry each."""
     calls = []
     for name in TRANSFORMS:
         def counted(*args, _f=getattr(np.fft, name), **kwargs):
@@ -220,8 +217,60 @@ def test_rhs_evaluation_fft_count(monkeypatch, dim, expected):
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "dim, in_band, expected", [(1, False, 6), (1, True, 6), (2, False, 8), (2, True, 20)]
+)
+def test_rhs_evaluation_fft_count(monkeypatch, dim, in_band, expected):
+    # A 2D state inside the 2/3-rule band takes the transforms that skip the
+    # lines outside it: two numpy calls for each real transform, three for
+    # each complex one.
+    grid = GRIDS[dim]
+    _, N = solver._field_system(grid, PARAMS, None, SolverConfig(dt=1e-9))
+    u = solver._stack(_state(grid, 0, 0.1))
+    if in_band:
+        u = u * solver._layout(grid).dealias
+    calls = _count_transforms(monkeypatch)
     N(u, 0.0)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize(
+    "part, sign, outside, expected",
+    [
+        # One line at |index| = n//3 + 1, just outside the band, takes numpy's
+        # n-d transforms: all of them for a row of P's spectrum, the drift's
+        # inverse for a column of the drift halves.
+        ("P", 1, True, 8), ("P", -1, True, 8), ("drift", 1, True, 19),
+        # The same lines at n//3, the edge of the band, take none.
+        ("P", 1, False, 20), ("P", -1, False, 20), ("drift", 1, False, 20),
+    ],
+)
+def test_a_line_just_outside_the_band_takes_numpys_route(
+    monkeypatch, n, part, sign, outside, expected
+):
+    grid = Grid(dim=2, n=n, length=5.0)
+    consts = PARAMS.require_constant()
+    lay = solver._layout(grid)
+    u = solver._stack(_state(grid, n, 0.5)) * lay.dealias
+    Ph, Ohs = lay.split(u)
+    index = sign * (n // 3 + outside)
+    rng = np.random.default_rng(n)
+    line = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    if part == "P":
+        Ph[index] = line[0]
+    else:
+        Ohs[:, :, index] = line
+    calls = _count_transforms(monkeypatch)
+    N, amax, vmax = solver._nonlinear_hats(grid, consts, u, 0.3, Forcing())
+    assert len(calls) == expected
+    monkeypatch.undo()
+    N_ref, amax_ref, vmax_ref = _reference_nonlinear_hats(grid, consts, u, 0.3, Forcing())
+    assert np.array_equal(N, N_ref)
+    assert amax == amax_ref and vmax == vmax_ref
 
 
 @pytest.mark.parametrize("dim", [1, 2])

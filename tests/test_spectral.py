@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 from cglburgers.spectral import (
     Grid,
     SpectralField,
+    band_gap,
     band_limited_noise,
     fft_axes,
     ifft_axes,
@@ -160,6 +161,103 @@ def test_a_stacked_1d_transform_is_bitwise_its_per_row_transforms(log2_n, seed, 
         stacked = helper(grid, data)
         rows = [helper(grid, row) for row in data.reshape(-1, data.shape[-1])]
         assert stacked.tobytes() == np.array(rows).tobytes(), helper.__name__
+
+
+def test_band_gap_holds_the_indices_past_n_over_3():
+    for n in (8, 16, 32, 64, 128, 256):
+        idx = np.arange(n)
+        beyond = np.abs(Grid(dim=1, n=n).mode_indices()) > n / 3
+        assert np.array_equal(np.isin(idx, idx[band_gap(n)]), beyond)
+        half = idx[: n // 2 + 1]
+        assert np.array_equal(np.isin(half, half[band_gap(n)]), beyond[: n // 2 + 1])
+
+
+# Values of the band-pass tests: scaled normals, a share of them replaced by
+# zeros and subnormals (the first four specials) or, unless ``finite``, by
+# any of the specials.  The largest values keep every sum of a transform of
+# n <= 128 finite.
+SPECIALS = np.array([0.0, -0.0, 5e-324, -1e-310, np.inf, -np.inf, np.nan])
+BAND_CASES = dict(
+    log2_n=st.integers(3, 7),
+    seed=SEEDS,
+    lead=st.sampled_from([(), (3,), (2, 3)]),
+    exponent=st.integers(-300, 290),
+    share=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+    finite=st.booleans(),
+)
+
+
+def _values(rng, shape, scale, share, finite, dtype):
+    def part():
+        v = scale * rng.normal(size=shape)
+        special = rng.random(shape) < share
+        v[special] = rng.choice(SPECIALS[: 4 if finite else None], size=int(special.sum()))
+        return v
+
+    if dtype is float:
+        return part()
+    v = np.empty(shape, dtype=complex)
+    v.real, v.imag = part(), part()
+    return v
+
+
+def _bits(a):
+    """The bytes of ``a`` with one NaN for all: numpy transforms lines in
+    batches, and the sign of a NaN depends on the batch."""
+    v = np.ascontiguousarray(a).view(np.float64)
+    return np.where(np.isnan(v), np.nan, v).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(**BAND_CASES, negative_zero=st.booleans())
+def test_an_inverse_on_the_band_is_numpys(
+    log2_n, seed, lead, exponent, share, finite, negative_zero
+):
+    # The first pass transforms only the lines that hold the band, and numpy
+    # transforms the others from +0.0 to +0.0: the bits are numpy's, NaN's
+    # sign aside.  A line
+    # of -0.0 numpy transforms to zeros of either sign, which can change only
+    # the sign of a zero.
+    n = 2**log2_n
+    grid = Grid(dim=2, n=n)
+    h = n // 2 + 1
+    beyond = np.abs(grid.mode_indices()) > n / 3
+    rng = np.random.default_rng(seed)
+    x = _values(rng, (*lead, n, n), 10.0**exponent, share, finite, complex)
+    xh = _values(rng, (*lead, n, h), 10.0**exponent, share, finite, complex)
+    zero = -0.0 if negative_zero else 0.0
+    x[..., beyond, :] = zero
+    xh[..., beyond[:h]] = zero
+    for got, want in (
+        (ifft_axes(grid, x, band=True), np.fft.ifftn(x, axes=(-2, -1), norm="forward")),
+        (
+            irfft_axes(grid, xh, band=True),
+            np.fft.irfftn(xh, s=grid.shape, axes=(-2, -1), norm="forward"),
+        ),
+    ):
+        if negative_zero:
+            assert np.array_equal(got, want, equal_nan=True)
+        else:
+            assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**BAND_CASES)
+def test_a_masked_forward_on_the_band_is_numpys(log2_n, seed, lead, exponent, share, finite):
+    # The second pass skips the columns that the mask discards, and leaves
+    # there what the mask leaves, NaN included, up to the sign of a zero.
+    n = 2**log2_n
+    grid = Grid(dim=2, n=n)
+    mask = grid.dealias_mask()
+    rng = np.random.default_rng(seed)
+    x = _values(rng, (*lead, n, n), 10.0**exponent, share, finite, complex)
+    xr = _values(rng, (*lead, n, n), 10.0**exponent, share, finite, float)
+    for helper, data in ((fft_axes, x), (rfft_axes, xr)):
+        got, full = helper(grid, data, band=True), helper(grid, data)
+        m = mask[:, : got.shape[-1]]
+        kept = m[0]
+        assert _bits(got[..., kept]) == _bits(full[..., kept]), helper.__name__
+        assert np.array_equal(got * m, full * m, equal_nan=True), helper.__name__
 
 
 # Magnitudes as the L^p kernel meets them, with the values that end a sum early.
