@@ -263,21 +263,18 @@ def _nonlinear_hats(
 
     In 2D the route is chosen once per evaluation, from the state.  When
     P's spectrum has no row outside the band |index| <= n/3, all eight
-    transforms take the passes of :mod:`cglburgers.spectral` that skip the
-    lines outside the band in one of their two passes (the drift's inverse
-    only if, in addition, the drift halves have no column past n/3), and
-    every value is bit for bit numpy's n-d one.  The masked forward
-    transforms are exact for any input, but a state with P outside the band
-    (initial data on every mode, a test of aliasing) keeps numpy's n-d calls
-    throughout.  A run is in the band once its initial data are: N adds
-    nothing outside it, and the linear step damps what is there until it
-    underflows; the round-off that transforming a drift given on the grid
-    leaves outside the band lasts 38 of criterion 10's 50 steps.  The
-    skipped columns of a masked forward transform hold a zero or NaN, as the
-    mask would leave them, though a zero may differ in sign, so a NaN in
-    the band still reaches every kept mode and trips the guards at the same
-    evaluation.  A pruned transform takes two or three numpy calls: 20 an
-    evaluation in the band, 19 with the drift outside it.
+    transforms take the pruned passes of :mod:`cglburgers.spectral`, which
+    skip the lines outside the band in one of their two passes and give
+    numpy's n-d values; the drift's inverse takes them only if the drift
+    halves also have no column past n/3.  That is 20 numpy calls an
+    evaluation, or 19.  A state with P outside the band (initial data on
+    every mode, a test of aliasing) keeps the 8 n-d calls.  A run is in the
+    band once its initial data are: N adds nothing outside it, and the
+    linear step damps what is there until it underflows.  The round-off
+    that transforming a drift given on the grid leaves outside the band
+    lasts the first 38 steps of criterion 10's 2D run.  A NaN in the band
+    reaches every kept mode on both routes, so the guards trip at the same
+    evaluation.
 
     The working set is kept small on purpose: sums accumulate in place,
     each array is dropped after its last reader, and the masked transforms
@@ -289,9 +286,8 @@ def _nonlinear_hats(
     lay = _layout(grid)
     dim = lay.dim
     Ph, Ohs = lay.split(u)
-    gap = band_gap(grid.n)
-    band = dim == 2 and not Ph[gap].any()
-    drift_band = band and not Ohs[..., gap].any()
+    band = dim == 2 and not Ph[band_gap(grid.n)].any()
+    drift_band = band and not Ohs[..., band_gap(grid.n)].any()
     # V[a, 0] = Omega_a and V[a, 1 + b] = d_b Omega_a, all real.  Its
     # transform holds three stack-sized arrays at once; it goes first, while
     # nothing else is live.

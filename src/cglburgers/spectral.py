@@ -137,7 +137,8 @@ class Grid:
 # forward's second pass would compute for the caller's dealias mask to
 # discard.  The kept lines go through numpy's 1D calls, written with ``out=``
 # into a buffer whose skipped lines are zero, and a line of +0.0 transforms
-# to +0.0, so every value computed is bit for bit numpy's n-d one.  At
+# to +0.0, so every value computed is bit for bit numpy's n-d one (but for
+# the sign of a NaN, which depends on how numpy batches the lines).  At
 # n = 128 a pass skips 43 of 128 rows or columns, or 22 of 65 half-columns.
 # A 1D transform is a single pass and ignores ``band``.
 
