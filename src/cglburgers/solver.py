@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import ConstantCoefficients, SystemParams
 from .spectral import (
-    Grid, SpectralField, band_gap, fft_axes, ifft_axes, irfft_axes, rfft_axes,
+    Grid, SpectralField, fft_axes, ifft_axes, irfft_axes, rfft_axes,
 )
 
 BLOWUP_DEFAULT = 1e6
@@ -261,20 +261,21 @@ def _nonlinear_hats(
     the largest physical field magnitude and the largest drift magnitude
     max|Omega| (each NaN when a field value it covers is NaN).
 
-    In 2D the route is chosen once per evaluation, from the state.  When
-    P's spectrum has no row outside the band |index| <= n/3, all eight
-    transforms take the pruned passes of :mod:`cglburgers.spectral`, which
-    skip the lines outside the band in one of their two passes and give
-    numpy's n-d values; the drift's inverse takes them only if the drift
-    halves also have no column past n/3.  That is 20 numpy calls an
-    evaluation, or 19.  A state with P outside the band (initial data on
-    every mode, a test of aliasing) keeps the 8 n-d calls.  A run is in the
-    band once its initial data are: N adds nothing outside it, and the
-    linear step damps what is there until it underflows.  The round-off
-    that transforming a drift given on the grid leaves outside the band
-    lasts the first 38 steps of criterion 10's 2D run.  A NaN in the band
-    reaches every kept mode on both routes, so the guards trip at the same
-    evaluation.
+    In 2D the transforms take the pruned passes of
+    :mod:`cglburgers.spectral`, which skip the lines outside the band
+    |index| <= n/3 in one of their two passes and give numpy's n-d values
+    (2 numpy calls for a real transform, 3 for a complex one).  The three
+    forwards, whose results are masked, always do.  Each inverse does when
+    its input is zero outside the band: |P|^2's, masked first, whenever P
+    is finite; P's and grad P's when P's spectrum has no row there; the
+    drift's when the drift halves have no column there.  That is 20 numpy
+    calls an evaluation in the band, and 13 for a state outside it (initial
+    data on every mode, a test of aliasing).  A run is in the band once its
+    initial data are: N adds nothing outside it, and the linear step damps
+    what is there until it underflows.  The round-off that transforming a
+    drift given on the grid leaves outside the band lasts the first 38
+    steps of criterion 10's 2D run.  A NaN in the band reaches every kept
+    mode on both routes, so the guards trip at the same evaluation.
 
     The working set is kept small on purpose: sums accumulate in place,
     each array is dropped after its last reader, and the masked transforms
@@ -286,12 +287,10 @@ def _nonlinear_hats(
     lay = _layout(grid)
     dim = lay.dim
     Ph, Ohs = lay.split(u)
-    band = dim == 2 and not Ph[band_gap(grid.n)].any()
-    drift_band = band and not Ohs[..., band_gap(grid.n)].any()
     # V[a, 0] = Omega_a and V[a, 1 + b] = d_b Omega_a, all real.  Its
     # transform holds three stack-sized arrays at once; it goes first, while
     # nothing else is live.
-    V = irfft_axes(grid, Ohs[:, None] * lay.value_grad, band=drift_band)
+    V = irfft_axes(grid, Ohs[:, None] * lay.value_grad)
     O = V[:, 0]
     if dim == 1:
         # At n = 256 a transform costs more in call overhead than in arithmetic.
@@ -300,14 +299,14 @@ def _nonlinear_hats(
         np.multiply(lay.ikP[0], Ph, out=PdP[1])
         P, *dP = ifft_axes(grid, PdP)
     else:
-        P = ifft_axes(grid, Ph, band=band)
-        dP = [ifft_axes(grid, ik * Ph, band=band) for ik in lay.ikP]
+        P = ifft_axes(grid, Ph)
+        dP = [ifft_axes(grid, ik * Ph) for ik in lay.ikP]
     vmax = float(np.abs(O).max())
     amax = float(np.maximum(np.abs(P).max(), vmax))
 
-    absP2_hat = rfft_axes(grid, P.real**2 + P.imag**2, band=band)
+    absP2_hat = rfft_axes(grid, P.real**2 + P.imag**2, band=True)
     absP2_hat *= lay.dealias_half
-    absP2 = irfft_axes(grid, absP2_hat, band=band)
+    absP2 = irfft_axes(grid, absP2_hat)
 
     # Sums over the axes start from their first term; a sum from 0 costs a pass.
     adv, div = O[0] * dP[0], V[0, 1]
@@ -337,9 +336,9 @@ def _nonlinear_hats(
     # Each transform is masked straight into its part of the packed N.
     N = np.empty_like(u)
     NPh, NOh = lay.split(N)
-    np.multiply(fft_axes(grid, NP, band=band), lay.dealias_P, out=NPh)
+    np.multiply(fft_axes(grid, NP, band=True), lay.dealias_P, out=NPh)
     del NP
-    NO_hat = rfft_axes(grid, NO, band=band)
+    NO_hat = rfft_axes(grid, NO, band=True)
     NO_hat -= consts.kappa * lay.ik_half * absP2_hat
     np.multiply(NO_hat, lay.dealias_O, out=NOh)
     return N, amax, vmax

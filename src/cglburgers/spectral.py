@@ -9,9 +9,10 @@ Conventions used throughout the package:
   :func:`irfft_axes`, which put the 1/size factor on the forward side
   (``norm="forward"``).  The grid size is a power of two, so that scaling
   is exact and gives the same bits as dividing after the transform.  A 2D
-  helper makes one n-d numpy call, or, when its caller passes ``band``,
-  two or three 1D calls that skip the lines outside the 2/3-rule band and
-  give the n-d call's values bit for bit.
+  helper makes one n-d numpy call, or two or three 1D calls that skip the
+  lines outside the 2/3-rule band and give the n-d call's values bit for
+  bit: an inverse when its input is zero outside the band, a forward when
+  its caller passes ``band`` because it masks the result.
 * Physical-space L^p norms use the normalized measure ``dx / L`` (equal
   quadrature weights summing to one), making Parseval read
   ``mean(|f|^2) == sum(|fhat|^2)``.
@@ -131,16 +132,17 @@ class Grid:
 # A 2D transform is two passes of 1D transforms, each line transformed on its
 # own: ``ifftn`` transforms the rows (axis -1), then the columns; ``irfftn``
 # the n/2 + 1 half-columns, then the rows; ``fftn`` and ``rfftn`` the rows,
-# then the columns.  With ``band``, a 2D helper skips the lines of one pass
-# that lie outside the 2/3-rule band |index| <= n/3 (:func:`band_gap`): those
-# an inverse's first pass would transform from zero input, or those a
-# forward's second pass would compute for the caller's dealias mask to
-# discard.  The kept lines go through numpy's 1D calls, written with ``out=``
-# into a buffer whose skipped lines are zero, and a line of +0.0 transforms
-# to +0.0, so every value computed is bit for bit numpy's n-d one (but for
-# the sign of a NaN, which depends on how numpy batches the lines).  At
-# n = 128 a pass skips 43 of 128 rows or columns, or 22 of 65 half-columns.
-# A 1D transform is a single pass and ignores ``band``.
+# then the columns.  A 2D helper skips the lines of one pass that lie outside
+# the 2/3-rule band |index| <= n/3 (:func:`band_gap`): an inverse those its
+# first pass would transform from zero input, which it finds by one ``any``
+# over them; a forward, with ``band``, those its second pass would compute
+# for the caller's dealias mask to discard.  The kept lines go through
+# numpy's 1D calls, written with ``out=`` (numpy >= 2.0) into a buffer whose
+# skipped lines are zero, and a line of +0.0 transforms to +0.0, so every
+# value computed is bit for bit numpy's n-d one (but for the sign of a NaN,
+# which depends on how numpy batches the lines, and the sign of a zero where
+# a skipped line held -0.0).  At n = 128 a pass skips 43 of 128 rows or
+# columns, or 22 of 65 half-columns.  A 1D transform is a single pass.
 
 
 def band_gap(n: int) -> slice:
@@ -184,17 +186,17 @@ def fft_axes(grid: Grid, x: np.ndarray, band: bool = False) -> np.ndarray:
     return out
 
 
-def ifft_axes(grid: Grid, x: np.ndarray, band: bool = False) -> np.ndarray:
+def ifft_axes(grid: Grid, x: np.ndarray) -> np.ndarray:
     """Grid values of normalized Fourier coefficients (inverse of :func:`fft_axes`).
 
-    ``band`` on a 2D grid is for ``x`` whose rows |index| > n/3 (axis -2)
-    are zero: they are not transformed, but taken as +0.0.
+    On a 2D grid, rows |index| > n/3 (axis -2) of ``x`` that are all zero
+    are not transformed, but taken as +0.0.
     """
     if grid.dim == 1:
         return np.fft.ifft(x, norm="forward")
-    if not band:
-        return np.fft.ifftn(x, axes=(-2, -1), norm="forward")
     gap = band_gap(grid.n)
+    if x[..., gap, :].any():
+        return np.fft.ifftn(x, axes=(-2, -1), norm="forward")
     rows = np.empty(x.shape, dtype=complex)
     rows[..., gap, :] = 0.0
     for kept in (slice(None, gap.start), slice(gap.stop, None)):
@@ -221,17 +223,17 @@ def rfft_axes(grid: Grid, x: np.ndarray, band: bool = False) -> np.ndarray:
     return out
 
 
-def irfft_axes(grid: Grid, x: np.ndarray, band: bool = False) -> np.ndarray:
+def irfft_axes(grid: Grid, x: np.ndarray) -> np.ndarray:
     """Real grid values of normalized real-FFT coefficients, zero-padded to n//2 + 1.
 
-    ``band`` on a 2D grid is for ``x`` whose half-columns past index n/3 are
-    zero: they are not transformed, but taken as +0.0.
+    On a 2D grid, half-columns past index n/3 of ``x`` that are all zero are
+    not transformed, but taken as +0.0.
     """
     if grid.dim == 1:
         return np.fft.irfft(x, n=grid.n, norm="forward")
-    if not band:
-        return np.fft.irfftn(x, s=grid.shape, axes=(-2, -1), norm="forward")
     gap = band_gap(grid.n)
+    if x[..., gap].any():
+        return np.fft.irfftn(x, s=grid.shape, axes=(-2, -1), norm="forward")
     kept = slice(None, gap.start)
     cols = np.empty(x.shape, dtype=complex)
     cols[..., gap] = 0.0

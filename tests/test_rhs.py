@@ -221,12 +221,13 @@ def _count_transforms(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize(
-    "dim, in_band, expected", [(1, False, 6), (1, True, 6), (2, False, 8), (2, True, 20)]
+    "dim, in_band, expected", [(1, False, 6), (1, True, 6), (2, False, 13), (2, True, 20)]
 )
 def test_rhs_evaluation_fft_count(monkeypatch, dim, in_band, expected):
-    # A 2D state inside the 2/3-rule band takes the transforms that skip the
-    # lines outside it: two numpy calls for each real transform, three for
-    # each complex one.
+    # A 2D transform that skips the lines outside the 2/3-rule band makes two
+    # numpy calls if real, three if complex.  The three masked forwards and
+    # the inverse of the masked |P|^2 always skip them; the inverses of P,
+    # grad P and the drift only for a state inside the band.
     grid = GRIDS[dim]
     _, N = solver._field_system(grid, PARAMS, None, SolverConfig(dt=1e-9))
     u = solver._stack(_state(grid, 0, 0.1))
@@ -242,9 +243,9 @@ def test_rhs_evaluation_fft_count(monkeypatch, dim, in_band, expected):
     "part, sign, outside, expected",
     [
         # One line at |index| = n//3 + 1, just outside the band, takes numpy's
-        # n-d transforms: all of them for a row of P's spectrum, the drift's
-        # inverse for a column of the drift halves.
-        ("P", 1, True, 8), ("P", -1, True, 8), ("drift", 1, True, 19),
+        # n-d transforms: the inverses of P and grad P for a row of P's
+        # spectrum, the drift's inverse for a column of the drift halves.
+        ("P", 1, True, 14), ("P", -1, True, 14), ("drift", 1, True, 19),
         # The same lines at n//3, the edge of the band, take none.
         ("P", 1, False, 20), ("P", -1, False, 20), ("drift", 1, False, 20),
     ],

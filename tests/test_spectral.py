@@ -209,15 +209,13 @@ def _bits(a):
 
 
 @settings(max_examples=80, deadline=None)
-@given(**BAND_CASES, negative_zero=st.booleans())
-def test_an_inverse_on_the_band_is_numpys(
-    log2_n, seed, lead, exponent, share, finite, negative_zero
-):
-    # The first pass transforms only the lines that hold the band, and numpy
-    # transforms the others from +0.0 to +0.0: the bits are numpy's, NaN's
-    # sign aside.  A line
-    # of -0.0 numpy transforms to zeros of either sign, which can change only
-    # the sign of a zero.
+@given(**BAND_CASES, in_band=st.booleans(), negative_zero=st.booleans())
+def test_an_inverse_is_numpys(log2_n, seed, lead, exponent, share, finite, in_band, negative_zero):
+    # On input zero outside the band, the first pass transforms only the
+    # lines that hold the band, and numpy transforms the others from +0.0 to
+    # +0.0: the bits are numpy's, NaN's sign aside.  A line of -0.0 numpy
+    # transforms to zeros of either sign, which can change only the sign of
+    # a zero.  Other input takes numpy's n-d call.
     n = 2**log2_n
     grid = Grid(dim=2, n=n)
     h = n // 2 + 1
@@ -225,20 +223,56 @@ def test_an_inverse_on_the_band_is_numpys(
     rng = np.random.default_rng(seed)
     x = _values(rng, (*lead, n, n), 10.0**exponent, share, finite, complex)
     xh = _values(rng, (*lead, n, h), 10.0**exponent, share, finite, complex)
-    zero = -0.0 if negative_zero else 0.0
-    x[..., beyond, :] = zero
-    xh[..., beyond[:h]] = zero
+    if in_band:
+        zero = -0.0 if negative_zero else 0.0
+        x[..., beyond, :] = zero
+        xh[..., beyond[:h]] = zero
     for got, want in (
-        (ifft_axes(grid, x, band=True), np.fft.ifftn(x, axes=(-2, -1), norm="forward")),
-        (
-            irfft_axes(grid, xh, band=True),
-            np.fft.irfftn(xh, s=grid.shape, axes=(-2, -1), norm="forward"),
-        ),
+        (ifft_axes(grid, x), np.fft.ifftn(x, axes=(-2, -1), norm="forward")),
+        (irfft_axes(grid, xh), np.fft.irfftn(xh, s=grid.shape, axes=(-2, -1), norm="forward")),
     ):
-        if negative_zero:
+        if in_band and negative_zero:
             assert np.array_equal(got, want, equal_nan=True)
         else:
             assert _bits(got) == _bits(want)
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("outside", [True, False])
+def test_an_inverse_with_one_line_just_outside_the_band_is_numpys_n_d_call(
+    monkeypatch, n, lead, sign, outside
+):
+    # One line at |index| = n//3 + 1 takes numpy's n-d call; the same line at
+    # n//3, the edge of the band, takes the pruned passes: three numpy calls
+    # for a complex inverse, two for a real one.
+    grid = Grid(dim=2, n=n)
+    h = n // 2 + 1
+    index = n // 3 + outside
+    rng = np.random.default_rng(n)
+    x = np.zeros((*lead, n, n), dtype=complex)
+    x[..., sign * index, :] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    xh = np.zeros((*lead, n, h), dtype=complex)
+    xh[..., index] = rng.normal(size=n) + 1j * rng.normal(size=n)
+    want = (
+        np.fft.ifftn(x, axes=(-2, -1), norm="forward"),
+        np.fft.irfftn(xh, s=grid.shape, axes=(-2, -1), norm="forward"),
+    )
+    made = []
+    for name in ("ifft", "ifftn", "irfft", "irfftn"):
+        def counted(*args, _f=getattr(np.fft, name), _name=name, **kwargs):
+            made.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    got = ifft_axes(grid, x)
+    assert made == (["ifftn"] if outside else ["ifft"] * 3)
+    made.clear()
+    got_h = irfft_axes(grid, xh)
+    assert made == (["irfftn"] if outside else ["ifft", "irfft"])
+    assert got.tobytes() == want[0].tobytes()
+    assert got_h.tobytes() == want[1].tobytes()
 
 
 @settings(max_examples=80, deadline=None)
