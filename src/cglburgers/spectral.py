@@ -162,7 +162,9 @@ def _mask_skipped_columns(out: np.ndarray, gap: slice) -> None:
     A row with a non-finite value makes every column of its transform
     non-finite, and the column pass spreads that down the whole column.  So
     column 0 is non-finite exactly where a skipped column would be, and
-    0 * column 0 is NaN where ``full * mask`` is, and a zero elsewhere.
+    0 * column 0 is NaN where ``full * mask`` is, and a zero elsewhere, as
+    long as no sum overflows: a finite row whose transform overflows only
+    in a skipped column leaves a zero there where ``full * mask`` has NaN.
     Multiplying the one column and copying it across takes half the time
     of a broadcast multiply into the skipped columns.
     """
