@@ -371,9 +371,6 @@ def heat_solution_series(
     return [SpectralField.from_spectral(f0.grid, row) for row in spectra]
 
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-
 def graded_times(t_end: float, n_steps: int) -> np.ndarray:
     """Geometrically graded time grid resolving all diffusive scales.
 
@@ -388,7 +385,7 @@ def graded_times(t_end: float, n_steps: int) -> np.ndarray:
 def _time_norm(series: np.ndarray, times: np.ndarray, rho: float) -> float:
     if np.isinf(rho):
         return float(np.max(series))
-    return float(_trapezoid(series**rho, times) ** (1.0 / rho))
+    return float(np.trapezoid(series**rho, times) ** (1.0 / rho))
 
 
 def space_time_besov_norm(

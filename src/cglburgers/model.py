@@ -10,7 +10,7 @@ coefficient ``xi``, a drift diffusivity ``m``, a density-coupling strength
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,12 @@ class SystemParams:
     kappa_coeffs: CoeffPair = (0.0, 0.0)
     s1_coeffs: CoeffPair = (0.0, 0.0)
     s2_coeffs: CoeffPair = (0.0, 0.0)
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{field.name} must be finite, not {value!r}")
 
     @classmethod
     def constants(cls, u=0.0, v=0.0, xi=1.0, m=1.0, kappa=0.0, s1=0.0, s2=0.0):
@@ -153,6 +159,9 @@ class PlaneWave:
     w0: float = 0.0
 
     def __post_init__(self):
+        for name in ("r0", "theta0", "w0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"plane-wave {name} must be finite, not {getattr(self, name)!r}")
         if self.r0 < 0:
             raise ValueError("plane-wave amplitude r0 must be nonnegative")
         res = abs(self.r0**2 + self.theta0**2 - 1.0)

@@ -37,7 +37,7 @@ from .solver import (
     check_magnitude,
     run,
 )
-from .spectral import Grid, SpectralField, irfft_axes, rfft_axes
+from .spectral import Grid, SpectralField, band_gap, irfft_axes, rfft_axes
 
 CHART_FLOOR_FRACTION = 0.01
 QUADRATIC_SPREAD_TOLERANCE = 0.10  # passing spread of ||psi(eps*dir)|| / eps^2
@@ -119,19 +119,18 @@ def compose_polar(
     )
 
 
-def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """rfft wavenumbers of a 1D grid and the mask of the modes a run keeps.
+def _kept_band(grid: Grid, k_cutoff: float | None) -> tuple[np.ndarray, int]:
+    """rfft wavenumbers k of a 1D grid and the number nk of modes a run keeps.
 
-    The mask is the grid's 2/3-rule band, cut at |k| <= ``k_cutoff`` if given.
-    Both keep |k| up to a bound, so the mask is a prefix: its first
-    count_nonzero(mask) entries.  Raises ValueError unless the grid is 1D.
+    The kept modes are the grid's 2/3-rule band, cut at |k| <= ``k_cutoff``
+    if given.  Both keep |k| up to a bound, so they are the prefix k[:nk].
+    Raises ValueError unless the grid is 1D.
     """
     _require_1d(grid)
-    half = grid.n // 2 + 1
-    keep = grid.dealias_mask()[:half]
+    nk = band_gap(grid.n).start
     if k_cutoff is not None:
-        keep = keep & grid.kmax_mask(k_cutoff)[:half]
-    return grid.k_min_positive * np.arange(half), keep
+        nk = int(np.count_nonzero(grid.kmax_mask(k_cutoff)[:nk]))
+    return grid.k_min_positive * np.arange(grid.n // 2 + 1), nk
 
 
 def seeded_state(
@@ -144,8 +143,7 @@ def seeded_state(
     """
     if modes < 1:
         raise ValueError(f"init_modes = {modes} seeds no mode; it must be at least 1")
-    _, keep = _kept_band(grid, k_cutoff)
-    top = int(np.count_nonzero(keep)) - 1
+    top = _kept_band(grid, k_cutoff)[1] - 1
     if modes > top:
         raise ValueError(
             f"init_modes = {modes} exceeds the largest kept mode index {top} "
@@ -173,8 +171,7 @@ class _PolarWorkspace:
         self.params = params
         self.wave = wave
         self.config = config
-        k_full, keep = _kept_band(grid, config.k_cutoff)
-        self.nk = int(np.count_nonzero(keep))
+        k_full, self.nk = _kept_band(grid, config.k_cutoff)
         self.k = k_full[: self.nk]
         # [1, ik, (ik)**2], shaped (order, 1, mode) to broadcast over field rows.
         self.ik_powers = (1j * self.k) ** np.arange(3)[:, None, None]
@@ -475,8 +472,8 @@ def resolved_spectral_gap(
 ) -> float:
     """max Re(lambda) over the nonzero wavenumbers resolved on the grid."""
     mats = dispersion.build_matrices(params, wave)
-    k, keep = _kept_band(grid, k_cutoff)
-    lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
+    k, nk = _kept_band(grid, k_cutoff)
+    lams = dispersion.spectrum_table(mats, k[1:nk])
     return float(np.max(lams.real))
 
 
@@ -587,9 +584,9 @@ def instability_experiment(
     if config.k_cutoff is None:
         config = replace(config, k_cutoff=2.0 * abs(k_seed))
 
-    k, keep = _kept_band(grid, config.k_cutoff)
-    if not keep[j_seed]:
-        k_kept = np.max(k[keep], initial=0.0)
+    k, nk = _kept_band(grid, config.k_cutoff)
+    if not j_seed < nk:
+        k_kept = np.max(k[:nk], initial=0.0)
         raise ValueError(
             f"k_seed = {k_seed:g} lies outside the kept band |k| <= {k_kept:g} "
             "of this grid and k_cutoff"
@@ -605,7 +602,7 @@ def instability_experiment(
     hats[j_seed] = amp * vec
     state0 = PerturbationState.from_hats(grid, hats)
     # The kept band is a prefix from k = 0, so row j_seed - 1 is the seeded mode.
-    lams = dispersion.spectrum_table(mats, k[1:][keep[1:]])
+    lams = dispersion.spectrum_table(mats, k[1:nk])
     reference = float(lams[j_seed - 1, 0].real)
 
     traj = evolve_polar(state0, params, wave, config, tolerate_blowup=True)

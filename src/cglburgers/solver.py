@@ -194,9 +194,6 @@ class _Layout:
         ones = np.ones((1, *self.ik_half.shape[1:]))
         self.value_grad = np.concatenate([ones, self.ik_half])
         self.k2_half = self.half(grid.k_squared)
-        self.dealias_half = self.half(grid.dealias_mask())
-        self.dealias = self.pack(grid.dealias_mask(), self.dealias_half)
-        self.dealias_P, self.dealias_O = self.split(self.dealias)
 
     def half(self, full: np.ndarray) -> np.ndarray:
         """The rfftn half (last axis 0..n/2) of a full-layout array."""
@@ -248,9 +245,10 @@ def _nonlinear_hats(
     """Explicit right-hand sides of both equations, in the packed layout.
 
     ``u`` is the packed state (see :class:`_Layout`).  Each equation is
-    assembled in physical space, transformed once and projected by the
-    2/3-rule mask.  Masking is linear and idempotent, so the products
-    need no projection of their own; only |P|^2 is masked first, because it
+    assembled in physical space and taken by one forward transform with
+    ``band=True`` to its 2/3-rule projection (kept modes bit for bit, +0.0
+    elsewhere).  Projection is linear and idempotent, so the products need
+    no projection of their own; only |P|^2 is projected first, because it
     is a factor of the cubic term.  P and grad P are complex: in 1D one
     ``ifft`` of the stack [P, dP/dx], in 2D one inverse transform each,
     since a stacked (3, n, n) ``ifftn`` measured slower than three calls.
@@ -265,12 +263,12 @@ def _nonlinear_hats(
     :mod:`cglburgers.spectral`, which skip the lines outside the band
     |index| <= n/3 in one of their two passes and give numpy's n-d values
     (2 numpy calls for a real transform, 3 for a complex one).  The three
-    forwards, whose results are masked, always do.  Each inverse does when
-    its input is zero outside the band: |P|^2's, masked first, whenever P
-    is finite; P's and grad P's when P's spectrum has no row there; the
-    drift's when the drift halves have no column there.  That is 20 numpy
-    calls an evaluation in the band, and 13 for a state outside it (initial
-    data on every mode, a test of aliasing).  A run is in the band once its
+    projected forwards always do.  Each inverse does when its input is zero
+    outside the band: |P|^2's always, since it is projected first; P's and
+    grad P's when P's spectrum has no row there; the drift's when the drift
+    halves have no column there.  That is 20 numpy calls an evaluation in
+    the band, and 13 for a state outside it (initial data on every mode, a
+    test of aliasing).  A run is in the band once its
     initial data are: N adds nothing outside it, and the linear step damps
     what is there until it underflows.  The round-off that transforming a
     drift given on the grid leaves outside the band lasts the first 38
@@ -278,8 +276,8 @@ def _nonlinear_hats(
     mode on both routes, so the guards trip at the same evaluation.
 
     The working set is kept small on purpose: sums accumulate in place,
-    each array is dropped after its last reader, and the masked transforms
-    are written straight into N.  A 2D call whose temporaries outgrow
+    each array is dropped after its last reader, and the projected
+    transforms are written straight into N.  A 2D call whose temporaries outgrow
     glibc's heap trim threshold hands those pages back to the OS and
     faults them in again on every call: a 50-step 128^2 trajectory took
     15 000 to 52 000 minor page faults in a fresh process, now about 1 400.
@@ -305,7 +303,6 @@ def _nonlinear_hats(
     amax = float(np.maximum(np.abs(P).max(), vmax))
 
     absP2_hat = rfft_axes(grid, P.real**2 + P.imag**2, band=True)
-    absP2_hat *= lay.dealias_half
     absP2 = irfft_axes(grid, absP2_hat)
 
     # Sums over the axes start from their first term; a sum from 0 costs a pass.
@@ -333,14 +330,13 @@ def _nonlinear_hats(
         for a in range(dim):
             NO[a] += _physical(f2[a]).real
 
-    # Each transform is masked straight into its part of the packed N.
+    # Each projected transform goes straight into its part of the packed N.
     N = np.empty_like(u)
     NPh, NOh = lay.split(N)
-    np.multiply(fft_axes(grid, NP, band=True), lay.dealias_P, out=NPh)
+    NPh[...] = fft_axes(grid, NP, band=True)
     del NP
     NO_hat = rfft_axes(grid, NO, band=True)
-    NO_hat -= consts.kappa * lay.ik_half * absP2_hat
-    np.multiply(NO_hat, lay.dealias_O, out=NOh)
+    np.subtract(NO_hat, consts.kappa * lay.ik_half * absP2_hat, out=NOh)
     return N, amax, vmax
 
 

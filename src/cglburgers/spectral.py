@@ -8,11 +8,12 @@ Conventions used throughout the package:
   through :func:`fft_axes`, :func:`ifft_axes`, :func:`rfft_axes` and
   :func:`irfft_axes`, which put the 1/size factor on the forward side
   (``norm="forward"``).  The grid size is a power of two, so that scaling
-  is exact and gives the same bits as dividing after the transform.  A 2D
-  helper makes one n-d numpy call, or two or three 1D calls that skip the
-  lines outside the 2/3-rule band and give the n-d call's values bit for
-  bit: an inverse when its input is zero outside the band, a forward when
-  its caller passes ``band`` because it masks the result.
+  is exact and gives the same bits as dividing after the transform.
+  ``band=True`` on a forward returns the 2/3-rule projection: every mode
+  |index| <= n/3 on each axis keeps the full transform's bits, and every
+  other mode is +0.0.  A 2D inverse whose input is zero outside that band
+  skips the lines it would transform from zero, and gives numpy's n-d
+  values bit for bit.
 * Physical-space L^p norms use the normalized measure ``dx / L`` (equal
   quadrature weights summing to one), making Parseval read
   ``mean(|f|^2) == sum(|fhat|^2)``.
@@ -111,14 +112,6 @@ class Grid:
             return keep
         return keep[:, None] & keep[None, :]
 
-    def dealias_mask(self) -> np.ndarray:
-        """Boolean mask keeping modes with |index| <= n/3 on every axis.
-
-        n is a power of two so n/3 is never an integer and quadratic
-        products of kept modes alias only onto discarded modes.
-        """
-        return self.index_mask(self.n / 3.0)
-
     def kmax_mask(self, k_cutoff: float) -> np.ndarray:
         """Boolean mask keeping modes with |k| <= k_cutoff."""
         return self.k_magnitude <= k_cutoff + 1e-12
@@ -136,15 +129,15 @@ class Grid:
 # the 2/3-rule band |index| <= n/3 (:func:`band_gap`): an inverse those its
 # first pass would transform from zero input, which it finds by one ``any``
 # over them; a forward, with ``band``, those its second pass would compute
-# for the caller's dealias mask to discard.  The kept lines go through
-# numpy's 1D calls, written with ``out=`` (numpy >= 2.0) into a buffer whose
-# skipped lines are zero, and a line of +0.0 transforms to +0.0, so every
-# value computed is bit for bit numpy's n-d one (but for the sign of a NaN,
-# which depends on how numpy batches the lines, and the sign of a zero where
-# a skipped line held -0.0).  A second pass writes over its own input, which
-# saves allocating, and faulting in, one more array per transform.  At
-# n = 128 a pass skips 43 of 128 rows or columns, or 22 of 65 half-columns.
-# A 1D transform is a single pass.
+# only for the projection to zero, and then zeroes the gap rows and columns.
+# The kept lines go through numpy's 1D calls, written with ``out=`` (numpy >=
+# 2.0) into a buffer whose skipped lines are zero, and a line of +0.0
+# transforms to +0.0, so every value computed is bit for bit numpy's n-d one
+# (but for the sign of a NaN, which depends on how numpy batches the lines,
+# and the sign of a zero where a skipped line held -0.0).  A second pass
+# writes over its own input, which saves allocating, and faulting in, one
+# more array per transform.  At n = 128 a pass skips 43 of 128 rows or
+# columns, or 22 of 65 half-columns.  A 1D transform is a single pass.
 
 
 def band_gap(n: int) -> slice:
@@ -156,38 +149,24 @@ def band_gap(n: int) -> slice:
     return slice(n // 3 + 1, n - n // 3)
 
 
-def _mask_skipped_columns(out: np.ndarray, gap: slice) -> None:
-    """Fill the skipped columns of a forward transform as the dealias mask would.
-
-    A row with a non-finite value makes every column of its transform
-    non-finite, and the column pass spreads that down the whole column.  So
-    column 0 is non-finite exactly where a skipped column would be, and
-    0 * column 0 is NaN where ``full * mask`` is, and a zero elsewhere, as
-    long as no sum overflows: a finite row whose transform overflows only
-    in a skipped column leaves a zero there where ``full * mask`` has NaN.
-    Multiplying the one column and copying it across takes half the time
-    of a broadcast multiply into the skipped columns.
-    """
-    out[..., gap] = out[..., :1] * 0.0
-
-
 def fft_axes(grid: Grid, x: np.ndarray, band: bool = False) -> np.ndarray:
     """Normalized Fourier coefficients over the grid's (last ``dim``) axes.
 
-    ``band`` on a 2D grid is for a caller that multiplies the result by the
-    dealias mask: the columns |index| > n/3 are not transformed, and hold
-    what the mask leaves there (a zero, or NaN).  Every other value is bit
-    for bit the full transform's.
+    With ``band``, their 2/3-rule projection: every mode |index| > n/3 on
+    some axis is +0.0 (in 2D its column is not transformed), and every other
+    value is bit for bit the full transform's.
     """
-    if grid.dim == 1:
-        return np.fft.fft(x, norm="forward")
-    if not band:
+    if grid.dim == 2 and not band:
         return np.fft.fftn(x, axes=(-2, -1), norm="forward")
-    gap = band_gap(grid.n)
     out = np.fft.fft(x, norm="forward")
-    for kept in (slice(None, gap.start), slice(gap.stop, None)):
-        np.fft.fft(out[..., kept], axis=-2, norm="forward", out=out[..., kept])
-    _mask_skipped_columns(out, gap)
+    if not band:
+        return out
+    gap = band_gap(grid.n)
+    if grid.dim == 2:
+        for kept in (slice(None, gap.start), slice(gap.stop, None)):
+            np.fft.fft(out[..., kept], axis=-2, norm="forward", out=out[..., kept])
+        out[..., gap, :] = 0.0
+    out[..., gap] = 0.0
     return out
 
 
@@ -212,18 +191,20 @@ def ifft_axes(grid: Grid, x: np.ndarray) -> np.ndarray:
 def rfft_axes(grid: Grid, x: np.ndarray, band: bool = False) -> np.ndarray:
     """Normalized real-FFT coefficients (last axis n//2 + 1) of real grid values.
 
-    ``band`` on a 2D grid skips the half-columns past index n/3, as
-    :func:`fft_axes` skips its columns.
+    ``band`` projects them as :func:`fft_axes` does; in 2D the half-columns
+    past index n/3 are not transformed.
     """
-    if grid.dim == 1:
-        return np.fft.rfft(x, norm="forward")
-    if not band:
+    if grid.dim == 2 and not band:
         return np.fft.rfftn(x, axes=(-2, -1), norm="forward")
-    gap = band_gap(grid.n)
-    kept = slice(None, gap.start)
     out = np.fft.rfft(x, norm="forward")
-    np.fft.fft(out[..., kept], axis=-2, norm="forward", out=out[..., kept])
-    _mask_skipped_columns(out, gap)
+    if not band:
+        return out
+    gap = band_gap(grid.n)
+    if grid.dim == 2:
+        kept = slice(None, gap.start)
+        np.fft.fft(out[..., kept], axis=-2, norm="forward", out=out[..., kept])
+        out[..., gap, :] = 0.0
+    out[..., gap] = 0.0
     return out
 
 
@@ -311,10 +292,10 @@ def lp_norms(mag: np.ndarray, p: float, axes: tuple[int, ...]) -> np.ndarray:
 
 
 def lp_norm(f: SpectralField, p: float = 2.0) -> float:
-    """Physical-space L^p norm with the normalized measure dx/L."""
+    """Physical-space L^p norm with the normalized measure dx/L, for p in [1, inf]."""
+    if not p >= 1.0:
+        raise ValueError(f"p must lie in [1, inf], not {p!r}")
     mag = np.abs(f.physical())
-    if p <= 0:
-        raise ValueError("p must be positive")
     return float(lp_norms(mag, p, tuple(range(mag.ndim))))
 
 

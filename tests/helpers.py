@@ -8,6 +8,16 @@ from cglburgers.littlewood_paley import smallness_monitor
 from cglburgers.model import PlaneWave, SystemParams
 
 
+def dealias_mask(grid) -> np.ndarray:
+    """Boolean mask keeping modes with |index| <= n/3 on every axis: the 2/3 rule.
+
+    n is a power of two so n/3 is never an integer and quadratic products
+    of kept modes alias only onto discarded modes.
+    """
+    keep = np.abs(grid.mode_indices()) <= grid.n / 3.0
+    return keep if grid.dim == 1 else keep[:, None] & keep[None, :]
+
+
 def random_constrained_pair(rng: np.random.Generator):
     """Random (params, wave) satisfying both plane-wave constraints.
 

@@ -284,6 +284,37 @@ def test_simulate_refuses_a_non_finite_setting(tmp_path, capsys, section, key, v
     assert not (out / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("model", "m", "nan", "m must be finite"),
+        ("model", "u0", "inf", "u_coeffs must be finite"),
+        ("model", "kappa0", "nan", "kappa_coeffs must be finite"),
+        ("wave", "w0", "nan", "plane-wave w0 must be finite"),
+    ],
+)
+def test_simulate_refuses_a_non_finite_model_or_wave_value(
+    tmp_path, capsys, section, key, value, named
+):
+    # These runs used to exit 0 and report "unstable@0.01" (from noise) or
+    # "unstable@0" (from the wave).
+    start = {"wave": {"r0": "1.0"}} if section == "wave" else {"initial": {"amplitude": "1e-3"}}
+    sections = {"model": {}, **start, "grid": {"n": "32"},
+                "solver": {"dt": "0.01", "t_end": "0.05"}}
+    sections[section][key] = value
+    text = "".join(
+        f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        for sec, keys in sections.items()
+    )
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", write(tmp_path, "sim.ini", text), "--out", str(out)])
+    assert code == 1
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["exit_code"] == 1
+    assert named in error["error"]
+    assert not (out / "diagnostics.csv").exists()
+
+
 def test_simulate_refuses_a_wave_in_two_dimensions(tmp_path, capsys):
     # Such a run used to evolve zeros and exit 0.
     path = write(

@@ -1,9 +1,10 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cglburgers import dispersion
 from cglburgers.dispersion import (
@@ -351,6 +352,40 @@ def test_residual_guard_rejects_no_valid_cases():
     assert lams.shape == (129, 3)
 
 
+def _exact_char_coefficients(M) -> tuple[complex, complex, complex]:
+    """Trace, sum of principal 2x2 minors and determinant of a complex 3x3 matrix.
+
+    Each is summed exactly in rationals from the float entries of ``M`` (a
+    complex entry as a pair of Fractions) and rounded once at the end.
+    """
+    z = [[(Fraction(v.real), Fraction(v.imag)) for v in row] for row in M]
+
+    def product(*factors):
+        re, im = Fraction(1), Fraction(0)
+        for a, b in factors:
+            re, im = re * a - im * b, re * b + im * a
+        return re, im
+
+    def total(signed_terms):
+        return complex(
+            float(sum(sign * re for sign, (re, _) in signed_terms)),
+            float(sum(sign * im for sign, (_, im) in signed_terms)),
+        )
+
+    pairs = list(itertools.combinations(range(3), 2))
+    trace = total([(1, z[i][i]) for i in range(3)])
+    minors = total(
+        [(1, product(z[i][i], z[j][j])) for i, j in pairs]
+        + [(-1, product(z[i][j], z[j][i])) for i, j in pairs]
+    )
+    det = total([
+        ((-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)),
+         product(*(z[i][perm[i]] for i in range(3))))
+        for perm in itertools.permutations(range(3))
+    ])
+    return trace, minors, det
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -358,6 +393,9 @@ def test_residual_guard_rejects_no_valid_cases():
     k_extent=st.floats(0.0, 64.0),
     count=st.integers(1, 64),
 )
+# Draws at which numpy's complex det returns NaN: the reference is exact.
+@example(seed=3860, zeros=0.5, k_extent=2.2250738585072014e-308, count=1)
+@example(seed=0, zeros=0.75, k_extent=5e-324, count=2)
 def test_closed_form_char_coefficients_match_numpy(seed, zeros, k_extent, count):
     # Real A, B and C with entries of magnitude 1e-3 ... 1e3 and random zeros.
     rng = np.random.default_rng(seed)
@@ -367,13 +405,11 @@ def test_closed_form_char_coefficients_match_numpy(seed, zeros, k_extent, count)
     mats = dispersion.LinearizationMatrices(A=A, B=B, C=C)
     ks = rng.uniform(-k_extent, k_extent, count)
     Ms = pencil(mats, ks[:, None, None])
-    tr = np.trace(Ms, axis1=-2, axis2=-1)
-    minors = 0.5 * (tr**2 - np.trace(Ms @ Ms, axis1=-2, axis2=-1))
-    det = np.linalg.det(Ms)
+    exact = np.array([_exact_char_coefficients(M) for M in Ms]).T
     # Each coefficient is homogeneous of its degree in the entries.
     size = np.max(np.abs(Ms), axis=(-2, -1))
     got = dispersion._char_coefficients([mats], ks)
-    for degree, g, want in zip((1, 2, 3), got, (tr, minors, det)):
+    for degree, g, want in zip((1, 2, 3), got, exact):
         assert np.all(np.abs(g[0] - want) <= 1e-12 * size**degree)
 
 

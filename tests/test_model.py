@@ -129,3 +129,23 @@ def test_plane_wave_rejects_off_circle():
         PlaneWave(r0=0.5, theta0=0.5)
     with pytest.raises(ValueError):
         PlaneWave(r0=-1.0, theta0=0.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "field", ["u_coeffs", "v_coeffs", "xi", "m", "kappa_coeffs", "s1_coeffs", "s2_coeffs"]
+)
+def test_system_params_refuse_a_non_finite_value_by_name(field, value):
+    # m = nan, u0 = inf and kappa0 = nan used to run, and report "unstable".
+    bad = (0.0, value) if field.endswith("_coeffs") else value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        SystemParams(**{field: bad})
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["r0", "theta0", "w0"])
+def test_plane_wave_refuses_a_non_finite_value_by_name(field, value):
+    # w0 = nan used to run to a NaN row, and fail in numpy in dispersion.
+    values = {"r0": 1.0, "theta0": 0.0, "w0": 0.0, field: value}
+    with pytest.raises(ValueError, match=f"^plane-wave {field} must be finite"):
+        PlaneWave(**values)

@@ -8,6 +8,7 @@ from cglburgers import solver
 from cglburgers.model import SystemParams
 from cglburgers.solver import FieldState, Forcing, SolverConfig, _physical, rhs_nonlinear
 from cglburgers.spectral import Grid, SpectralField, band_limited_noise
+from helpers import dealias_mask
 
 PARAMS = SystemParams.constants(u=0.3, v=-0.7, xi=1.2, m=0.8, kappa=0.6, s1=0.4, s2=-0.9)
 GRIDS = {1: Grid(dim=1, n=64), 2: Grid(dim=2, n=32, length=5.0)}
@@ -27,7 +28,7 @@ def _mask_product(a, b, mask):
 def reference_hats(grid, consts, u, t, forcing, use_dealias):
     """Stacked spectral N, every product projected through its own FFT round trip."""
     size = grid.size
-    mask = grid.dealias_mask() if use_dealias else None
+    mask = dealias_mask(grid) if use_dealias else None
     Ph, Ohs = u[0], u[1:]
     P = np.fft.ifftn(Ph * size)
     O = [np.fft.ifftn(oh * size) for oh in Ohs]
@@ -84,6 +85,12 @@ def reference_hats(grid, consts, u, t, forcing, use_dealias):
     return N
 
 
+def _packed_dealias_mask(grid):
+    """The 2/3-rule mask in the packed layout of the full-field state."""
+    lay, mask = solver._layout(grid), dealias_mask(grid)
+    return lay.pack(mask, lay.half(mask))
+
+
 class _ScaledLayout(solver._Layout):
     """The layout with the multipliers of the unnormalized inverse transforms."""
 
@@ -92,6 +99,7 @@ class _ScaledLayout(solver._Layout):
         self.axes = tuple(range(-grid.dim, 0))
         self.ikP = tuple(ik * grid.size for ik in self.ikP)
         self.value_grad = self.value_grad * grid.size
+        self.dealias_half = self.half(dealias_mask(grid))
 
 
 def _reference_nonlinear_hats(grid, consts, u, t, forcing):
@@ -128,7 +136,7 @@ def _reference_nonlinear_hats(grid, consts, u, t, forcing):
     N[:size] = np.fft.fftn(NP).ravel() / size
     NOh = np.fft.rfftn(NO, axes=axes) / size - consts.kappa * lay.ik_half * absP2_hat
     N[size:] = NOh.ravel()
-    N *= lay.dealias
+    N *= _packed_dealias_mask(grid)
     vmax = float(np.max(np.abs(O)))
     return N, float(np.max([np.max(np.abs(P)), vmax])), vmax
 
@@ -232,7 +240,7 @@ def test_rhs_evaluation_fft_count(monkeypatch, dim, in_band, expected):
     _, N = solver._field_system(grid, PARAMS, None, SolverConfig(dt=1e-9))
     u = solver._stack(_state(grid, 0, 0.1))
     if in_band:
-        u = u * solver._layout(grid).dealias
+        u = u * _packed_dealias_mask(grid)
     calls = _count_transforms(monkeypatch)
     N(u, 0.0)
     assert len(calls) == expected
@@ -256,7 +264,7 @@ def test_a_line_just_outside_the_band_takes_numpys_route(
     grid = Grid(dim=2, n=n, length=5.0)
     consts = PARAMS.require_constant()
     lay = solver._layout(grid)
-    u = solver._stack(_state(grid, n, 0.5)) * lay.dealias
+    u = solver._stack(_state(grid, n, 0.5)) * _packed_dealias_mask(grid)
     Ph, Ohs = lay.split(u)
     index = sign * (n // 3 + outside)
     rng = np.random.default_rng(n)

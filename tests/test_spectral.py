@@ -15,6 +15,7 @@ from cglburgers.spectral import (
     lp_norms,
     rfft_axes,
 )
+from helpers import dealias_mask
 
 
 @pytest.fixture
@@ -61,8 +62,8 @@ SEEDS = st.integers(0, 2**32 - 1)
 def test_dealias_idempotent(dim, log2_n, seed, real):
     grid = Grid(dim=dim, n=2**log2_n, length=3.0)
     f = band_limited_noise(grid, np.random.default_rng(seed), max_index=grid.n // 2, real=real)
-    once = f.spectral() * grid.dealias_mask()
-    assert np.array_equal(once * grid.dealias_mask(), once)
+    once = f.spectral() * dealias_mask(grid)
+    assert np.array_equal(once * dealias_mask(grid), once)
 
 
 def _on_fine_grid(f: SpectralField, fine: Grid) -> SpectralField:
@@ -83,12 +84,12 @@ def test_dealiased_product_matches_fine_grid(dim, log2_n, seed):
     rng = np.random.default_rng(seed)
     u, v = (band_limited_noise(grid, rng, max_index=grid.n // 3) for _ in range(2))
     coarse = SpectralField.from_physical(grid, u.physical() * v.physical()).spectral()
-    coarse = coarse * grid.dealias_mask()
+    coarse = coarse * dealias_mask(grid)
     exact = SpectralField.from_physical(
         fine, _on_fine_grid(u, fine).physical() * _on_fine_grid(v, fine).physical()
     )
     pos = np.fft.fftfreq(grid.n, d=1.0 / grid.n).astype(int) % fine.n
-    kept = exact.spectral()[np.ix_(*[pos] * dim)] * grid.dealias_mask()
+    kept = exact.spectral()[np.ix_(*[pos] * dim)] * dealias_mask(grid)
     scale = max(np.max(np.abs(kept)), 1.0)
     assert np.max(np.abs(coarse - kept)) < 1e-12 * scale
 
@@ -102,6 +103,15 @@ def test_parseval(dim, log2_n, seed, amplitude):
     f = band_limited_noise(grid, np.random.default_rng(seed), amplitude=amplitude).as_physical()
     want = np.sqrt(np.sum(np.abs(f.spectral()) ** 2))
     assert abs(lp_norm(f, 2.0) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -1.0, -np.inf, np.nan])
+def test_lp_norm_refuses_p_outside_one_to_infinity(monkeypatch, grid1d, p):
+    # p = 0.5 used to return 4.46 on this field, p = nan NaN.
+    f = SpectralField.from_spectral(grid1d, np.ones(grid1d.shape))
+    monkeypatch.setattr(np.fft, "ifft", None)  # refused before any transform
+    with pytest.raises(ValueError, match=r"p must lie in \[1, inf\]"):
+        lp_norm(f, p)
 
 
 def test_lp_norm_infinity(grid1d):
@@ -276,22 +286,39 @@ def test_an_inverse_with_one_line_just_outside_the_band_is_numpys_n_d_call(
 
 
 @settings(max_examples=80, deadline=None)
-@given(**BAND_CASES)
-def test_a_masked_forward_on_the_band_is_numpys(log2_n, seed, lead, exponent, share, finite):
-    # The second pass skips the columns that the mask discards, and leaves
-    # there what the mask leaves, NaN included, up to the sign of a zero.
+@given(**BAND_CASES, dim=DIMS)
+def test_a_band_forward_is_the_projection_of_numpys(log2_n, seed, lead, exponent, share, finite, dim):
+    # Every mode the 2/3 rule keeps has the full transform's bits, NaN's sign
+    # aside; every other mode is +0.0, whatever the full transform holds there.
     n = 2**log2_n
-    grid = Grid(dim=2, n=n)
-    mask = grid.dealias_mask()
+    grid = Grid(dim=dim, n=n)
+    mask = dealias_mask(grid)
     rng = np.random.default_rng(seed)
-    x = _values(rng, (*lead, n, n), 10.0**exponent, share, finite, complex)
-    xr = _values(rng, (*lead, n, n), 10.0**exponent, share, finite, float)
+    x = _values(rng, (*lead, *grid.shape), 10.0**exponent, share, finite, complex)
+    xr = _values(rng, (*lead, *grid.shape), 10.0**exponent, share, finite, float)
     for helper, data in ((fft_axes, x), (rfft_axes, xr)):
         got, full = helper(grid, data, band=True), helper(grid, data)
-        m = mask[:, : got.shape[-1]]
-        kept = m[0]
+        kept = mask[..., : got.shape[-1]]
         assert _bits(got[..., kept]) == _bits(full[..., kept]), helper.__name__
-        assert np.array_equal(got * m, full * m, equal_nan=True), helper.__name__
+        assert got[..., ~kept].tobytes() == np.zeros_like(got[..., ~kept]).tobytes()
+
+
+def test_a_band_forward_stays_finite_where_the_full_transform_overflows():
+    # 1.6e306 * (-1)^j on every row: the sum of each row's transform
+    # overflows at the Nyquist column, which the 2/3 rule discards, and the
+    # column pass spreads it down that column.  The kept modes are finite.
+    n = 128
+    grid = Grid(dim=2, n=n)
+    mask = dealias_mask(grid)
+    x = np.tile(1.6e306 * (-1.0) ** np.arange(n), (n, 1))
+    for helper, data in ((fft_axes, x.astype(complex)), (rfft_axes, x)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            full, got = helper(grid, data), helper(grid, data, band=True)
+            kept = mask[:, : got.shape[-1]]
+            assert np.isnan(full * kept).any(), helper.__name__
+        assert np.isfinite(got).all(), helper.__name__
+        assert got[kept].tobytes() == full[kept].tobytes(), helper.__name__
+        assert not got[~kept].any(), helper.__name__
 
 
 # Magnitudes as the L^p kernel meets them, with the values that end a sum early.

@@ -121,6 +121,12 @@ FAILING = {
     "decay-fit --config configs/decay_reference.ini with coupling = kappa_constant --seed 0": (
         "decay-fit", "decay_reference.ini", {"dispersion": {"coupling": "kappa_constant"}},
     ),
+    "simulate --config configs/smallness_run.ini with m = nan --seed 0": (
+        "simulate", "smallness_run.ini", {"model": {"m": "nan"}},
+    ),
+    "dispersion --config configs/dispersion_reference.ini with w0 = nan --seed 0": (
+        "dispersion", "dispersion_reference.ini", {"wave": {"w0": "nan"}},
+    ),
 }
 
 
