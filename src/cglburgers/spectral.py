@@ -153,8 +153,8 @@ def fft_axes(grid: Grid, x: np.ndarray, band: bool = False) -> np.ndarray:
     """Normalized Fourier coefficients over the grid's (last ``dim``) axes.
 
     With ``band``, their 2/3-rule projection: every mode |index| > n/3 on
-    some axis is +0.0 (in 2D its column is not transformed), and every other
-    value is bit for bit the full transform's.
+    some axis is +0.0, and every other value is bit for bit the full
+    transform's.  In 2D the columns past n/3 are not transformed.
     """
     if grid.dim == 2 and not band:
         return np.fft.fftn(x, axes=(-2, -1), norm="forward")
